@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .errors import NhurError
+from .errors import MetricValidationError, NhurError
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, as_operator
 from .metric import (
     Metric,
@@ -31,7 +31,6 @@ from .metric import (
     is_good_observable,
     metric_from_matrix,
     metric_from_right_eigenvectors,
-    validate_metric,
 )
 from .relations import Formalism, evaluate_all
 from .scenarios import (
@@ -311,7 +310,11 @@ def cmd_check(args) -> int:
     tol = ur_tolerance()
     report["tolerance_ur"] = tol
     if problem["g"] is not None:
-        metric_report = validate_metric(problem["g"])
+        try:
+            metric = metric_from_matrix(problem["g"])
+            metric_report = metric.validation
+        except MetricValidationError as exc:
+            metric_report = exc.report
         report["metric"] = {
             "provenance": "explicit",
             "hermitian": metric_report.hermitian,
@@ -326,7 +329,6 @@ def cmd_check(args) -> int:
                   f"positive_definite={_bool(metric_report.positive_definite)})",
                   file=sys.stderr)
             return 2
-        metric = metric_from_matrix(problem["g"])
     else:
         metric = identity_metric(problem["dim"])
         report["metric"] = {

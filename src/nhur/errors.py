@@ -39,7 +39,14 @@ class SingularFrameError(NhurError):
 
 
 class MetricValidationError(NhurError):
-    """A candidate metric is not Hermitian positive definite."""
+    """A candidate metric is not Hermitian positive definite.
+
+    report is the failed validation's MetricReport, when one was made.
+    """
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 class DegenerateEigenstateError(NhurError):

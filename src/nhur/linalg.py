@@ -63,6 +63,16 @@ def as_state(value, dim: int | None = None, name: str = "state") -> np.ndarray:
     return arr
 
 
+def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Batched matrix-vector product: (..., d, d) with (..., d) -> (..., d)."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _vdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Batched inner product over the last axis, antilinear in u."""
+    return np.einsum("...i,...i->...", u.conj(), v)
+
+
 def adjoint(m) -> np.ndarray:
     """Conjugate transpose."""
     return as_operator(m).conj().T

@@ -113,7 +113,8 @@ def metric_from_matrix(g, hamiltonian=None) -> Metric:
     if not report.ok:
         raise MetricValidationError(
             "metric is not Hermitian positive definite "
-            f"(hermitian={report.hermitian}, min eigenvalue={report.min_eigenvalue:.6g})"
+            f"(hermitian={report.hermitian}, min eigenvalue={report.min_eigenvalue:.6g})",
+            report=report,
         )
     return Metric(g=_freeze(g), provenance="explicit", validation=report)
 
@@ -140,7 +141,8 @@ def metric_from_right_eigenvectors(sys: EigenSystem, hamiltonian=None) -> Metric
     if not report.ok:
         raise MetricValidationError(
             "eigenframe-derived metric failed validation "
-            f"(min eigenvalue={report.min_eigenvalue:.6g})"
+            f"(min eigenvalue={report.min_eigenvalue:.6g})",
+            report=report,
         )
     return Metric(g=_freeze(g), provenance="eigenframe", validation=report)
 
@@ -164,12 +166,22 @@ class GoodObservableCheck:
 def is_good_observable(x, metric: Metric) -> GoodObservableCheck:
     """Test whether x plays the role of a Hermitian observable under G."""
     x = as_operator(x, dim=metric.dim, name="observable")
-    raw = float(np.linalg.norm(x.conj().T @ metric.g - metric.g @ x))
-    denom = float(np.linalg.norm(metric.g)) * float(np.linalg.norm(x))
-    residual = 0.0 if denom == 0.0 else raw / denom
+    residual = float(_good_residual(x, metric.g))
     return GoodObservableCheck(
         is_good=residual <= EPS_GOOD, residual=residual, threshold=EPS_GOOD
     )
+
+
+def _good_residual(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Batched ``|X^dag G - G X|_F / (|G|_F |X|_F)`` over leading axes;
+    0 where the denominator vanishes."""
+    raw = _frobenius(np.conj(np.swapaxes(x, -1, -2)) @ g - g @ x)
+    denom = _frobenius(g) * _frobenius(x)
+    return np.divide(raw, denom, out=np.zeros(np.shape(raw)), where=denom != 0.0)
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("...ij,...ij->...", m.conj(), m).real)
 
 
 def state_norm_sq(psi, metric: Metric) -> float:
@@ -188,11 +200,15 @@ def require_normalized(psi, metric: Metric, name: str = "state") -> np.ndarray:
     psi = as_state(psi, dim=metric.dim, name=name)
     nsq = complex(np.vdot(psi, metric.g @ psi))
     if abs(nsq - 1.0) > EPS_NORM:
-        raise NotNormalizedError(
-            f"{name} has metric norm^2 = {nsq.real:.12g} "
-            f"(must be 1 within {EPS_NORM:g})"
-        )
+        raise _norm_error(name, nsq)
     return psi
+
+
+def _norm_error(name: str, nsq: complex) -> NotNormalizedError:
+    return NotNormalizedError(
+        f"{name} has metric norm^2 = {nsq.real:.12g} "
+        f"(must be 1 within {EPS_NORM:g})"
+    )
 
 
 # Unchecked kernels over raw arrays.  Callers are responsible for shape,
@@ -219,15 +235,24 @@ def _covariance_raw(
 
 def _as_real_variance(val: complex, what: str = "variance") -> float:
     """Enforce that a variance came out real and nonnegative; clamp noise."""
+    error = _variance_error(val, what)
+    if error is not None:
+        raise error
+    return max(val.real, 0.0)
+
+
+def _variance_error(val: complex, what: str = "variance"):
+    """The InternalInconsistencyError for a variance that is not real and
+    nonnegative within EPS_VAR, or None."""
     if abs(val.imag) > EPS_VAR:
-        raise InternalInconsistencyError(
+        return InternalInconsistencyError(
             f"{what} has imaginary part {val.imag:.3e} beyond {EPS_VAR:g}"
         )
     if val.real < -EPS_VAR:
-        raise InternalInconsistencyError(
+        return InternalInconsistencyError(
             f"{what} is negative ({val.real:.3e}) beyond {EPS_VAR:g}"
         )
-    return max(val.real, 0.0)
+    return None
 
 
 def g_expectation(x, psi, metric: Metric) -> complex:

@@ -8,11 +8,14 @@ phases, with the metric built from the right eigenvectors and the state a
 weighted superposition of them.
 
 Sweeps evaluate all four relations on a uniform inclusive grid and never
-abort on a bad point; failures are recorded on the point itself.
+abort on a bad point; failures are recorded on the point itself.  Each
+sweep validates its configuration and builds its metric once, stacks the
+grid's operators and states, and evaluates them in one `relation_batch`
+call.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +27,14 @@ from .errors import (
 )
 from .linalg import SIGMA_Y, EigenSystem
 from .metric import identity_metric, metric_from_right_eigenvectors
-from .relations import Formalism, UrEvaluation, evaluate_all
-from .states import superposition_state
+from .relations import (
+    Formalism,
+    UrEvaluation,
+    _resolve_tol,
+    _validated,
+    relation_batch,
+)
+from .states import _superpose, superposition_state
 from .tolerances import EPS_EP
 
 SYMMETRIC = "symmetric"
@@ -60,26 +69,33 @@ class Example1Config:
         return self
 
 
-def _polar_operator(theta_u: float, theta_s: float, theta0: float) -> np.ndarray:
+def _polar_operator(theta_u: float, theta_s: float, theta0) -> np.ndarray:
     """S U with U a reflection through angle 2(theta_u - theta0) and
-    S = diag(-cos 2 theta_s, 1)."""
-    d = 2.0 * (theta_u - theta0)
-    u = np.array(
-        [[math.cos(d), math.sin(d)], [math.sin(d), -math.cos(d)]], dtype=complex
-    )
-    s = np.array([[-math.cos(2.0 * theta_s), 0.0], [0.0, 1.0]], dtype=complex)
-    return s @ u
+    S = diag(-cos 2 theta_s, 1), stacked over an array of theta0."""
+    d = 2.0 * (theta_u - np.asarray(theta0, dtype=float))
+    c, s = np.cos(d), np.sin(d)
+    stretch = -math.cos(2.0 * theta_s)
+    out = np.empty(d.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = stretch * c
+    out[..., 0, 1] = stretch * s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = -c
+    return out
+
+
+def _example1_arrays(cfg: Example1Config, theta0):
+    """A, B and psi of a validated config, stacked over an array of theta0."""
+    theta0 = np.asarray(theta0, dtype=float)
+    a = _polar_operator(cfg.theta1, cfg.theta3, theta0)
+    b = _polar_operator(cfg.theta5, cfg.theta7, theta0)
+    psi = np.stack([np.cos(2.0 * theta0), np.sin(2.0 * theta0)], -1)
+    return a, b, psi.astype(complex)
 
 
 def build_example1(cfg: Example1Config):
     """Operators, state, and (identity) metric for the polar-part scenario."""
     cfg = cfg.validated()
-    a = _polar_operator(cfg.theta1, cfg.theta3, cfg.theta0)
-    b = _polar_operator(cfg.theta5, cfg.theta7, cfg.theta0)
-    psi = np.array(
-        [math.cos(2.0 * cfg.theta0), math.sin(2.0 * cfg.theta0)], dtype=complex
-    )
-    return a, b, psi, identity_metric(2)
+    return (*_example1_arrays(cfg, cfg.theta0), identity_metric(2))
 
 
 @dataclass(frozen=True)
@@ -159,6 +175,28 @@ def broken_eigensystem(gamma: float) -> EigenSystem:
     return EigenSystem.from_right(values, np.column_stack([e_plus, e_minus]))
 
 
+def _example2_frame(cfg: Example2Config):
+    """The alpha-independent part of a validated PT config: A, B, the
+    eigensystem and its metric."""
+    h = pt_hamiltonian(cfg.gamma)
+    if cfg.phase == SYMMETRIC:
+        sys = symmetric_eigensystem(cfg.gamma)
+        a = h
+    else:
+        sys = broken_eigensystem(cfg.gamma)
+        a = pt_hamiltonian(1.0 / cfg.gamma)
+    g = metric_from_right_eigenvectors(sys, hamiltonian=h)
+    return a, np.array(SIGMA_Y), sys, g
+
+
+def _example2_weights(p: float, alpha):
+    """Superposition weights (1, p e^{i alpha}), stacked over alpha."""
+    phase = p * np.exp(1j * np.asarray(alpha, dtype=float))
+    weights = np.ones(phase.shape + (2,), dtype=complex)
+    weights[..., 1] = phase
+    return weights
+
+
 def build_example2(cfg: Example2Config):
     """Operators, state, and eigenframe metric for the PT scenario.
 
@@ -168,17 +206,10 @@ def build_example2(cfg: Example2Config):
     superposes the two right eigenvectors with weights (1, p e^{i alpha}).
     """
     cfg = cfg.validated()
-    h = pt_hamiltonian(cfg.gamma)
-    if cfg.phase == SYMMETRIC:
-        sys = symmetric_eigensystem(cfg.gamma)
-        a = h
-    else:
-        sys = broken_eigensystem(cfg.gamma)
-        a = pt_hamiltonian(1.0 / cfg.gamma)
-    g = metric_from_right_eigenvectors(sys, hamiltonian=h)
-    weights = np.array([1.0, cfg.p * np.exp(1j * cfg.alpha)])
-    psi = superposition_state([sys.right_vector(0), sys.right_vector(1)], weights, g)
-    return a, np.array(SIGMA_Y), psi, g
+    a, b, sys, g = _example2_frame(cfg)
+    psi = superposition_state([sys.right_vector(0), sys.right_vector(1)],
+                              _example2_weights(cfg.p, cfg.alpha), g)
+    return a, b, psi, g
 
 
 @dataclass(frozen=True)
@@ -194,6 +225,22 @@ class ScenarioPoint:
         return self.error is None
 
 
+def _grid(param_range, points: int) -> np.ndarray:
+    if points < 2:
+        raise ValueError(f"a sweep needs at least 2 points, got {points}")
+    return np.linspace(float(param_range[0]), float(param_range[1]), points)
+
+
+def _points(grid: np.ndarray, results) -> list[ScenarioPoint]:
+    """ScenarioPoints from per-point evaluations or errors."""
+    return [
+        ScenarioPoint(param=x, evaluations=(),
+                      error=f"{type(r).__name__}: {r}")
+        if isinstance(r, NhurError) else ScenarioPoint(param=x, evaluations=r)
+        for x, r in zip(grid.tolist(), results)
+    ]
+
+
 def sweep(builder, param_range, points: int,
           formalism: Formalism = Formalism.PLAIN,
           *, ur_tol: float | None = None) -> list[ScenarioPoint]:
@@ -201,24 +248,26 @@ def sweep(builder, param_range, points: int,
 
     builder maps a parameter value to (A, B, psi, metric).  A point whose
     build or evaluation fails is recorded with its error message; the
-    sweep itself always completes.
+    sweep itself always completes.  The builder's outputs are validated
+    one by one and evaluated in one kernel call per dimension.
     """
-    if points < 2:
-        raise ValueError(f"a sweep needs at least 2 points, got {points}")
-    lo, hi = float(param_range[0]), float(param_range[1])
-    out = []
-    for value in np.linspace(lo, hi, points):
-        value = float(value)
+    grid = _grid(param_range, points)
+    tol = _resolve_tol(ur_tol)
+    results = [None] * len(grid)
+    by_dim = {}
+    for i, value in enumerate(grid.tolist()):
         try:
-            a, b, psi, g = builder(value)
-            evals = evaluate_all(a, b, psi, g, formalism, ur_tol=ur_tol)
-            out.append(ScenarioPoint(param=value, evaluations=evals))
+            a, b, psi, g, _ = _validated(*builder(value), formalism)
         except NhurError as exc:
-            out.append(ScenarioPoint(
-                param=value, evaluations=(),
-                error=f"{type(exc).__name__}: {exc}",
-            ))
-    return out
+            results[i] = exc
+            continue
+        by_dim.setdefault(a.shape[0], []).append((i, a, b, psi, g))
+    for rows in by_dim.values():
+        index, *arrays = zip(*rows)
+        batch = relation_batch(*map(np.stack, arrays), formalism)
+        for i, result in zip(index, batch.evaluations(tol)):
+            results[i] = result
+    return _points(grid, results)
 
 
 def example1_sweep(cfg: Example1Config | None = None, points: int = 721,
@@ -226,11 +275,10 @@ def example1_sweep(cfg: Example1Config | None = None, points: int = 721,
                    *, ur_tol: float | None = None) -> list[ScenarioPoint]:
     """Sweep theta0 over [0, pi]."""
     base = (cfg or Example1Config()).validated()
-
-    def builder(theta0: float):
-        return build_example1(replace(base, theta0=theta0))
-
-    return sweep(builder, (0.0, math.pi), points, formalism, ur_tol=ur_tol)
+    grid = _grid((0.0, math.pi), points)
+    a, b, psi = _example1_arrays(base, grid)
+    batch = relation_batch(a, b, psi, identity_metric(2).g, formalism)
+    return _points(grid, batch.evaluations(_resolve_tol(ur_tol)))
 
 
 def example2_sweep(cfg: Example2Config, points: int = 721,
@@ -238,8 +286,16 @@ def example2_sweep(cfg: Example2Config, points: int = 721,
                    *, ur_tol: float | None = None) -> list[ScenarioPoint]:
     """Sweep alpha over [0, 2 pi] at fixed gamma and p."""
     base = cfg.validated()
-
-    def builder(alpha: float):
-        return build_example2(replace(base, alpha=alpha))
-
-    return sweep(builder, (0.0, 2.0 * math.pi), points, formalism, ur_tol=ur_tol)
+    grid = _grid((0.0, 2.0 * math.pi), points)
+    try:
+        a, b, sys, metric = _example2_frame(base)
+    except NhurError as exc:
+        return _points(grid, [exc] * len(grid))
+    stats_g = identity_metric(2).g if formalism is Formalism.PLAIN else metric.g
+    psi, results = _superpose(sys.right.T, _example2_weights(base.p, grid), metric.g)
+    ok = np.array([r is None for r in results])
+    if ok.any():
+        evaluated = iter(relation_batch(a, b, psi[ok], stats_g, formalism)
+                         .evaluations(_resolve_tol(ur_tol)))
+        results = [next(evaluated) if r is None else r for r in results]
+    return _points(grid, results)

@@ -26,7 +26,7 @@ from .metric import (
     _variance_raw,
     require_normalized,
 )
-from .linalg import as_operator, as_state
+from .linalg import _mv, _vdot, as_operator, as_state
 from .tolerances import EPS_DEGEN, EPS_MACH, EPS_ORTH, EPS_VAR
 
 
@@ -59,16 +59,25 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 def _g_normalize(v: np.ndarray, metric: Metric, name: str) -> np.ndarray:
     nsq = complex(np.vdot(v, metric.g @ v))
+    error = _norm_sq_error(nsq, name)
+    if error is not None:
+        raise error
+    return v / np.sqrt(nsq.real)
+
+
+def _norm_sq_error(nsq: complex, name: str):
+    """The error for a squared metric norm that is not real and positive,
+    or None."""
     if abs(nsq.imag) > EPS_VAR * max(abs(nsq.real), 1.0):
-        raise InternalInconsistencyError(
+        return InternalInconsistencyError(
             f"{name} norm^2 has imaginary part {nsq.imag:.3e}"
         )
     if nsq.real <= 0.0:
-        raise NegativeNormError(
+        return NegativeNormError(
             f"{name} has non-positive metric norm^2 = {nsq.real:.6g}; "
             "the metric is not positive definite on this vector"
         )
-    return v / np.sqrt(nsq.real)
+    return None
 
 
 def superposition_state(basis, weights, metric: Metric) -> np.ndarray:
@@ -85,14 +94,29 @@ def superposition_state(basis, weights, metric: Metric) -> np.ndarray:
         )
     if not np.isfinite(w).all():
         raise ZeroVectorError("weights contain non-finite entries")
-    out = np.zeros(metric.dim, dtype=complex)
-    scale = 0.0
-    for wi, bi in zip(w, vecs):
-        out = out + wi * bi
-        scale = max(scale, abs(wi) * float(np.linalg.norm(bi)))
-    if float(np.linalg.norm(out)) <= EPS_MACH * scale or scale == 0.0:
-        raise ZeroVectorError("superposition cancels to the zero vector")
-    return _g_normalize(out, metric, "superposition")
+    (psi,), (error,) = _superpose(np.array(vecs), w[None], metric.g)
+    if error is not None:
+        raise error
+    return psi
+
+
+def _superpose(basis: np.ndarray, weights: np.ndarray, g: np.ndarray):
+    """Batched, unchecked `superposition_state`: (k, d) basis rows and
+    (N, k) finite weights give (N, d) metric-normalized states and a list
+    of N errors (None where the state is fine; its row is then unusable)."""
+    out = weights @ basis
+    scale = (np.abs(weights) * np.sqrt(_vdot(basis, basis).real)).max(-1)
+    nsq = _vdot(out, _mv(g, out))
+    zero = (np.sqrt(_vdot(out, out).real) <= EPS_MACH * scale) | (scale == 0.0)
+    leak = np.abs(nsq.imag) > EPS_VAR * np.maximum(np.abs(nsq.real), 1.0)
+    bad = zero | leak | (nsq.real <= 0.0)
+    errors = [None] * len(out)
+    for i in np.flatnonzero(bad) if bad.any() else ():
+        if zero[i]:
+            errors[i] = ZeroVectorError("superposition cancels to the zero vector")
+        else:
+            errors[i] = _norm_sq_error(complex(nsq[i]), "superposition")
+    return out / np.sqrt(np.where(bad, 1.0, nsq.real))[:, None], errors
 
 
 def g_orthogonal_complement_2d(psi, metric: Metric) -> np.ndarray:
