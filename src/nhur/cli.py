@@ -124,25 +124,28 @@ def _summarize_sweep(points, param_name: str, tol: float) -> int:
     return 0
 
 
-def cmd_example1(args) -> int:
+def _run_sweep(args, param_name: str, run) -> int:
+    """Check --points, call run(points, tol), write the CSV and summarize."""
     if args.points < 2:
         print("error: --points must be at least 2", file=sys.stderr)
         return 2
+    tol = ur_tolerance()
+    points = run(args.points, tol)
+    written = write_sweep_csv(args.out, param_name, points)
+    print(f"wrote {args.out} ({written} rows)")
+    return _summarize_sweep(points, param_name, tol)
+
+
+def cmd_example1(args) -> int:
     cfg = Example1Config(
         theta1=args.theta1, theta3=args.theta3,
         theta5=args.theta5, theta7=args.theta7,
     )
-    tol = ur_tolerance()
-    points = example1_sweep(cfg, points=args.points, ur_tol=tol)
-    written = write_sweep_csv(args.out, "theta0", points)
-    print(f"wrote {args.out} ({written} rows)")
-    return _summarize_sweep(points, "theta0", tol)
+    return _run_sweep(args, "theta0", lambda points, tol: example1_sweep(
+        cfg, points=points, ur_tol=tol))
 
 
 def cmd_example2(args) -> int:
-    if args.points < 2:
-        print("error: --points must be at least 2", file=sys.stderr)
-        return 2
     defaults = (
         Example2Config.symmetric_default()
         if args.phase == SYMMETRIC
@@ -153,15 +156,9 @@ def cmd_example2(args) -> int:
         p=defaults.p if args.p is None else args.p,
         phase=args.phase,
     )
-    cfg.validated()
-    tol = ur_tolerance()
-    points = example2_sweep(
-        cfg, points=args.points, formalism=Formalism.parse(args.formalism),
-        ur_tol=tol,
-    )
-    written = write_sweep_csv(args.out, "alpha", points)
-    print(f"wrote {args.out} ({written} rows)")
-    return _summarize_sweep(points, "alpha", tol)
+    formalism = Formalism.parse(args.formalism)
+    return _run_sweep(args, "alpha", lambda points, tol: example2_sweep(
+        cfg, points=points, formalism=formalism, ur_tol=tol))
 
 
 class ProblemParseError(NhurError):
@@ -309,34 +306,26 @@ def cmd_check(args) -> int:
                     "formalism": problem["formalism"].value}
     tol = ur_tolerance()
     report["tolerance_ur"] = tol
-    if problem["g"] is not None:
-        try:
-            metric = metric_from_matrix(problem["g"])
-            metric_report = metric.validation
-        except MetricValidationError as exc:
-            metric_report = exc.report
-        report["metric"] = {
-            "provenance": "explicit",
-            "hermitian": metric_report.hermitian,
-            "positive_definite": metric_report.positive_definite,
-            "min_eigenvalue": metric_report.min_eigenvalue,
-        }
-        if not metric_report.ok:
-            report["error"] = "metric failed validation"
-            _write_report(args.out, report)
-            print("error: metric failed validation "
-                  f"(hermitian={_bool(metric_report.hermitian)}, "
-                  f"positive_definite={_bool(metric_report.positive_definite)})",
-                  file=sys.stderr)
-            return 2
-    else:
-        metric = identity_metric(problem["dim"])
-        report["metric"] = {
-            "provenance": "identity",
-            "hermitian": True,
-            "positive_definite": True,
-            "min_eigenvalue": 1.0,
-        }
+    try:
+        metric = (identity_metric(problem["dim"]) if problem["g"] is None
+                  else metric_from_matrix(problem["g"]))
+        metric_report = metric.validation
+    except MetricValidationError as exc:
+        metric_report = exc.report
+    report["metric"] = {
+        "provenance": "identity" if problem["g"] is None else "explicit",
+        "hermitian": metric_report.hermitian,
+        "positive_definite": metric_report.positive_definite,
+        "min_eigenvalue": metric_report.min_eigenvalue,
+    }
+    if not metric_report.ok:
+        report["error"] = "metric failed validation"
+        _write_report(args.out, report)
+        print("error: metric failed validation "
+              f"(hermitian={_bool(metric_report.hermitian)}, "
+              f"positive_definite={_bool(metric_report.positive_definite)})",
+              file=sys.stderr)
+        return 2
     check_a = is_good_observable(problem["a"], metric)
     check_b = is_good_observable(problem["b"], metric)
     report["good_observable"] = {

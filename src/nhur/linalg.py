@@ -1,4 +1,4 @@
-"""Complex linear algebra primitives and 2x2 biorthogonal eigensystems.
+"""Complex linear algebra primitives and biorthogonal eigensystems.
 
 Everything downstream works with plain numpy arrays of dtype complex128:
 operators are square 2-D arrays, states are 1-D arrays.  The validators
@@ -10,13 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    ExceptionalPointError,
-    NonFiniteError,
-    SingularFrameError,
-)
-from .tolerances import EPS_EP, EPS_MACH, EPS_PD
+from .errors import DimensionMismatchError, NonFiniteError, SingularFrameError
+from .tolerances import EPS_PD
 
 
 def _const(rows) -> np.ndarray:
@@ -73,16 +68,6 @@ def _vdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", u.conj(), v)
 
 
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_operator(m).conj().T
-
-
-def inner(u, v) -> complex:
-    """Euclidean inner product, antilinear in the first slot."""
-    return complex(np.vdot(as_state(u), as_state(v)))
-
-
 def commutator(a, b) -> np.ndarray:
     a = as_operator(a)
     b = as_operator(b, dim=a.shape[0])
@@ -118,9 +103,6 @@ class EigenSystem:
     def right_vector(self, i: int) -> np.ndarray:
         return self.right[:, i]
 
-    def left_vector(self, i: int) -> np.ndarray:
-        return self.left[i, :]
-
     def residual(self, m) -> float:
         """Largest relative eigenpair residual ``|m r - E r| / |m|``."""
         m = as_operator(m, dim=self.dim)
@@ -150,64 +132,3 @@ class EigenSystem:
         left = np.linalg.inv(right)
         return cls(values=values, right=right, left=left)
 
-
-def _unit_eigvec(m: np.ndarray, val: complex) -> np.ndarray:
-    """Unit right eigenvector of a 2x2 matrix with a fixed phase gauge.
-
-    Of the two classical null-space candidates the better conditioned one
-    is kept; the phase is fixed by making the first component of
-    significant modulus real and positive, so the output is deterministic.
-    """
-    cand_a = np.array([m[0, 1], val - m[0, 0]], dtype=complex)
-    cand_b = np.array([val - m[1, 1], m[1, 0]], dtype=complex)
-    v = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
-    nrm = float(np.linalg.norm(v))
-    if nrm <= EPS_MACH * max(float(np.linalg.norm(m)), 1.0):
-        raise ExceptionalPointError(
-            "eigenvector candidates vanish; matrix is defective or scalar"
-        )
-    v = v / nrm
-    k = 0 if abs(v[0]) > 1e-12 else 1
-    return v * (v[k].conjugate() / abs(v[k]))
-
-
-def eig2(m) -> EigenSystem:
-    """Balanced biorthogonal eigensystem of a 2x2 complex matrix.
-
-    Eigenvalues are computed from the closed-form quadratic and ordered by
-    descending real part, then descending imaginary part.  The left/right
-    pairs satisfy ``left @ right == identity`` and the scale freedom of
-    each pair is fixed by the balance condition |r_i| == |l_i|, which also
-    makes the frame deterministic.
-
-    Raises ExceptionalPointError when the eigenvalues coalesce within
-    EPS_EP relative to the matrix scale, and SingularFrameError if the
-    frame is otherwise too ill conditioned to invert.
-    """
-    m = as_operator(m, dim=2)
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = np.sqrt(complex(tr * tr - 4.0 * det))
-    pair = sorted(
-        [(tr + disc) / 2.0, (tr - disc) / 2.0],
-        key=lambda z: (-z.real, -z.imag),
-    )
-    scale = max(float(np.linalg.norm(m)), 1.0)
-    if abs(pair[0] - pair[1]) <= EPS_EP * scale:
-        raise ExceptionalPointError(
-            f"eigenvalues {pair[0]:.6g} and {pair[1]:.6g} coalesce "
-            f"within {EPS_EP:g} of the operator scale"
-        )
-    unit = np.column_stack([_unit_eigvec(m, val) for val in pair])
-    sv = np.linalg.svd(unit, compute_uv=False)
-    if sv[-1] <= EPS_PD * sv[0]:
-        raise SingularFrameError(
-            "eigenvector frame is numerically singular despite split eigenvalues"
-        )
-    rows = np.linalg.inv(unit)
-    # Balance: scaling column i by s_i divides row i of the inverse by s_i,
-    # so s_i = sqrt(|row_i|) equalizes the two norms.
-    s = np.sqrt(np.linalg.norm(rows, axis=1))
-    right = unit * s[None, :]
-    left = rows / s[:, None]
-    return EigenSystem(values=np.array(pair, dtype=complex), right=right, left=left)

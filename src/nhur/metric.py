@@ -13,8 +13,12 @@ Expectation, variance, and covariance follow the weighted definitions
     Cov_G(A,B) = <A' G B> - <A' G><G B>
 
 which are the Dirac formulas with G inserted between the daggered and
-undaggered factors.  Var_G is real and nonnegative for positive-definite
-G; the implementation checks both instead of assuming them.
+undaggered factors.  Var_G is Cov_G(X, X), so one batched kernel,
+`_covariance`, computes both, for g_variance and g_covariance here, for
+states.av_orthogonal_state, and for a whole grid in
+relations.relation_batch.  Var_G is real and nonnegative for
+positive-definite G; the implementation checks both instead of assuming
+them.
 """
 
 from dataclasses import dataclass
@@ -27,7 +31,7 @@ from .errors import (
     NotNormalizedError,
     SingularFrameError,
 )
-from .linalg import EigenSystem, as_operator, as_state
+from .linalg import EigenSystem, _vdot, as_operator, as_state
 from .tolerances import EPS_GOOD, EPS_HERM, EPS_NORM, EPS_PD, EPS_VAR
 
 
@@ -184,17 +188,6 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...", m.conj(), m).real)
 
 
-def state_norm_sq(psi, metric: Metric) -> float:
-    """Squared metric norm ``<psi|G|psi>`` as a real number."""
-    psi = as_state(psi, dim=metric.dim)
-    val = complex(np.vdot(psi, metric.g @ psi))
-    if abs(val.imag) > EPS_VAR * max(abs(val.real), 1.0):
-        raise InternalInconsistencyError(
-            f"metric norm picked up imaginary part {val.imag:.3e}"
-        )
-    return val.real
-
-
 def require_normalized(psi, metric: Metric, name: str = "state") -> np.ndarray:
     """Validate that psi is unit-norm under the metric; returns the array."""
     psi = as_state(psi, dim=metric.dim, name=name)
@@ -211,34 +204,30 @@ def _norm_error(name: str, nsq: complex) -> NotNormalizedError:
     )
 
 
-# Unchecked kernels over raw arrays.  Callers are responsible for shape,
-# finiteness, and normalization; the public wrappers below and the
-# relations module both funnel through these so every formalism shares
-# one set of formulas.
+# The one Var_G/Cov_G kernel, unchecked: callers are responsible for
+# shape, finiteness, and normalization.
 
-def _expect(x: np.ndarray, psi: np.ndarray, g: np.ndarray) -> complex:
-    return complex(np.vdot(psi, g @ (x @ psi)))
+def _covariance(u: np.ndarray, gv: np.ndarray, psi: np.ndarray,
+                gpsi: np.ndarray) -> np.ndarray:
+    """Batched ``<u|G v> - <u|G psi><psi|G v>`` over leading axes.
 
-
-def _variance_raw(x: np.ndarray, psi: np.ndarray, g: np.ndarray) -> complex:
-    w = x @ psi
-    return complex(np.vdot(w, g @ w) - np.vdot(w, g @ psi) * np.vdot(psi, g @ w))
-
-
-def _covariance_raw(
-    a: np.ndarray, b: np.ndarray, psi: np.ndarray, g: np.ndarray
-) -> complex:
-    wa = a @ psi
-    wb = b @ psi
-    return complex(np.vdot(wa, g @ wb) - np.vdot(wa, g @ psi) * np.vdot(psi, g @ wb))
+    With u = A psi and v = B psi this is Cov_G(A, B), and with u = v it is
+    Var_G(A) before its reality check.  The two means are kept apart
+    rather than conjugated into each other, so the reality checks see the
+    metric's own asymmetry.
+    """
+    return _vdot(u, gv) - _vdot(u, gpsi) * _vdot(psi, gv)
 
 
-def _as_real_variance(val: complex, what: str = "variance") -> float:
-    """Enforce that a variance came out real and nonnegative; clamp noise."""
-    error = _variance_error(val, what)
+def _variance(w: np.ndarray, gw: np.ndarray, psi: np.ndarray,
+              gpsi: np.ndarray) -> float:
+    """Var_G(X) of one state from w = X psi and the G images, checked real
+    and nonnegative within EPS_VAR and clamped at 0."""
+    raw = complex(_covariance(w, gw, psi, gpsi))
+    error = _variance_error(raw)
     if error is not None:
         raise error
-    return max(val.real, 0.0)
+    return max(raw.real, 0.0)
 
 
 def _variance_error(val: complex, what: str = "variance"):
@@ -259,14 +248,15 @@ def g_expectation(x, psi, metric: Metric) -> complex:
     """Weighted expectation ``<psi|G X|psi>`` for a normalized state."""
     x = as_operator(x, dim=metric.dim, name="observable")
     psi = require_normalized(psi, metric)
-    return _expect(x, psi, metric.g)
+    return complex(np.vdot(psi, metric.g @ (x @ psi)))
 
 
 def g_variance(x, psi, metric: Metric) -> float:
     """Weighted variance; real and clamped to be nonnegative."""
     x = as_operator(x, dim=metric.dim, name="observable")
     psi = require_normalized(psi, metric)
-    return _as_real_variance(_variance_raw(x, psi, metric.g))
+    w = x @ psi
+    return _variance(w, metric.g @ w, psi, metric.g @ psi)
 
 
 def g_covariance(a, b, psi, metric: Metric) -> complex:
@@ -274,30 +264,5 @@ def g_covariance(a, b, psi, metric: Metric) -> complex:
     a = as_operator(a, dim=metric.dim, name="first operator")
     b = as_operator(b, dim=metric.dim, name="second operator")
     psi = require_normalized(psi, metric)
-    return _covariance_raw(a, b, psi, metric.g)
-
-
-@dataclass(frozen=True)
-class GStats:
-    """Joint weighted statistics of an operator pair over one state."""
-
-    expectation_a: complex
-    expectation_b: complex
-    variance_a: float
-    variance_b: float
-    covariance: complex
-
-
-def g_stats(a, b, psi, metric: Metric) -> GStats:
-    """Expectations, variances, and the pairwise covariance in one pass."""
-    a = as_operator(a, dim=metric.dim, name="first operator")
-    b = as_operator(b, dim=metric.dim, name="second operator")
-    psi = require_normalized(psi, metric)
     g = metric.g
-    return GStats(
-        expectation_a=_expect(a, psi, g),
-        expectation_b=_expect(b, psi, g),
-        variance_a=_as_real_variance(_variance_raw(a, psi, g)),
-        variance_b=_as_real_variance(_variance_raw(b, psi, g)),
-        covariance=_covariance_raw(a, b, psi, g),
-    )
+    return complex(_covariance(a @ psi, g @ (b @ psi), psi, g @ psi))

@@ -4,7 +4,6 @@ Each relation bounds the variance sum ``Var(A) + Var(B)`` from below:
 
   ur1        rhs = 2 Im Cov(A, B)
   ur2        rhs = 2 Re Cov(A, B)
-  combined   rhs = 2 max{Re Cov, Im Cov}
   ur3        rhs = +-2 Im Cov + |<perp|G(A +- iB)|psi>|^2,  best sign branch
   ur4        rhs = max over A+B, A-B of half the squared matrix element
              <perp_(A+-B)|G(A+-B)|psi> with perp the normalized orthogonal
@@ -49,7 +48,13 @@ from .errors import (
     NotOrthogonalError,
 )
 from .linalg import _mv, _vdot, as_operator, as_state
-from .metric import Metric, _good_residual, _norm_error, _variance_error
+from .metric import (
+    Metric,
+    _covariance,
+    _good_residual,
+    _norm_error,
+    _variance_error,
+)
 from .tolerances import (
     EPS_DEGEN,
     EPS_GOOD,
@@ -206,13 +211,11 @@ def relation_batch(a, b, psi, g, formalism: Formalism,
 
     wa, wb = _mv(a, psi), _mv(b, psi)
     gwa, gwb = _mv(g, wa), _mv(g, wb)
-    # A, B, A + B and A - B, each from its own vector A psi +- B psi
-    w = np.array([wa, wb, wa + wb, wa - wb])
-    gw = np.array([gwa, gwb, gwa + gwb, gwa - gwb])
-    # <w|G psi> and <psi|G w> are kept apart as in metric._variance_raw, so
-    # the reality checks see the metric's own asymmetry
-    left, means = _vdot(w, gpsi), _vdot(psi, gw)
-    raw = _vdot(w, gw) - left * means
+    # Var of A, B, A + B and A - B, each from its own vector A psi +- B psi,
+    # then Cov(A, B)
+    stats = _covariance(np.array([wa, wb, wa + wb, wa - wb, wa]),
+                        np.array([gwa, gwb, gwa + gwb, gwa - gwb, gwb]), psi, gpsi)
+    raw, cov = stats[:4], stats[4]
     unreal = (np.abs(raw.imag) > EPS_VAR) | (raw.real < -EPS_VAR)
     var = np.maximum(raw.real, 0.0)
 
@@ -224,13 +227,13 @@ def relation_batch(a, b, psi, g, formalism: Formalism,
     lhs = var[0] + var[1]
 
     if good:
-        ba = _vdot(psi, _mv(g, _mv(b, wa)))
-        ab = _vdot(psi, _mv(g, _mv(a, wb)))
+        # <psi|G X psi> for X = BA, AB, A and B
+        ba, ab, mean_a, mean_b = _vdot(psi, np.array(
+            [_mv(g, _mv(b, wa)), _mv(g, _mv(a, wb)), gwa, gwb]))
         rhs1 = _real_bracket(check, {0, 2}, 1j * (ba - ab), "i<[B,A]>")
-        rhs2 = _real_bracket(check, {1}, ab + ba - 2.0 * means[0] * means[1],
+        rhs2 = _real_bracket(check, {1}, ab + ba - 2.0 * mean_a * mean_b,
                              "<{A,B}> - 2<A><B>")
     else:
-        cov = _vdot(wa, gwb) - left[0] * means[1]
         rhs1, rhs2 = 2.0 * cov.imag, 2.0 * cov.real
 
     if psi_perp is None:
@@ -314,15 +317,6 @@ def ur2(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLA
         *, ur_tol: float | None = None) -> UrEvaluation:
     """Variance sum against twice the real part of the covariance."""
     return _single(_evaluate(a, b, psi, g, formalism), _resolve_tol(ur_tol), {1})[1]
-
-
-def ur_combined(a, b, psi, g: Metric | None = None,
-                formalism: Formalism = Formalism.PLAIN,
-                *, ur_tol: float | None = None) -> UrEvaluation:
-    """Variance sum against the larger of the ur1 and ur2 bounds."""
-    tol = _resolve_tol(ur_tol)
-    e1, e2, _, _ = _single(_evaluate(a, b, psi, g, formalism), tol, {0, 1})
-    return _record("ur12", formalism, e1.lhs, max(e1.rhs, e2.rhs), tol)
 
 
 def ur3(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLAIN,

@@ -19,13 +19,7 @@ from .errors import (
     NegativeNormError,
     ZeroVectorError,
 )
-from .metric import (
-    Metric,
-    _as_real_variance,
-    _expect,
-    _variance_raw,
-    require_normalized,
-)
+from .metric import Metric, _variance, require_normalized
 from .linalg import _mv, _vdot, as_operator, as_state
 from .tolerances import EPS_DEGEN, EPS_MACH, EPS_ORTH, EPS_VAR
 
@@ -172,17 +166,19 @@ def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
     x = as_operator(x, dim=metric.dim, name="operator")
     psi = require_normalized(psi, metric)
     g = metric.g
-    expect = _expect(x, psi, g)
-    sd = float(np.sqrt(_as_real_variance(_variance_raw(x, psi, g))))
+    w, gpsi = x @ psi, g @ psi
+    gw = g @ w
+    expect = complex(np.vdot(psi, gw))
+    sd = float(np.sqrt(_variance(w, gw, psi, gpsi)))
     if sd <= EPS_DEGEN:
         raise DegenerateEigenstateError(
             f"state is an eigenstate of the operator (sd = {sd:.3e}); "
             "the orthogonal direction is undefined"
         )
-    perp = (x @ psi - expect * psi) / sd
+    perp = (w - expect * psi) / sd
     # discard the roundoff component along psi so orthogonality is exact
     perp = perp - complex(np.vdot(psi, g @ perp)) * psi
-    residual = abs(complex(np.vdot(perp, g @ psi)))
+    residual = abs(complex(np.vdot(perp, gpsi)))
     if residual > EPS_ORTH:
         raise InternalInconsistencyError(
             f"orthogonal-state overlap {residual:.3e} exceeds {EPS_ORTH:g}"

@@ -10,9 +10,6 @@ import os
 # Floating-point noise floor for quantities of order one.
 EPS_MACH = 1e-12
 
-# Residual allowed when checking eigendecompositions (M v = E v).
-EPS_EIG = 1e-10
-
 # Eigenvalue splitting below which a 2x2 operator is treated as sitting at
 # an exceptional point (relative to the operator scale).
 EPS_EP = 1e-8

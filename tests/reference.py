@@ -3,8 +3,12 @@
 This is the evaluation the library ran before the batched kernel in
 `nhur.relations`: one problem at a time, with the ur3 auxiliary state
 built by `ur3_default_perp` and each ur4 branch built from the
-Aharonov-Vaidman state `av_orthogonal_state`.  The tests compare the
+Aharonov-Vaidman state of `av_orthogonal_state`.  The tests compare the
 kernel against it; nothing in the package imports it.
+
+The scalar statistics kernels and `av_orthogonal_state` below are the
+package's former ones, kept here so that the oracle does not share the
+batched formula it checks.
 """
 
 from dataclasses import dataclass
@@ -12,23 +16,74 @@ from dataclasses import dataclass
 import numpy as np
 
 from nhur import (
+    DegenerateEigenstateError,
     Formalism,
     InternalInconsistencyError,
     Metric,
     NotGoodObservableError,
     NotOrthogonalError,
+    OrthogonalPair,
     UrEvaluation,
     anticommutator,
     as_operator,
-    av_orthogonal_state,
     commutator,
     identity_metric,
     is_good_observable,
     require_normalized,
     ur3_default_perp,
 )
-from nhur.metric import _as_real_variance, _covariance_raw, _expect, _variance_raw
+from nhur.metric import _variance_error
 from nhur.tolerances import EPS_DEGEN, EPS_ORTH, EPS_VAR
+
+
+def _expect(x: np.ndarray, psi: np.ndarray, g: np.ndarray) -> complex:
+    return complex(np.vdot(psi, g @ (x @ psi)))
+
+
+def _variance_raw(x: np.ndarray, psi: np.ndarray, g: np.ndarray) -> complex:
+    w = x @ psi
+    return complex(np.vdot(w, g @ w) - np.vdot(w, g @ psi) * np.vdot(psi, g @ w))
+
+
+def _covariance_raw(
+    a: np.ndarray, b: np.ndarray, psi: np.ndarray, g: np.ndarray
+) -> complex:
+    wa = a @ psi
+    wb = b @ psi
+    return complex(np.vdot(wa, g @ wb) - np.vdot(wa, g @ psi) * np.vdot(psi, g @ wb))
+
+
+def _as_real_variance(val: complex, what: str = "variance") -> float:
+    """Enforce that a variance came out real and nonnegative; clamp noise."""
+    error = _variance_error(val, what)
+    if error is not None:
+        raise error
+    return max(val.real, 0.0)
+
+
+def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
+    """Normalized orthogonal state of ``X|psi> = <X>|psi> + DX |perp>``."""
+    x = as_operator(x, dim=metric.dim, name="operator")
+    psi = require_normalized(psi, metric)
+    g = metric.g
+    expect = _expect(x, psi, g)
+    sd = float(np.sqrt(_as_real_variance(_variance_raw(x, psi, g))))
+    if sd <= EPS_DEGEN:
+        raise DegenerateEigenstateError(
+            f"state is an eigenstate of the operator (sd = {sd:.3e}); "
+            "the orthogonal direction is undefined"
+        )
+    perp = (x @ psi - expect * psi) / sd
+    # discard the roundoff component along psi so orthogonality is exact
+    perp = perp - complex(np.vdot(psi, g @ perp)) * psi
+    residual = abs(complex(np.vdot(perp, g @ psi)))
+    if residual > EPS_ORTH:
+        raise InternalInconsistencyError(
+            f"orthogonal-state overlap {residual:.3e} exceeds {EPS_ORTH:g}"
+        )
+    return OrthogonalPair(
+        psi=psi, psi_perp=perp, context=metric, overlap_residual=residual
+    )
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,7 @@ def test_example2_runs_are_byte_identical(tmp_path):
         ["example1", "--points", "1", "--out", "x.csv"],
         ["check", "--input", "no-such-file.json"],
         ["metric", "--gamma", "1.0"],
+        ["example2", "--phase", "symmetric", "--points", "1", "--out", "x.csv"],
     ],
 )
 def test_failure_paths_exit_two(argv, tmp_path, capsys, monkeypatch):

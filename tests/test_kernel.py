@@ -1,5 +1,6 @@
-"""The batched relation kernel against the per-point reference, plus the
-invariances the physics guarantees and the sign-branch tie rule."""
+"""The batched relation kernel and the public statistics helpers against
+the per-point reference, plus the invariances the physics guarantees, the
+sign-branch tie rule and the public surface."""
 
 import math
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nhur
 import reference
 from helpers import good_observable_for, metric_gs, random_operator, random_state
 from nhur import (
@@ -26,10 +28,13 @@ from nhur import (
     NotNormalizedError,
     NotOrthogonalError,
     build_example1,
+    av_orthogonal_state,
     build_example2,
     evaluate_all,
     example1_sweep,
     example2_sweep,
+    g_covariance,
+    g_expectation,
     g_variance,
     identity_metric,
     metric_from_matrix,
@@ -122,6 +127,57 @@ def test_kernel_matches_reference(formalism, dim, with_perp):
             assert got[2].sign_branch == want[2].sign_branch
         if clear4:
             assert got[3].sign_branch == want[3].sign_branch
+
+
+@pytest.mark.parametrize("plain", [False, True], ids=["gmetric", "plain"])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_public_statistics_match_scalar_reference(dim, plain):
+    # the helpers run the batched einsum kernel, the reference np.vdot:
+    # only the summation order differs
+    rng = np.random.default_rng(100 * dim + plain)
+    for _ in range(25):
+        metric = identity_metric(dim) if plain else random_metric(rng, dim)
+        a, b = random_operator(rng, dim), random_operator(rng, dim)
+        psi = random_state(rng, metric)
+        g = metric.g
+        tol = 32 * EPS * (1.0 + second_moments(a, b, psi, g))
+        assert abs(g_expectation(a, psi, metric)
+                   - reference._expect(a, psi, g)) <= tol
+        var = g_variance(a, psi, metric)
+        assert abs(var - reference._as_real_variance(
+            reference._variance_raw(a, psi, g))) <= tol
+        assert abs(g_covariance(a, b, psi, metric)
+                   - reference._covariance_raw(a, b, psi, g)) <= tol
+        diff = (av_orthogonal_state(a, psi, metric).psi_perp
+                - reference.av_orthogonal_state(a, psi, metric).psi_perp)
+        assert math.sqrt(abs(np.vdot(diff, g @ diff))) <= tol / var
+
+
+def test_public_surface():
+    assert set(nhur.__all__) == {
+        "BROKEN", "DegenerateEigenstateError", "DimensionMismatchError",
+        "EigenSystem", "Example1Config", "Example2Config",
+        "ExceptionalPointError", "Formalism", "GoodObservableCheck",
+        "IDENTITY2", "InternalInconsistencyError", "Metric", "MetricReport",
+        "MetricValidationError", "NegativeNormError", "NhurError",
+        "NonFiniteError", "NotGoodObservableError", "NotNormalizedError",
+        "NotOrthogonalError", "OrthogonalPair", "PhaseMismatchError",
+        "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SYMMETRIC", "ScenarioPoint",
+        "SingularFrameError", "UrEvaluation", "ZeroVectorError",
+        "anticommutator", "as_operator", "as_state", "av_orthogonal_state",
+        "broken_eigensystem", "build_example1", "build_example2",
+        "commutator", "evaluate_all", "example1_sweep", "example2_sweep",
+        "g_complement_projection", "g_covariance", "g_expectation",
+        "g_orthogonal_complement_2d", "g_variance", "identity_metric",
+        "is_good_observable", "metric_from_matrix",
+        "metric_from_right_eigenvectors", "pt_hamiltonian",
+        "require_normalized", "superposition_state", "sweep",
+        "symmetric_eigensystem", "ur1", "ur2", "ur3", "ur3_default_perp",
+        "ur4", "validate_metric",
+    }
+    assert len(nhur.__all__) == len(set(nhur.__all__))
+    for name in nhur.__all__:
+        getattr(nhur, name)
 
 
 def _fake_metric(g):

@@ -1,12 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nhur import (
     DimensionMismatchError,
-    ExceptionalPointError,
     EigenSystem,
     IDENTITY2,
     NonFiniteError,
@@ -14,27 +11,15 @@ from nhur import (
     SIGMA_Y,
     SIGMA_Z,
     SingularFrameError,
-    adjoint,
     anticommutator,
     as_operator,
     as_state,
     commutator,
-    eig2,
-    inner,
     pt_hamiltonian,
 )
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
-
-finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
-cnum = st.builds(complex, finite, finite)
-mat2 = st.lists(cnum, min_size=4, max_size=4).map(
-    lambda v: np.array(v, dtype=complex).reshape(2, 2)
-)
-vec2 = st.lists(cnum, min_size=2, max_size=2).map(
-    lambda v: np.array(v, dtype=complex)
-)
 
 
 def test_validators_reject_bad_shapes():
@@ -73,44 +58,6 @@ def test_pt_hamiltonian_square():
         npt.assert_allclose(h @ h, (1.0 - gamma * gamma) * np.eye(2), atol=1e-14)
 
 
-def test_adjoint_of_hermitian():
-    m = np.array([[2.0, 1 - 1j], [1 + 1j, -3.0]])
-    npt.assert_array_equal(adjoint(m), m)
-
-
-def test_adjoint_of_pt_hamiltonian():
-    gamma = 0.7
-    expected = np.array([[-1j * gamma, 1.0], [1.0, 1j * gamma]])
-    npt.assert_allclose(adjoint(pt_hamiltonian(gamma)), expected, atol=1e-15)
-
-
-@given(m=mat2)
-@settings(max_examples=80, deadline=None)
-def test_adjoint_involution(m):
-    npt.assert_array_equal(adjoint(adjoint(m)), m)
-
-
-@given(m1=mat2, m2=mat2)
-@settings(max_examples=80, deadline=None)
-def test_adjoint_reverses_products(m1, m2):
-    npt.assert_allclose(
-        adjoint(m1 @ m2), adjoint(m2) @ adjoint(m1), atol=1e-12
-    )
-
-
-@given(u=vec2, v=vec2, m=mat2)
-@settings(max_examples=80, deadline=None)
-def test_inner_moves_adjoint_across(u, v, m):
-    lhs = inner(u, m @ v)
-    rhs = inner(adjoint(m) @ u, v)
-    assert abs(lhs - rhs) <= 1e-12
-
-
-def test_inner_basis_cases():
-    assert inner(E0, E0) == 1.0
-    assert inner(E0, E1) == 0.0
-
-
 def test_inner_skews_for_pt_eigenvectors():
     # The two right eigenvectors are not Dirac-orthogonal; their overlap
     # has modulus gamma / sqrt(1 - gamma^2).
@@ -118,7 +65,7 @@ def test_inner_skews_for_pt_eigenvectors():
 
     gamma = 0.9
     sys_ = symmetric_eigensystem(gamma)
-    overlap = inner(sys_.right_vector(0), sys_.right_vector(1))
+    overlap = np.vdot(sys_.right_vector(0), sys_.right_vector(1))
     assert abs(overlap) > 1.0
     npt.assert_allclose(
         abs(overlap), gamma / np.sqrt(1.0 - gamma * gamma), atol=1e-12
@@ -130,75 +77,6 @@ def test_commutator_and_anticommutator():
     npt.assert_allclose(
         anticommutator(SIGMA_X, SIGMA_X), 2.0 * np.eye(2), atol=1e-15
     )
-
-
-def test_eig2_sigma_z():
-    sys_ = eig2(SIGMA_Z)
-    npt.assert_allclose(sys_.values, [1.0, -1.0], atol=1e-15)
-    npt.assert_allclose(sys_.right_vector(0), E0, atol=1e-15)
-    npt.assert_allclose(sys_.right_vector(1), E1, atol=1e-15)
-
-
-def test_eig2_pt_eigenvalues():
-    sys_ = eig2(pt_hamiltonian(0.9))
-    root = np.sqrt(0.19)
-    npt.assert_allclose(sys_.values, [root, -root], atol=1e-14)
-
-
-def test_eig2_orders_by_descending_real_then_imag():
-    sys_ = eig2(np.diag([1.0 - 1.0j, 1.0 + 2.0j]))
-    npt.assert_allclose(sys_.values, [1.0 + 2.0j, 1.0 - 1.0j], atol=1e-15)
-
-
-def test_eig2_rejects_exceptional_point():
-    with pytest.raises(ExceptionalPointError):
-        eig2(pt_hamiltonian(1.0))
-
-
-def test_eig2_rejects_jordan_block():
-    with pytest.raises(ExceptionalPointError):
-        eig2(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eig2_rejects_scalar_matrix():
-    with pytest.raises(ExceptionalPointError):
-        eig2(2.0 * np.eye(2))
-
-
-def test_eig2_biorthonormal_and_reconstructs(rng):
-    for _ in range(200):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        try:
-            sys_ = eig2(m)
-        except ExceptionalPointError:
-            continue
-        npt.assert_allclose(sys_.left @ sys_.right, np.eye(2), atol=1e-10)
-        rebuilt = sys_.right @ np.diag(sys_.values) @ sys_.left
-        npt.assert_allclose(rebuilt, m, atol=1e-10)
-        assert sys_.residual(m) <= 1e-10
-
-
-def test_eig2_balanced_norms(rng):
-    # the scale gauge equalizes each right column with its left row
-    for _ in range(50):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        try:
-            sys_ = eig2(m)
-        except ExceptionalPointError:
-            continue
-        for i in range(2):
-            rn = np.linalg.norm(sys_.right[:, i])
-            ln = np.linalg.norm(sys_.left[i, :])
-            npt.assert_allclose(rn, ln, rtol=1e-10)
-
-
-def test_eig2_deterministic():
-    m = np.array([[0.3 + 0.1j, 1.2], [0.7, -0.4j]])
-    s1 = eig2(m)
-    s2 = eig2(m)
-    npt.assert_array_equal(s1.values, s2.values)
-    npt.assert_array_equal(s1.right, s2.right)
-    npt.assert_array_equal(s1.left, s2.left)
 
 
 def test_eigensystem_from_right_rejects_singular_frame():

@@ -18,6 +18,7 @@ from helpers import (
     random_state,
 )
 from nhur import (
+    EigenSystem,
     Example2Config,
     MetricValidationError,
     NotNormalizedError,
@@ -29,7 +30,6 @@ from nhur import (
     commutator,
     g_covariance,
     g_expectation,
-    g_stats,
     g_variance,
     identity_metric,
     is_good_observable,
@@ -59,9 +59,9 @@ def test_eigenframe_metric_matches_closed_form_broken(gamma):
 
 
 def test_orthonormal_frame_gives_identity_metric():
-    from nhur import eig2
-
-    metric = metric_from_right_eigenvectors(eig2(np.array(SIGMA_Z)))
+    # the eigenframe of sigma_z
+    values = np.array([1.0, -1.0])
+    metric = metric_from_right_eigenvectors(EigenSystem.from_right(values, np.eye(2)))
     npt.assert_allclose(metric.g, np.eye(2), atol=1e-14)
 
 
@@ -265,16 +265,3 @@ def test_scale_gauge_invariance(scale):
         g_covariance(a, b, psi, base),
         atol=1e-10,
     )
-
-
-def test_g_stats_consistent_with_parts(rng):
-    metric = metric_gb()
-    a = random_operator(rng)
-    b = random_operator(rng)
-    psi = random_state(rng, metric)
-    stats = g_stats(a, b, psi, metric)
-    assert stats.expectation_a == g_expectation(a, psi, metric)
-    assert stats.expectation_b == g_expectation(b, psi, metric)
-    assert stats.variance_a == g_variance(a, psi, metric)
-    assert stats.variance_b == g_variance(b, psi, metric)
-    assert stats.covariance == g_covariance(a, b, psi, metric)

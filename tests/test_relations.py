@@ -24,7 +24,6 @@ from nhur import (
     ur2,
     ur3,
     ur4,
-    ur_combined,
 )
 from nhur.tolerances import ur_tolerance
 
@@ -52,28 +51,6 @@ def test_ur2_pauli_pair():
     npt.assert_allclose(ev.lhs, 2.0, atol=1e-14)
     npt.assert_allclose(ev.rhs, 0.0, atol=1e-14)
     npt.assert_allclose(ev.gap, 2.0, atol=1e-14)
-
-
-def test_combined_takes_the_larger_bound():
-    ev = ur_combined(SX, SY, E0)
-    assert ev.relation == "ur12"
-    npt.assert_allclose(ev.rhs, 2.0, atol=1e-14)
-    e1 = ur1(SX, SY, E0)
-    e2 = ur2(SX, SY, E0)
-    assert ev.rhs >= e1.rhs - 1e-15
-    assert ev.rhs >= e2.rhs - 1e-15
-
-
-def test_combined_matches_pointwise_max(rng):
-    for _ in range(50):
-        a = random_operator(rng)
-        b = random_operator(rng)
-        psi = random_state(rng, identity_metric(2))
-        e1 = ur1(a, b, psi)
-        e2 = ur2(a, b, psi)
-        ec = ur_combined(a, b, psi)
-        npt.assert_allclose(ec.rhs, max(e1.rhs, e2.rhs), rtol=0, atol=0)
-        npt.assert_allclose(ec.lhs, e1.lhs, rtol=0, atol=0)
 
 
 def test_shared_eigenstate_collapses_everything():
