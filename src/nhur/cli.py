@@ -11,9 +11,11 @@ Exit codes: 0 when every evaluated inequality holds, 1 when at least one
 is violated beyond tolerance, 2 for usage, parse, or validation errors.
 
 CSV is written with full double precision (17 significant digits), '.'
-decimal points, and LF line endings.  JSON problem files carry complex
-numbers as [re, im] pairs, either as flat row-major entry lists or nested
-row lists.
+decimal points, and LF line endings.  A sweep's CSV and summary come
+straight from its arrays, a column at a time, with no per-point record;
+the bytes equal those of `csv_row` per point.  JSON problem files carry
+complex numbers as [re, im] pairs, either as flat row-major entry lists
+or nested row lists.
 """
 
 import argparse
@@ -38,6 +40,8 @@ from .scenarios import (
     SYMMETRIC,
     Example1Config,
     Example2Config,
+    Sweep,
+    _error_text,
     broken_eigensystem,
     example1_sweep,
     example2_sweep,
@@ -49,8 +53,7 @@ from .tolerances import EPS_NORM, ur_tolerance
 _RELATIONS = ("ur1", "ur2", "ur3", "ur4")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+_fmt = "%.17g".__mod__  # full double precision, as format(x, ".17g")
 
 
 def _bool(b) -> str:
@@ -79,48 +82,52 @@ def csv_row(point) -> str:
     return ",".join(row)
 
 
-def write_sweep_csv(path: str, param_name: str, points) -> int:
-    """Write rows for the successful points; returns how many were written."""
-    lines = [csv_header(param_name)]
-    written = 0
-    for pt in points:
-        if pt.ok:
-            lines.append(csv_row(pt))
-            written += 1
+def write_sweep_csv(path: str, param_name: str, sweep: Sweep) -> int:
+    """Write rows for the successful points of a sweep; returns how many
+    were written.  Each column is formatted once, and the one lhs column
+    fills the four *_lhs cells; the bytes equal csv_row's."""
+    ok = sweep.ok
+    floats = np.vstack([sweep.param, sweep.lhs, sweep.rhs, sweep.gap])[:, ok]
+    # rows equal bit for bit, as ur3's rhs and lhs are by default, format once
+    distinct = {row.tobytes(): row.tolist() for row in floats}
+    text = {key: list(map(_fmt, row)) for key, row in distinct.items()}
+    x, lhs, *rhs_gap = [text[row.tobytes()] for row in floats]
+    rhs, gap = rhs_gap[:4], rhs_gap[4:]
+    holds = np.where(sweep.holds[:, ok], "true", "false").tolist()
+    branch = np.where(sweep.minus[:, ok], "minus", "plus").tolist()
+    cols = [x, lhs, rhs[0], gap[0], holds[0], lhs, rhs[1], gap[1], holds[1],
+            lhs, rhs[2], gap[2], holds[2], branch[0],
+            lhs, rhs[3], gap[3], holds[3], branch[1],
+            np.where(sweep.degenerate[ok], "true", "false").tolist()]
+    body = "".join([",".join(row) + "\n" for row in zip(*cols)])
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return written
+        fh.write(csv_header(param_name) + "\n" + body)
+    return len(x)
 
 
-def _summarize_sweep(points, param_name: str, tol: float) -> int:
+def _summarize_sweep(sweep: Sweep, param_name: str, tol: float) -> int:
     """Print per-relation minima and the verdict; returns the exit code."""
-    errors = [pt for pt in points if not pt.ok]
-    ok_points = [pt for pt in points if pt.ok]
-    for idx, rel in enumerate(_RELATIONS):
-        best = None
-        for pt in ok_points:
-            ev = pt.evaluations[idx]
-            if best is None or ev.gap < best[0]:
-                best = (ev.gap, pt.param)
-        if best is not None:
-            print(f"{rel}: min gap {best[0]:.6g} at {param_name} = {best[1]:.9g}")
-    violations = [
-        (pt.param, ev.relation, ev.gap)
-        for pt in ok_points
-        for ev in pt.evaluations
-        if not ev.holds
-    ]
-    for param, rel, gap in violations:
-        print(f"VIOLATION: {rel} gap {gap:.6g} at {param_name} = {param:.9g}")
-    for pt in errors:
-        print(f"error at {param_name} = {pt.param:.9g}: {pt.error}",
-              file=sys.stderr)
+    ok = sweep.ok
+    param = sweep.param[ok].tolist()
+    gap = sweep.gap[:, ok]
+    for rel, row in zip(_RELATIONS, gap.tolist() if param else ()):
+        j = min(range(len(row)), key=row.__getitem__)  # the first smallest
+        print(f"{rel}: min gap {row[j]:.6g} at {param_name} = {param[j]:.9g}")
+    violations = [(i, k) for i, row in enumerate(sweep.holds[:, ok].T.tolist())
+                  for k, holds in enumerate(row) if not holds]
+    for i, k in violations:
+        print(f"VIOLATION: {_RELATIONS[k]} gap {gap[k, i]:.6g} "
+              f"at {param_name} = {param[i]:.9g}")
+    errors = [(x, e) for x, e in zip(sweep.param.tolist(), sweep.errors)
+              if e is not None]
+    for x, e in errors:
+        print(f"error at {param_name} = {x:.9g}: {_error_text(e)}", file=sys.stderr)
     if errors:
         return 2
     if violations:
         print(f"{len(violations)} inequality violations beyond tolerance {tol:g}")
         return 1
-    print(f"all inequalities hold ({len(ok_points)} points, tolerance {tol:g})")
+    print(f"all inequalities hold ({len(param)} points, tolerance {tol:g})")
     return 0
 
 
@@ -130,10 +137,10 @@ def _run_sweep(args, param_name: str, run) -> int:
         print("error: --points must be at least 2", file=sys.stderr)
         return 2
     tol = ur_tolerance()
-    points = run(args.points, tol)
-    written = write_sweep_csv(args.out, param_name, points)
+    result = run(args.points, tol)
+    written = write_sweep_csv(args.out, param_name, result)
     print(f"wrote {args.out} ({written} rows)")
-    return _summarize_sweep(points, param_name, tol)
+    return _summarize_sweep(result, param_name, tol)
 
 
 def cmd_example1(args) -> int:

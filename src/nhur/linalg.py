@@ -96,22 +96,8 @@ class EigenSystem:
     right: np.ndarray
     left: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.right.shape[0]
-
     def right_vector(self, i: int) -> np.ndarray:
         return self.right[:, i]
-
-    def residual(self, m) -> float:
-        """Largest relative eigenpair residual ``|m r - E r| / |m|``."""
-        m = as_operator(m, dim=self.dim)
-        scale = max(float(np.linalg.norm(m)), 1.0)
-        worst = 0.0
-        for i, val in enumerate(self.values):
-            r = self.right[:, i]
-            worst = max(worst, float(np.linalg.norm(m @ r - val * r)) / scale)
-        return worst
 
     @classmethod
     def from_right(cls, values, right) -> "EigenSystem":

@@ -35,7 +35,7 @@ slack ``gap >= -tol``; the default tolerance honors NHUR_TOLERANCE_UR.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -97,17 +97,27 @@ class UrEvaluation:
     degenerate: bool = False
 
 
-def _record(relation: str, formalism: Formalism, lhs: float, rhs: float,
-            tol: float, sign_branch: str | None = None,
-            degenerate: bool = False) -> UrEvaluation:
-    gap = lhs - rhs
-    return UrEvaluation(relation, formalism, lhs, rhs, gap, gap >= -tol,
-                        sign_branch, degenerate)
-
-
 # Indices of ur1..ur4 in a batch's rhs rows and in a check's relations.
 _ALL = frozenset(range(4))
 _BRANCH = ("plus", "minus")
+
+
+def _record(f: Formalism, lhs: float, rhs, gap, holds, minus,
+            degenerate: bool) -> tuple:
+    """One point's four UrEvaluation records from its column values."""
+    return (UrEvaluation("ur1", f, lhs, rhs[0], gap[0], holds[0]),
+            UrEvaluation("ur2", f, lhs, rhs[1], gap[1], holds[1]),
+            UrEvaluation("ur3", f, lhs, rhs[2], gap[2], holds[2],
+                         _BRANCH[minus[0]]),
+            UrEvaluation("ur4", f, lhs, rhs[3], gap[3], holds[3],
+                         _BRANCH[minus[1]], degenerate))
+
+
+def _records(f: Formalism, lhs, rhs, gap, holds, minus, degenerate) -> list:
+    """Per point, the four records of `RelationBatch.columns` arrays."""
+    return [_record(f, *row) for row in zip(
+        lhs.tolist(), rhs.T.tolist(), gap.T.tolist(), holds.T.tolist(),
+        minus.T.tolist(), degenerate.tolist())]
 
 
 @dataclass(frozen=True)
@@ -125,18 +135,32 @@ class RelationBatch:
     """The four relations over N points, from one `relation_batch` call.
 
     Arrays run over points on their last axis.  rhs holds ur1..ur4 by
-    row, ur3 and ur4 at their best branch; ur3_branches holds ur3's plus
-    and minus branch.  checks lists, in the order evaluate_all meets them,
-    the checks any point failed.
+    row, ur3 and ur4 at their best branch, which minus marks (rows ur3,
+    ur4); ur3_branches holds ur3's plus and minus branch.  checks lists,
+    in the order evaluate_all meets them, the checks any point failed.
     """
 
     formalism: Formalism
     lhs: np.ndarray
     rhs: np.ndarray
     ur3_branches: np.ndarray
-    ur4_minus: np.ndarray
+    minus: np.ndarray
     degenerate: np.ndarray
     checks: tuple
+
+    def columns(self, tol: float) -> tuple:
+        """The arrays records are built from, (lhs, rhs, gap, holds, minus,
+        degenerate): the one place where gap = lhs - rhs, holds = gap >= -tol."""
+        gap = self.lhs - self.rhs
+        return self.lhs, self.rhs, gap, gap >= -tol, self.minus, self.degenerate
+
+    def failed(self, relations=_ALL) -> np.ndarray:
+        """The points that fail a check guarding any of `relations`."""
+        failed = np.zeros(self.lhs.shape, dtype=bool)
+        for check in self.checks:
+            if check.relations & relations:
+                failed |= check.failed
+        return failed
 
     def error(self, i: int, relations=_ALL) -> NhurError | None:
         """The first error point i raises for any of `relations`."""
@@ -148,30 +172,11 @@ class RelationBatch:
     def evaluations(self, tol: float, relations=_ALL) -> list:
         """Per point, the four UrEvaluation records, or the error that
         point raises for any of `relations`."""
-        failed = np.zeros(self.lhs.shape, dtype=bool)
-        for check in self.checks:
-            if check.relations & relations:
-                failed |= check.failed
-        lhs = self.lhs.tolist()
-        rhs = self.rhs.T.tolist()
-        minus3 = (self.ur3_branches[1] > self.ur3_branches[0]).tolist()
-        minus4 = self.ur4_minus.tolist()
-        degenerate = self.degenerate.tolist()
-        f = self.formalism
-        out = []
-        for i, bad in enumerate(failed.tolist()):
-            if bad:
-                out.append(self.error(i, relations))
-                continue
-            x = lhs[i]
-            r1, r2, r3, r4 = rhs[i]
-            out.append((
-                _record("ur1", f, x, r1, tol),
-                _record("ur2", f, x, r2, tol),
-                _record("ur3", f, x, r3, tol, _BRANCH[minus3[i]]),
-                _record("ur4", f, x, r4, tol, _BRANCH[minus4[i]], degenerate[i]),
-            ))
-        return out
+        records = _records(self.formalism, *self.columns(tol))
+        if not self.checks:
+            return records
+        return [self.error(i, relations) if bad else record for i, (bad, record)
+                in enumerate(zip(self.failed(relations).tolist(), records))]
 
 
 def relation_batch(a, b, psi, g, formalism: Formalism,
@@ -192,7 +197,7 @@ def relation_batch(a, b, psi, g, formalism: Formalism,
     checks = []
 
     def check(relations, failed, error):
-        if failed.any():
+        if np.count_nonzero(failed):  # half the call overhead of .any()
             checks.append(_Check(relations, np.broadcast_to(failed, (n,)), error))
 
     good = formalism is Formalism.GOOD
@@ -257,9 +262,12 @@ def relation_batch(a, b, psi, g, formalism: Formalism,
     flat = np.sqrt(var[2:]) <= EPS_DEGEN
     halves = np.where(flat, 0.0, 0.5 * var[2:])
 
-    rhs = np.array([rhs1, rhs2, ur3_branches.max(0), halves.max(0)])
+    branches = np.array([ur3_branches, halves])  # (ur3, ur4) x (plus, minus)
+    best = branches.max(1)
+    rhs = np.array([rhs1, rhs2, best[0], best[1]])
     return RelationBatch(formalism, lhs, rhs, ur3_branches,
-                         halves[1] > halves[0], flat[0] | flat[1], tuple(checks))
+                         branches[:, 1] > branches[:, 0], flat[0] | flat[1],
+                         tuple(checks))
 
 
 def _real_bracket(check, relations, value, what):
@@ -333,13 +341,12 @@ def ur3(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLA
     """
     if sign not in ("plus", "minus", "max"):
         raise ValueError(f"sign must be plus, minus, or max, got {sign!r}")
-    tol = _resolve_tol(ur_tol)
     batch = _evaluate(a, b, psi, g, formalism, psi_perp)
-    ev = _single(batch, tol, {2})[2]
-    if sign == "max":
-        return ev
-    rhs = float(batch.ur3_branches[_BRANCH.index(sign), 0])
-    return _record("ur3", formalism, ev.lhs, rhs, tol, sign)
+    if sign != "max":
+        k = _BRANCH.index(sign)
+        batch = replace(batch, rhs=batch.rhs.copy(), minus=batch.minus.copy())
+        batch.rhs[2], batch.minus[0] = batch.ur3_branches[k], k == 1
+    return _single(batch, _resolve_tol(ur_tol), {2})[2]
 
 
 def ur4(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLAIN,

@@ -8,14 +8,17 @@ phases, with the metric built from the right eigenvectors and the state a
 weighted superposition of them.
 
 Sweeps evaluate all four relations on a uniform inclusive grid and never
-abort on a bad point; failures are recorded on the point itself.  Each
-sweep validates its configuration and builds its metric once, stacks the
-grid's operators and states, and evaluates them in one `relation_batch`
-call.
+abort on a bad point; a failure is recorded as that point's typed error.
+Each sweep validates its configuration and builds its metric once, stacks
+the grid's operators and states, and evaluates them in one
+`relation_batch` call.  It returns a `Sweep`: the kernel's arrays over
+the grid, which builds per-point ScenarioPoints only when indexed.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .metric import identity_metric, metric_from_right_eigenvectors
 from .relations import (
     Formalism,
     UrEvaluation,
+    _records,
     _resolve_tol,
     _validated,
     relation_batch,
@@ -225,77 +229,126 @@ class ScenarioPoint:
         return self.error is None
 
 
+def _error_text(exc: NhurError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+@dataclass(frozen=True, eq=False)
+class Sweep(Sequence):
+    """A sweep's results as arrays over its N grid points `param`.
+
+    lhs is (N,); rhs, gap and holds are (4, N), ur1..ur4 by row; minus
+    (2, N) marks a minus branch of ur3 (row 0) and ur4 (row 1); degenerate
+    is ur4's flag.  errors holds each point's NhurError or None; a failed
+    point reads NaN and False.  As a sequence a Sweep is its
+    ScenarioPoints, built on first access.
+    """
+
+    param: np.ndarray
+    formalism: Formalism
+    lhs: np.ndarray
+    rhs: np.ndarray
+    gap: np.ndarray
+    holds: np.ndarray
+    minus: np.ndarray
+    degenerate: np.ndarray
+    errors: tuple
+
+    @property
+    def ok(self) -> np.ndarray:
+        return np.array([e is None for e in self.errors], dtype=bool)
+
+    @cached_property
+    def _scenario_points(self) -> tuple:
+        records = _records(self.formalism, self.lhs, self.rhs, self.gap,
+                           self.holds, self.minus, self.degenerate)
+        return tuple(
+            ScenarioPoint(x, r) if e is None else ScenarioPoint(x, (), _error_text(e))
+            for x, r, e in zip(self.param.tolist(), records, self.errors))
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __getitem__(self, i):
+        return self._scenario_points[i]
+
+
+def _collect(grid: np.ndarray, formalism: Formalism, tol: float, errors,
+             parts=()) -> Sweep:
+    """A Sweep from the per-point errors met before the kernel and the
+    (point indices, RelationBatch) parts that evaluated the other points."""
+    n, errors = len(grid), list(errors)
+    cols = [np.full(n, np.nan), np.full((4, n), np.nan), np.full((4, n), np.nan),
+            np.zeros((4, n), bool), np.zeros((2, n), bool), np.zeros(n, bool)]
+    for index, batch in parts:
+        failed = batch.failed()
+        for j in np.flatnonzero(failed):
+            errors[index[j]] = batch.error(j)
+        keep = ~failed
+        for col, part in zip(cols, batch.columns(tol)):
+            col[..., index[keep]] = part[..., keep]
+    return Sweep(grid, formalism, *cols, tuple(errors))
+
+
 def _grid(param_range, points: int) -> np.ndarray:
     if points < 2:
         raise ValueError(f"a sweep needs at least 2 points, got {points}")
     return np.linspace(float(param_range[0]), float(param_range[1]), points)
 
 
-def _points(grid: np.ndarray, results) -> list[ScenarioPoint]:
-    """ScenarioPoints from per-point evaluations or errors."""
-    return [
-        ScenarioPoint(param=x, evaluations=(),
-                      error=f"{type(r).__name__}: {r}")
-        if isinstance(r, NhurError) else ScenarioPoint(param=x, evaluations=r)
-        for x, r in zip(grid.tolist(), results)
-    ]
-
-
 def sweep(builder, param_range, points: int,
           formalism: Formalism = Formalism.PLAIN,
-          *, ur_tol: float | None = None) -> list[ScenarioPoint]:
+          *, ur_tol: float | None = None) -> Sweep:
     """Evaluate all relations on a uniform inclusive grid.
 
     builder maps a parameter value to (A, B, psi, metric).  A point whose
-    build or evaluation fails is recorded with its error message; the
-    sweep itself always completes.  The builder's outputs are validated
-    one by one and evaluated in one kernel call per dimension.
+    build or evaluation fails is recorded with its error; the sweep itself
+    always completes.  The builder's outputs are validated one by one and
+    evaluated in one kernel call per dimension.
     """
     grid = _grid(param_range, points)
-    tol = _resolve_tol(ur_tol)
-    results = [None] * len(grid)
+    errors = [None] * len(grid)
     by_dim = {}
     for i, value in enumerate(grid.tolist()):
         try:
             a, b, psi, g, _ = _validated(*builder(value), formalism)
         except NhurError as exc:
-            results[i] = exc
+            errors[i] = exc
             continue
         by_dim.setdefault(a.shape[0], []).append((i, a, b, psi, g))
+    parts = []
     for rows in by_dim.values():
         index, *arrays = zip(*rows)
-        batch = relation_batch(*map(np.stack, arrays), formalism)
-        for i, result in zip(index, batch.evaluations(tol)):
-            results[i] = result
-    return _points(grid, results)
+        parts.append((np.array(index),
+                      relation_batch(*map(np.stack, arrays), formalism)))
+    return _collect(grid, formalism, _resolve_tol(ur_tol), errors, parts)
 
 
 def example1_sweep(cfg: Example1Config | None = None, points: int = 721,
                    formalism: Formalism = Formalism.PLAIN,
-                   *, ur_tol: float | None = None) -> list[ScenarioPoint]:
+                   *, ur_tol: float | None = None) -> Sweep:
     """Sweep theta0 over [0, pi]."""
     base = (cfg or Example1Config()).validated()
     grid = _grid((0.0, math.pi), points)
     a, b, psi = _example1_arrays(base, grid)
     batch = relation_batch(a, b, psi, identity_metric(2).g, formalism)
-    return _points(grid, batch.evaluations(_resolve_tol(ur_tol)))
+    return _collect(grid, formalism, _resolve_tol(ur_tol), [None] * len(grid),
+                    [(np.arange(len(grid)), batch)])
 
 
 def example2_sweep(cfg: Example2Config, points: int = 721,
                    formalism: Formalism = Formalism.GOOD,
-                   *, ur_tol: float | None = None) -> list[ScenarioPoint]:
+                   *, ur_tol: float | None = None) -> Sweep:
     """Sweep alpha over [0, 2 pi] at fixed gamma and p."""
     base = cfg.validated()
     grid = _grid((0.0, 2.0 * math.pi), points)
+    tol = _resolve_tol(ur_tol)
     try:
         a, b, sys, metric = _example2_frame(base)
     except NhurError as exc:
-        return _points(grid, [exc] * len(grid))
+        return _collect(grid, formalism, tol, [exc] * len(grid))
     stats_g = identity_metric(2).g if formalism is Formalism.PLAIN else metric.g
-    psi, results = _superpose(sys.right.T, _example2_weights(base.p, grid), metric.g)
-    ok = np.array([r is None for r in results])
-    if ok.any():
-        evaluated = iter(relation_batch(a, b, psi[ok], stats_g, formalism)
-                         .evaluations(_resolve_tol(ur_tol)))
-        results = [next(evaluated) if r is None else r for r in results]
-    return _points(grid, results)
+    psi, errors = _superpose(sys.right.T, _example2_weights(base.p, grid), metric.g)
+    ok = np.array([e is None for e in errors])
+    batch = relation_batch(a, b, psi[ok], stats_g, formalism)
+    return _collect(grid, formalism, tol, errors, [(np.flatnonzero(ok), batch)])

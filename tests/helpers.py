@@ -57,6 +57,18 @@ def good_observable_for(rng, metric) -> np.ndarray:
     return np.linalg.inv(s) @ random_hermitian(rng, metric.dim) @ s
 
 
+def eigen_residual(system, m) -> float:
+    """Largest relative eigenpair residual ``|m r - E r| / max(|m|, 1)`` of
+    an EigenSystem's right eigenvectors."""
+    m = np.asarray(m, dtype=complex)
+    scale = max(float(np.linalg.norm(m)), 1.0)
+    worst = 0.0
+    for i, val in enumerate(system.values):
+        r = system.right[:, i]
+        worst = max(worst, float(np.linalg.norm(m @ r - val * r)) / scale)
+    return worst
+
+
 def dirac_expect(x: np.ndarray, psi: np.ndarray) -> complex:
     return complex(np.vdot(psi, x @ psi))
 

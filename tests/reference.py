@@ -6,11 +6,16 @@ built by `ur3_default_perp` and each ur4 branch built from the
 Aharonov-Vaidman state of `av_orthogonal_state`.  The tests compare the
 kernel against it; nothing in the package imports it.
 
+`write_sweep_csv` and `summarize_sweep` at the end are the CLI's former
+per-point sweep output, one `csv_row` per point, which the columnar
+writer and summary in `nhur.cli` must reproduce byte for byte.
+
 The scalar statistics kernels and `av_orthogonal_state` below are the
 package's former ones, kept here so that the oracle does not share the
 batched formula it checks.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +37,7 @@ from nhur import (
     require_normalized,
     ur3_default_perp,
 )
+from nhur.cli import csv_header, csv_row
 from nhur.metric import _variance_error
 from nhur.tolerances import EPS_DEGEN, EPS_ORTH, EPS_VAR
 
@@ -241,3 +247,53 @@ def evaluate_all(a, b, psi, g: Metric | None = None,
 def ur3_branch(a, b, psi, g, formalism, sign, psi_perp=None) -> UrEvaluation:
     """One ur3 sign branch ("plus" or "minus")."""
     return _ur3_from_ctx(_prepare(a, b, psi, g, formalism), psi_perp, sign, 1e-9)
+
+
+# ---- per-point sweep output ----------------------------------------------
+
+_RELATIONS = ("ur1", "ur2", "ur3", "ur4")
+
+
+def write_sweep_csv(path: str, param_name: str, points) -> int:
+    """Write rows for the successful points; returns how many were written."""
+    lines = [csv_header(param_name)]
+    written = 0
+    for pt in points:
+        if pt.ok:
+            lines.append(csv_row(pt))
+            written += 1
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+    return written
+
+
+def summarize_sweep(points, param_name: str, tol: float) -> int:
+    """Print per-relation minima and the verdict; returns the exit code."""
+    errors = [pt for pt in points if not pt.ok]
+    ok_points = [pt for pt in points if pt.ok]
+    for idx, rel in enumerate(_RELATIONS):
+        best = None
+        for pt in ok_points:
+            ev = pt.evaluations[idx]
+            if best is None or ev.gap < best[0]:
+                best = (ev.gap, pt.param)
+        if best is not None:
+            print(f"{rel}: min gap {best[0]:.6g} at {param_name} = {best[1]:.9g}")
+    violations = [
+        (pt.param, ev.relation, ev.gap)
+        for pt in ok_points
+        for ev in pt.evaluations
+        if not ev.holds
+    ]
+    for param, rel, gap in violations:
+        print(f"VIOLATION: {rel} gap {gap:.6g} at {param_name} = {param:.9g}")
+    for pt in errors:
+        print(f"error at {param_name} = {pt.param:.9g}: {pt.error}",
+              file=sys.stderr)
+    if errors:
+        return 2
+    if violations:
+        print(f"{len(violations)} inequality violations beyond tolerance {tol:g}")
+        return 1
+    print(f"all inequalities hold ({len(ok_points)} points, tolerance {tol:g})")
+    return 0

@@ -32,7 +32,6 @@ from nhur import (
     evaluate_all,
     example1_sweep,
     example2_sweep,
-    g_covariance,
     g_orthogonal_complement_2d,
     g_variance,
     identity_metric,
@@ -42,7 +41,6 @@ from nhur import (
     symmetric_eigensystem,
     ur3,
     ur4,
-    validate_metric,
 )
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])

@@ -3,13 +3,11 @@ import math
 import subprocess
 import sys
 
-import numpy as np
 import numpy.testing as npt
 import pytest
 
 from helpers import dirac_covariance, dirac_variance, random_state
 from nhur import (
-    Example1Config,
     Example2Config,
     Formalism,
     build_example2,
