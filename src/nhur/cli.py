@@ -9,6 +9,8 @@ Four subcommands:
 
 Exit codes: 0 when every evaluated inequality holds, 1 when at least one
 is violated beyond tolerance, 2 for usage, parse, or validation errors.
+`main(argv)` may be called repeatedly in one process: it builds the
+argument parser on its first call and reuses it after that.
 
 CSV is written with full double precision (17 significant digits), '.'
 decimal points, and LF line endings.  A sweep's CSV and summary come
@@ -19,6 +21,7 @@ or nested row lists.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -214,11 +217,10 @@ def parse_problem(payload: dict) -> dict:
     """Validate a problem dict into arrays plus formalism and options."""
     if not isinstance(payload, dict):
         raise ProblemParseError("problem file must be a JSON object")
-    try:
-        dim = int(payload["dim"])
-    except KeyError:
+    if "dim" not in payload:
         raise ProblemParseError("missing required field 'dim'")
-    except (TypeError, ValueError):
+    dim = payload["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):  # a JSON integer
         raise ProblemParseError("'dim' must be an integer")
     if dim < 1:
         raise ProblemParseError(f"'dim' must be positive, got {dim}")
@@ -301,6 +303,23 @@ def _evaluation_record(ev) -> dict:
     }
 
 
+def _evaluate_problem(problem: dict, metric: Metric, tol: float) -> list:
+    """evaluate_all on a parsed problem, its states normalized if needed."""
+    stats_metric = (
+        identity_metric(problem["dim"])
+        if problem["formalism"] is Formalism.PLAIN
+        else metric
+    )
+    psi = _normalize_if_needed(problem["psi"], stats_metric, "psi")
+    psi_perp = problem["psi_perp"]
+    if psi_perp is not None:
+        psi_perp = _normalize_if_needed(psi_perp, stats_metric, "psi_perp")
+    return evaluate_all(
+        problem["a"], problem["b"], psi, metric, problem["formalism"],
+        psi_perp=psi_perp, ur_tol=tol,
+    )
+
+
 def cmd_check(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -326,12 +345,14 @@ def cmd_check(args) -> int:
         "min_eigenvalue": metric_report.min_eigenvalue,
     }
     if not metric_report.ok:
-        report["error"] = "metric failed validation"
-        _write_report(args.out, report)
+        # the cause goes to stderr first, so a report that cannot be written
+        # (an OSError, which main prints) does not hide it
         print("error: metric failed validation "
               f"(hermitian={_bool(metric_report.hermitian)}, "
               f"positive_definite={_bool(metric_report.positive_definite)})",
               file=sys.stderr)
+        report["error"] = "metric failed validation"
+        _write_report(args.out, report)
         return 2
     check_a = is_good_observable(problem["a"], metric)
     check_b = is_good_observable(problem["b"], metric)
@@ -339,19 +360,14 @@ def cmd_check(args) -> int:
         "A": {"is_good": check_a.is_good, "residual": check_a.residual},
         "B": {"is_good": check_b.is_good, "residual": check_b.residual},
     }
-    stats_metric = (
-        identity_metric(problem["dim"])
-        if problem["formalism"] is Formalism.PLAIN
-        else metric
-    )
-    psi = _normalize_if_needed(problem["psi"], stats_metric, "psi")
-    psi_perp = problem["psi_perp"]
-    if psi_perp is not None:
-        psi_perp = _normalize_if_needed(psi_perp, stats_metric, "psi_perp")
-    evaluations = evaluate_all(
-        problem["a"], problem["b"], psi, metric, problem["formalism"],
-        psi_perp=psi_perp, ur_tol=tol,
-    )
+    try:
+        evaluations = _evaluate_problem(problem, metric, tol)
+    except NhurError as exc:
+        # as above; the report so far, residuals included, explains the failure
+        print(f"error: {exc}", file=sys.stderr)
+        report["error"] = _error_text(exc)
+        _write_report(args.out, report)
+        return 2
     report["evaluations"] = [_evaluation_record(ev) for ev in evaluations]
     all_hold = all(ev.holds for ev in evaluations)
     report["all_hold"] = all_hold
@@ -475,8 +491,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call.  parse_args leaves
+    a parser unchanged and every default here is immutable, so one parser
+    serves every call in a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NhurError as exc:

@@ -5,6 +5,15 @@ import numpy as np
 
 from nhur import metric_from_matrix
 
+# The benchmark's five sweep command lines, without --points and --out.
+BENCH_COMMANDS = [
+    ["example1"],
+    ["example2", "--phase", "symmetric"],
+    ["example2", "--phase", "broken"],
+    ["example2", "--phase", "symmetric", "--formalism", "gmetric"],
+    ["example2", "--phase", "symmetric", "--gamma", "0.9999999"],
+]
+
 
 def gs_closed(gamma: float) -> np.ndarray:
     """Closed-form metric of the PT model in the symmetric phase."""

@@ -6,16 +6,18 @@ import sys
 import numpy.testing as npt
 import pytest
 
-from helpers import dirac_covariance, dirac_variance, random_state
+from helpers import BENCH_COMMANDS, dirac_covariance, dirac_variance, random_state
 from nhur import (
+    SIGMA_X,
     Example2Config,
     Formalism,
     build_example2,
+    cli,
     evaluate_all,
     example1_sweep,
     identity_metric,
 )
-from nhur.cli import csv_header, main, problem_payload
+from nhur.cli import build_parser, csv_header, main, problem_payload
 
 EXPECTED_HEADER = (
     "theta0,"
@@ -166,6 +168,20 @@ def test_check_rejects_missing_fields(tmp_path, capsys, drop):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dim", [True, 1.9, "2", 2.0])
+def test_check_rejects_non_integer_dim(tmp_path, capsys, dim):
+    # the operators have the size int(dim) gives, so only dim's type is wrong
+    size = int(dim)
+    a, b, psi, g = build_example2(Example2Config.symmetric_default())
+    payload = problem_payload(a[:size, :size], b[:size, :size],
+                              [1.0] + [0.0] * (size - 1), formalism="plain")
+    payload["dim"] = dim
+    inp = tmp_path / "problem.json"
+    _write_problem(inp, payload)
+    assert main(["check", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err == "error: 'dim' must be an integer\n"
+
+
 def test_check_rejects_infinity_token(tmp_path, capsys):
     inp = tmp_path / "problem.json"
     inp.write_text(
@@ -186,23 +202,63 @@ def test_check_rejects_unknown_formalism(tmp_path, capsys):
     assert main(["check", "--input", str(inp)]) == 2
 
 
+# a problem whose metric G is not positive definite
+BAD_METRIC = {
+    "dim": 2,
+    "A": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+    "B": [[[0, 0], [0, -1]], [[0, 1], [0, 0]]],
+    "psi": [[1, 0], [0, 0]],
+    "G": [[[1, 0], [0, 0]], [[0, 0], [-2, 0]]],
+    "formalism": "gmetric",
+}
+
+
 def test_check_flags_bad_metric_in_report(tmp_path, capsys):
-    payload = {
-        "dim": 2,
-        "A": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
-        "B": [[[0, 0], [0, -1]], [[0, 1], [0, 0]]],
-        "psi": [[1, 0], [0, 0]],
-        "G": [[[1, 0], [0, 0]], [[0, 0], [-2, 0]]],
-        "formalism": "gmetric",
-    }
     inp = tmp_path / "problem.json"
     rep = tmp_path / "report.json"
-    _write_problem(inp, payload)
+    _write_problem(inp, BAD_METRIC)
     assert main(["check", "--input", str(inp), "--out", str(rep)]) == 2
     report = json.loads(rep.read_text())
     assert report["metric"]["positive_definite"] is False
     assert report["error"] == "metric failed validation"
     assert "evaluations" not in report
+
+
+def test_check_reports_evaluation_failure(tmp_path, capsys):
+    # sigma_x is no good observable for this metric: the metric passes and
+    # the evaluation fails
+    a, b, psi, g = build_example2(Example2Config.symmetric_default())
+    inp = tmp_path / "problem.json"
+    rep = tmp_path / "report.json"
+    _write_problem(inp, problem_payload(SIGMA_X, b, psi, g, "good"))
+    assert main(["check", "--input", str(inp), "--out", str(rep)]) == 2
+    err = capsys.readouterr().err
+    report = json.loads(rep.read_text())
+    assert report["metric"]["positive_definite"] is True
+    assert report["good_observable"]["A"]["is_good"] is False
+    assert report["good_observable"]["B"]["is_good"] is True
+    assert report["error"].startswith("NotGoodObservableError: ")
+    assert err == f"error: {report['error'].split(': ', 1)[1]}\n"
+    assert "evaluations" not in report and "all_hold" not in report
+
+
+def test_check_failure_outlives_an_unwritable_report(tmp_path, capsys):
+    # the metric fails in the first file and the evaluation in the second;
+    # --out names a missing directory, and stderr still opens with the cause
+    a, b, psi, g = build_example2(Example2Config.symmetric_default())
+    not_good = problem_payload(SIGMA_X, b, psi, g, "good")
+    rep = tmp_path / "missing" / "report.json"
+    causes = ["error: metric failed validation (hermitian=true, "
+              "positive_definite=false)",
+              "error: good-observable formalism requires both operators"]
+    for payload, cause in zip([BAD_METRIC, not_good], causes):
+        inp = tmp_path / "problem.json"
+        _write_problem(inp, payload)
+        assert main(["check", "--input", str(inp), "--out", str(rep)]) == 2
+        first, second = capsys.readouterr().err.splitlines()
+        assert first.startswith(cause)
+        assert second.startswith("error: [Errno 2] No such file or directory")
+        assert not rep.exists()
 
 
 def test_check_rejects_non_orthogonal_override(tmp_path, capsys):
@@ -321,3 +377,57 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "positive definite: true" in proc.stdout
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def _outcome(argv, out, capsys):
+    """Exit code (or SystemExit code), stdout, stderr and output bytes."""
+    out.unlink(missing_ok=True)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch,
+                                            fresh_parser_cache):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    a, b, psi, g = build_example2(Example2Config.broken_default(alpha=0.5))
+    inp = tmp_path / "problem.json"
+    _write_problem(inp, problem_payload(a, b, psi, g, "good"))
+    out = tmp_path / "out"
+    commands = [argv + ["--points", "181", "--out", str(out)]
+                for argv in BENCH_COMMANDS]
+    commands += [
+        ["check", "--input", str(inp), "--out", str(out)],
+        ["metric", "--gamma", "0.9"],
+        ["example2", "--phase", "sideways", "--out", str(out)],
+        ["example2", "--phase", "symmetric", "--points", "1", "--out", str(out)],
+    ]
+    first = [_outcome(argv, out, capsys) for argv in commands]
+    second = [_outcome(argv, out, capsys) for argv in commands]
+    assert built == [1]
+    assert second == first
+    assert [code for code, *_ in first] == [0] * 7 + [("SystemExit", 2), 2]
+    assert all(csv is not None for *_, csv in first[:6])
+    assert "invalid choice: 'sideways'" in first[7][2]
+    assert first[8][2] == "error: --points must be at least 2\n"
+
+
+def test_build_parser_returns_a_new_parser(fresh_parser_cache):
+    assert build_parser() is not build_parser()
+    assert cli._parser() is cli._parser()

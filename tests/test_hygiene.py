@@ -1,10 +1,14 @@
-"""Source hygiene no installed linter checks: every imported name is used.
+"""Source hygiene no installed linter checks: every imported name is used,
+and importing the package does none of the command line's work.
 
-The package's `__init__.py` is exempt, since its imports are the public
-re-exports listed in `__all__`.
+The package's `__init__.py` is exempt from the import check, since its
+imports are the public re-exports listed in `__all__`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +43,31 @@ def test_no_unused_imports(path):
 def test_unused_import_check_finds_one():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\nnp.sqrt(tau)\n"
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
+
+
+# Run in a fresh interpreter: `import nhur` must load neither the CLI nor
+# argparse, and `import nhur.cli` must build no parser until main() runs.
+IMPORT_GUARD = """
+import sys
+import nhur
+assert "nhur.cli" not in sys.modules, "import nhur loaded nhur.cli"
+assert "argparse" not in sys.modules, "import nhur loaded argparse"
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import nhur.cli
+assert not built, "import nhur.cli built an ArgumentParser"
+nhur.cli.main(["metric", "--gamma", "0.6"])
+assert built, "the parser count missed main()"
+"""
+
+
+def test_import_does_no_cli_work():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reference
+from helpers import BENCH_COMMANDS
 from nhur import (
     Example1Config,
     Example2Config,
@@ -26,14 +27,6 @@ from nhur import cli, relations, scenarios
 from nhur.relations import RelationBatch
 from nhur.scenarios import Sweep
 
-# The benchmark's five sweep command lines.
-BENCH_COMMANDS = [
-    ["example1"],
-    ["example2", "--phase", "symmetric"],
-    ["example2", "--phase", "broken"],
-    ["example2", "--phase", "symmetric", "--formalism", "gmetric"],
-    ["example2", "--phase", "symmetric", "--gamma", "0.9999999"],
-]
 PLAIN_EXAMPLE2 = ["example2", "--phase", "symmetric", "--formalism", "plain"]
 
 
@@ -145,6 +138,24 @@ def test_hand_built_sweep_with_violations_matches_per_point_output(
         _hand_built(1e-9, [0, 1, 2, 4]), tmp_path, capsys)
     assert written == 4 and code == 1 and stderr == ""
     assert "5 inequality violations beyond tolerance 1e-09" in stdout
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_sweeps_match_per_point_output(seed, tmp_path, capsys):
+    # gaps drawn from a few values, so rows hold ties (0.0 against -0.0
+    # too), NaNs and infinities in every position; some points failed
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, -1e-10, -1e-8, 0.5])
+    gap = rng.choice(values, (4, n))
+    lhs = rng.choice([0.0, 1.0, 2.5], n)
+    failed = rng.random(n) < 0.25
+    errors = tuple(NotNormalizedError(f"point {i}") if bad else None
+                   for i, bad in enumerate(failed))
+    result = Sweep(np.linspace(0.0, 1.0, n), Formalism.GOOD, lhs, lhs - gap,
+                   gap, gap >= -1e-9, rng.random((2, n)) < 0.5,
+                   rng.random(n) < 0.5, errors)
+    _assert_matches_reference(result, tmp_path, capsys)
 
 
 def test_cli_sweeps_build_no_per_point_records(tmp_path, capsys, monkeypatch):
