@@ -6,19 +6,18 @@ product, which is how the plain formalism is realized downstream: every
 statistic in this module is G-weighted and the identity metric recovers
 the unweighted value exactly.
 
-Expectation, variance, and covariance follow the weighted definitions
+With the centered vector d_X = (X - <X>_G) psi, where <X>_G = <psi|G X|psi>,
 
-    <X>_G      = <psi| G X |psi>
-    Var_G(X)   = <X' G X> - <X' G><G X>          (X' = adjoint of X)
-    Cov_G(A,B) = <A' G B> - <A' G><G B>
+    Var_G(X)   = <d_X|G d_X>
+    Cov_G(A,B) = <d_A|G d_B>
 
-which are the Dirac formulas with G inserted between the daggered and
-undaggered factors.  Var_G is Cov_G(X, X), so one batched kernel,
-`_covariance`, computes both, for g_variance and g_covariance here, for
+the Dirac formulas with G inserted.  One batched helper, `_centered`,
+builds d and G d for g_variance and g_covariance here, for
 states.av_orthogonal_state, and for a whole grid in
-relations.relation_batch.  Var_G is real and nonnegative for
-positive-definite G; the implementation checks both instead of assuming
-them.
+relations.relation_batch.  Centering first makes the rounding scale with
+the variance rather than with <X^dag G X>.  Var_G is real and nonnegative
+for positive-definite G; the implementation checks both, within EPS_VAR
+relative to |d| |G d|, instead of assuming them.
 """
 
 from dataclasses import dataclass
@@ -207,41 +206,44 @@ def _norm_error(name: str, nsq: complex) -> NotNormalizedError:
 # The one Var_G/Cov_G kernel, unchecked: callers are responsible for
 # shape, finiteness, and normalization.
 
-def _covariance(u: np.ndarray, gv: np.ndarray, psi: np.ndarray,
-                gpsi: np.ndarray) -> np.ndarray:
-    """Batched ``<u|G v> - <u|G psi><psi|G v>`` over leading axes.
-
-    With u = A psi and v = B psi this is Cov_G(A, B), and with u = v it is
-    Var_G(A) before its reality check.  The two means are kept apart
-    rather than conjugated into each other, so the reality checks see the
-    metric's own asymmetry.
-    """
-    return _vdot(u, gv) - _vdot(u, gpsi) * _vdot(psi, gv)
+def _centered(w: np.ndarray, gw: np.ndarray, psi: np.ndarray,
+              gpsi: np.ndarray) -> tuple:
+    """(d, G d) with d = (X - <X>_G) psi, from w = X psi and the G images
+    of w and psi; batched over leading axes.  G d = G w - <X>_G G psi by
+    linearity, so centering costs no matrix product.  Var_G(X) = <d|G d>
+    and Cov_G(A, B) = <d_A|G d_B>."""
+    mean = _vdot(psi, gw)[..., None]
+    return w - mean * psi, gw - mean * gpsi
 
 
-def _variance(w: np.ndarray, gw: np.ndarray, psi: np.ndarray,
-              gpsi: np.ndarray) -> float:
-    """Var_G(X) of one state from w = X psi and the G images, checked real
-    and nonnegative within EPS_VAR and clamped at 0."""
-    raw = complex(_covariance(w, gw, psi, gpsi))
-    error = _variance_error(raw)
-    if error is not None:
-        raise error
-    return max(raw.real, 0.0)
+def _variance_limit(d: np.ndarray, gd: np.ndarray) -> np.ndarray:
+    """EPS_VAR * max(1, |d| |G d|), the rounding allowed in <d|G d>."""
+    return EPS_VAR * np.maximum(1.0, np.sqrt(_vdot(d, d).real * _vdot(gd, gd).real))
 
 
-def _variance_error(val: complex, what: str = "variance"):
-    """The InternalInconsistencyError for a variance that is not real and
-    nonnegative within EPS_VAR, or None."""
-    if abs(val.imag) > EPS_VAR:
-        return InternalInconsistencyError(
-            f"{what} has imaginary part {val.imag:.3e} beyond {EPS_VAR:g}"
-        )
-    if val.real < -EPS_VAR:
-        return InternalInconsistencyError(
-            f"{what} is negative ({val.real:.3e}) beyond {EPS_VAR:g}"
-        )
-    return None
+def _unreal(var: np.ndarray, d: np.ndarray, gd: np.ndarray) -> np.ndarray:
+    """Where var = <d|G d> is not real and nonnegative within the limit,
+    computed only where the absolute EPS_VAR, never larger, trips."""
+    bad = (np.abs(var.imag) > EPS_VAR) | (var.real < -EPS_VAR)
+    if np.count_nonzero(bad):
+        limit = _variance_limit(d, gd)
+        bad = bad & ((np.abs(var.imag) > limit) | (var.real < -limit))
+    return bad
+
+
+def _variance_error(val: complex, d: np.ndarray, gd: np.ndarray):
+    """The error for a variance val = <d|G d> that `_unreal` flagged."""
+    limit = float(_variance_limit(d, gd))
+    return InternalInconsistencyError(
+        f"variance {val:.3e} is not real and nonnegative within {limit:.3g}")
+
+
+def _variance(d: np.ndarray, gd: np.ndarray) -> float:
+    """Var_G(X) of one state from its d and G d, checked and clamped at 0."""
+    raw = _vdot(d, gd)
+    if _unreal(raw, d, gd):
+        raise _variance_error(complex(raw), d, gd)
+    return max(float(raw.real), 0.0)
 
 
 def g_expectation(x, psi, metric: Metric) -> complex:
@@ -256,7 +258,7 @@ def g_variance(x, psi, metric: Metric) -> float:
     x = as_operator(x, dim=metric.dim, name="observable")
     psi = require_normalized(psi, metric)
     w = x @ psi
-    return _variance(w, metric.g @ w, psi, metric.g @ psi)
+    return _variance(*_centered(w, metric.g @ w, psi, metric.g @ psi))
 
 
 def g_covariance(a, b, psi, metric: Metric) -> complex:
@@ -265,4 +267,6 @@ def g_covariance(a, b, psi, metric: Metric) -> complex:
     b = as_operator(b, dim=metric.dim, name="second operator")
     psi = require_normalized(psi, metric)
     g = metric.g
-    return complex(_covariance(a @ psi, g @ (b @ psi), psi, g @ psi))
+    w = np.array([a @ psi, b @ psi])
+    (da, _), (_, gdb) = _centered(w, w @ g.T, psi, g @ psi)
+    return complex(_vdot(da, gdb))

@@ -1,37 +1,34 @@
 """The four sum uncertainty relations for non-Hermitian operator pairs.
 
-Each relation bounds the variance sum ``Var(A) + Var(B)`` from below:
+Each relation bounds lhs = Var(A) + Var(B) from below.  With the centered
+vectors d_X = (X - <X>) psi, each gap = lhs - rhs is the squared norm of
+one vector, so its rounding scales with the gap rather than with lhs:
 
-  ur1        rhs = 2 Im Cov(A, B)
-  ur2        rhs = 2 Re Cov(A, B)
-  ur3        rhs = +-2 Im Cov + |<perp|G(A +- iB)|psi>|^2,  best sign branch
-  ur4        rhs = max over A+B, A-B of half the squared matrix element
-             <perp_(A+-B)|G(A+-B)|psi> with perp the normalized orthogonal
-             state of that combination (equivalently half its variance)
+  ur1  rhs = 2 Im Cov(A, B);  gap = Var(A + iB) = |d_A + i d_B|^2
+  ur2  rhs = 2 Re Cov(A, B);  gap = Var(A - B) = |d_A - d_B|^2
+  ur3  rhs = +-2 Im Cov + |<perp|G(A +- iB)|psi>|^2, best sign branch;
+       gap = |d_A +- i d_B|^2 less its part along perp
+  ur4  rhs = half the larger of Var(A +- B), each the squared element of
+       the combination with its orthogonal state;  gap = half the smaller
 
 All statistics are taken in the formalism's inner product:
 
   plain    Dirac product, any supplied metric ignored for statistics
   gmetric  metric-weighted statistics, arbitrary operators
-  good     metric-weighted, both operators must satisfy X^dag G = G X;
-           the rhs of ur1/ur2 is then evaluated through the commutator and
-           anticommutator forms that the good-observable condition makes
-           real-valued
+  good     gmetric behind the gate X^dag G = G X on both operators, under
+           which the commutator and anticommutator forms of ur1/ur2 equal
+           2 Im Cov_G and 2 Re Cov_G exactly
 
-With the default auxiliary states every result is a function of three
-scalars, Var_G(A), Var_G(B) and Cov_G(A, B).  The default perp of ur3 is
-the optimal one, for which the bound is tight (Maccone & Pati, PRL 113,
-260401, 2014): each branch equals lhs.  Each ur4 branch is half
-Var_G(A +- B).  Only a caller-supplied perp needs a matrix element.  The
+The default perp of ur3 is the optimal one, for which the bound is tight
+(Maccone & Pati, PRL 113, 260401, 2014): each branch equals lhs and the
+gap is 0.  Only a caller-supplied perp needs a matrix element.  The
 explicit constructions (states.ur3_default_perp, av_orthogonal_state)
 stay available as tools and test oracles; the kernel does not build them.
 
 `relation_batch` evaluates many points in one vectorized pass and records
 every failed check as a mask; `evaluate_all` and ur1-ur4 validate one
-input at the boundary and make the N = 1 call.
-
-The evaluation record carries lhs, rhs, their gap, and a holds flag with
-slack ``gap >= -tol``; the default tolerance honors NHUR_TOLERANCE_UR.
+input at the boundary and make the N = 1 call.  A record's holds flag is
+``gap >= -tol``; the default tolerance honors NHUR_TOLERANCE_UR.
 """
 
 import enum
@@ -42,7 +39,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    InternalInconsistencyError,
     NhurError,
     NotGoodObservableError,
     NotOrthogonalError,
@@ -50,9 +46,10 @@ from .errors import (
 from .linalg import _mv, _vdot, as_operator, as_state
 from .metric import (
     Metric,
-    _covariance,
+    _centered,
     _good_residual,
     _norm_error,
+    _unreal,
     _variance_error,
 )
 from .tolerances import (
@@ -60,7 +57,6 @@ from .tolerances import (
     EPS_GOOD,
     EPS_NORM,
     EPS_ORTH,
-    EPS_VAR,
     ur_tolerance,
 )
 
@@ -79,7 +75,8 @@ class Formalism(enum.Enum):
 class UrEvaluation:
     """One evaluated inequality instance.
 
-    gap = lhs - rhs; holds means gap >= -tol for the tolerance in force.
+    gap = lhs - rhs to rounding, not bit for bit (see the module
+    docstring); holds means gap >= -tol for the tolerance in force.
     sign_branch records which branch achieved the reported bound for the
     relations that have one; a tie goes to "plus", so ur3 with the
     default auxiliary state, where both branches equal lhs, reports
@@ -100,6 +97,9 @@ class UrEvaluation:
 # Indices of ur1..ur4 in a batch's rhs rows and in a check's relations.
 _ALL = frozenset(range(4))
 _BRANCH = ("plus", "minus")
+# (d_A, d_B) coefficients of u and gu: Var of A, B, A +- B, A +- iB; Cov(A, B)
+_COMBOS = np.array([[[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j], [1, 0]],
+                    [[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j], [0, 1]]])
 
 
 def _record(f: Formalism, lhs: float, rhs, gap, holds, minus,
@@ -134,15 +134,17 @@ class _Check:
 class RelationBatch:
     """The four relations over N points, from one `relation_batch` call.
 
-    Arrays run over points on their last axis.  rhs holds ur1..ur4 by
-    row, ur3 and ur4 at their best branch, which minus marks (rows ur3,
-    ur4); ur3_branches holds ur3's plus and minus branch.  checks lists,
-    in the order evaluate_all meets them, the checks any point failed.
+    Arrays run over points on their last axis.  rhs and gap hold ur1..ur4
+    by row, ur3 and ur4 at their best branch, which minus marks (rows ur3,
+    ur4); ur3_branches is ur3's (rhs, gap) x (plus, minus) branch.
+    checks lists, in the order evaluate_all meets them, the checks any
+    point failed.
     """
 
     formalism: Formalism
     lhs: np.ndarray
     rhs: np.ndarray
+    gap: np.ndarray
     ur3_branches: np.ndarray
     minus: np.ndarray
     degenerate: np.ndarray
@@ -150,9 +152,9 @@ class RelationBatch:
 
     def columns(self, tol: float) -> tuple:
         """The arrays records are built from, (lhs, rhs, gap, holds, minus,
-        degenerate): the one place where gap = lhs - rhs, holds = gap >= -tol."""
-        gap = self.lhs - self.rhs
-        return self.lhs, self.rhs, gap, gap >= -tol, self.minus, self.degenerate
+        degenerate): the one place where holds = gap >= -tol."""
+        return (self.lhs, self.rhs, self.gap, self.gap >= -tol, self.minus,
+                self.degenerate)
 
     def failed(self, relations=_ALL) -> np.ndarray:
         """The points that fail a check guarding any of `relations`."""
@@ -189,9 +191,9 @@ def relation_batch(a, b, psi, g, formalism: Formalism,
     finite complex arrays of consistent shape; `_validated` makes them so.
     Every per-point check of the relations runs as a mask: the
     good-observable gate (EPS_GOOD), state normalization (EPS_NORM),
-    reality and sign of the variances (EPS_VAR), reality of the good
-    formalism's brackets (EPS_VAR), and normalization and orthogonality
-    of an explicit psi_perp (EPS_NORM, EPS_ORTH).
+    reality and sign of the variances (EPS_VAR relative to |d| |G d|),
+    and normalization and orthogonality of an explicit psi_perp
+    (EPS_NORM, EPS_ORTH).
     """
     n = psi.shape[0]
     checks = []
@@ -200,8 +202,7 @@ def relation_batch(a, b, psi, g, formalism: Formalism,
         if np.count_nonzero(failed):  # half the call overhead of .any()
             checks.append(_Check(relations, np.broadcast_to(failed, (n,)), error))
 
-    good = formalism is Formalism.GOOD
-    if good:
+    if formalism is Formalism.GOOD:
         res_a, res_b = _good_residual(a, g), _good_residual(b, g)
         check(_ALL, (res_a > EPS_GOOD) | (res_b > EPS_GOOD),
               lambda i: NotGoodObservableError(
@@ -214,38 +215,29 @@ def relation_batch(a, b, psi, g, formalism: Formalism,
     check(_ALL, np.abs(nsq - 1.0) > EPS_NORM,
           lambda i: _norm_error("state", complex(nsq[i])))
 
-    wa, wb = _mv(a, psi), _mv(b, psi)
-    gwa, gwb = _mv(g, wa), _mv(g, wb)
-    # Var of A, B, A + B and A - B, each from its own vector A psi +- B psi,
-    # then Cov(A, B)
-    stats = _covariance(np.array([wa, wb, wa + wb, wa - wb, wa]),
-                        np.array([gwa, gwb, gwa + gwb, gwa - gwb, gwb]), psi, gpsi)
-    raw, cov = stats[:4], stats[4]
-    unreal = (np.abs(raw.imag) > EPS_VAR) | (raw.real < -EPS_VAR)
+    w = np.array([_mv(a, psi), _mv(b, psi)])
+    d, gd = _centered(w, _mv(g, w), psi, gpsi)
+    u, gu = (_COMBOS @ np.array([d, gd]).reshape(2, 2, -1)).reshape(2, 7, *psi.shape)
+    stats = _vdot(u, gu)
+    raw, cov = stats[:6], stats[6]
+    unreal = _unreal(raw[:4], u[:4], gu[:4])
     var = np.maximum(raw.real, 0.0)
 
     def check_variance(relations, k):
-        check(relations, unreal[k], lambda i: _variance_error(complex(raw[k, i])))
+        check(relations, unreal[k],
+              lambda i: _variance_error(complex(raw[k, i]), u[k, i], gu[k, i]))
 
     check_variance(_ALL, 0)
     check_variance(_ALL, 1)
     lhs = var[0] + var[1]
-
-    if good:
-        # <psi|G X psi> for X = BA, AB, A and B
-        ba, ab, mean_a, mean_b = _vdot(psi, np.array(
-            [_mv(g, _mv(b, wa)), _mv(g, _mv(a, wb)), gwa, gwb]))
-        rhs1 = _real_bracket(check, {0, 2}, 1j * (ba - ab), "i<[B,A]>")
-        rhs2 = _real_bracket(check, {1}, ab + ba - 2.0 * mean_a * mean_b,
-                             "<{A,B}> - 2<A><B>")
-    else:
-        rhs1, rhs2 = 2.0 * cov.imag, 2.0 * cov.real
+    rhs1 = 2.0 * cov.imag
 
     if psi_perp is None:
         # tight for the optimal auxiliary state, in every branch
-        ur3_branches = np.array([lhs, lhs])
+        ur3_branches = np.array([[lhs, lhs], np.zeros((2, n))])
     else:
-        perp_nsq = _vdot(psi_perp, _mv(g, psi_perp))
+        gperp = _mv(g, psi_perp)
+        perp_nsq = _vdot(psi_perp, gperp)
         check({2}, np.abs(perp_nsq - 1.0) > EPS_NORM,
               lambda i: _norm_error("auxiliary state", complex(perp_nsq[i])))
         overlap = np.abs(_vdot(psi_perp, gpsi))
@@ -253,29 +245,29 @@ def relation_batch(a, b, psi, g, formalism: Formalism,
               lambda i: NotOrthogonalError(
                   f"auxiliary state has metric overlap {overlap[i]:.3e} with "
                   f"the state (limit {EPS_ORTH:g})"))
-        elements = _vdot(psi_perp, np.array([gwa + 1j * gwb, gwa - 1j * gwb]))
-        ur3_branches = np.array([rhs1, -rhs1]) + np.abs(elements) ** 2
+        # each branch's gap is the G-norm of d_A +- i d_B less its part along
+        # perp; as perp is orthogonal to psi, e is <perp|G(A +- iB)|psi>
+        v, gv = u[4:6], gu[4:6]
+        e = _vdot(psi_perp, gv)[..., None]
+        rhs3 = np.array([rhs1, -rhs1]) + np.abs(e[..., 0]) ** 2
+        gap3 = np.maximum(_vdot(v - e * psi_perp, gv - e * gperp).real, 0.0)
+        ur3_branches = np.array([rhs3, gap3])
 
     check_variance({3}, 2)
     check_variance({3}, 3)
     # an eigenstate of A +- B: that branch bound is trivially zero
-    flat = np.sqrt(var[2:]) <= EPS_DEGEN
-    halves = np.where(flat, 0.0, 0.5 * var[2:])
+    flat = np.sqrt(var[2:4]) <= EPS_DEGEN
+    halves = np.where(flat, 0.0, 0.5 * var[2:4])
 
-    branches = np.array([ur3_branches, halves])  # (ur3, ur4) x (plus, minus)
+    rhs3, gap3 = ur3_branches
+    branches = np.array([rhs3, halves])  # (ur3, ur4) x (plus, minus)
     best = branches.max(1)
-    rhs = np.array([rhs1, rhs2, best[0], best[1]])
-    return RelationBatch(formalism, lhs, rhs, ur3_branches,
-                         branches[:, 1] > branches[:, 0], flat[0] | flat[1],
-                         tuple(checks))
-
-
-def _real_bracket(check, relations, value, what):
-    check(relations, np.abs(value.imag) > EPS_VAR,
-          lambda i: InternalInconsistencyError(
-              f"{what} must be real for good observables, got imaginary part "
-              f"{value[i].imag:.3e}"))
-    return value.real
+    minus = branches[:, 1] > branches[:, 0]
+    rhs = np.array([rhs1, 2.0 * cov.real, best[0], best[1]])
+    gap = np.array([var[4], var[3], np.where(minus[0], gap3[1], gap3[0]),
+                    halves.min(0)])
+    return RelationBatch(formalism, lhs, rhs, gap, ur3_branches,
+                         minus, flat[0] | flat[1], tuple(checks))
 
 
 def _validated(a, b, psi, g: Metric | None, formalism: Formalism,
@@ -344,8 +336,9 @@ def ur3(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLA
     batch = _evaluate(a, b, psi, g, formalism, psi_perp)
     if sign != "max":
         k = _BRANCH.index(sign)
-        batch = replace(batch, rhs=batch.rhs.copy(), minus=batch.minus.copy())
-        batch.rhs[2], batch.minus[0] = batch.ur3_branches[k], k == 1
+        batch = replace(batch, rhs=batch.rhs.copy(), gap=batch.gap.copy(),
+                        minus=batch.minus.copy())
+        batch.rhs[2], batch.gap[2], batch.minus[0] = *batch.ur3_branches[:, k], k == 1
     return _single(batch, _resolve_tol(ur_tol), {2})[2]
 
 

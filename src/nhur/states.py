@@ -19,7 +19,7 @@ from .errors import (
     NegativeNormError,
     ZeroVectorError,
 )
-from .metric import Metric, _variance, require_normalized
+from .metric import Metric, _centered, _variance, require_normalized
 from .linalg import _mv, _vdot, as_operator, as_state
 from .tolerances import EPS_DEGEN, EPS_MACH, EPS_ORTH, EPS_VAR
 
@@ -113,6 +113,16 @@ def _superpose(basis: np.ndarray, weights: np.ndarray, g: np.ndarray):
     return out / np.sqrt(np.where(bad, 1.0, nsq.real))[:, None], errors
 
 
+def _overlap(v: np.ndarray, gpsi: np.ndarray, what: str) -> float:
+    """|<v|G psi>|, checked within EPS_ORTH relative to |v| |G psi|."""
+    residual = abs(complex(np.vdot(v, gpsi)))
+    limit = EPS_ORTH * max(1.0, float(np.linalg.norm(v) * np.linalg.norm(gpsi)))
+    if residual > limit:
+        raise InternalInconsistencyError(
+            f"{what} overlap {residual:.3e} exceeds {limit:.3g}")
+    return residual
+
+
 def g_orthogonal_complement_2d(psi, metric: Metric) -> np.ndarray:
     """The unique (up to phase) unit vector metric-orthogonal to psi.
 
@@ -127,11 +137,7 @@ def g_orthogonal_complement_2d(psi, metric: Metric) -> np.ndarray:
     # (v, w) = 0 by construction: the 2D cross-vector of w
     v = np.array([-w[1].conjugate(), w[0].conjugate()])
     v = _fix_phase(_g_normalize(v, metric, "complement"))
-    residual = abs(complex(np.vdot(v, metric.g @ psi)))
-    if residual > EPS_ORTH:
-        raise InternalInconsistencyError(
-            f"complement overlap {residual:.3e} exceeds {EPS_ORTH:g}"
-        )
+    _overlap(v, w, "complement")
     return v
 
 
@@ -167,25 +173,18 @@ def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
     psi = require_normalized(psi, metric)
     g = metric.g
     w, gpsi = x @ psi, g @ psi
-    gw = g @ w
-    expect = complex(np.vdot(psi, gw))
-    sd = float(np.sqrt(_variance(w, gw, psi, gpsi)))
+    d, gd = _centered(w, g @ w, psi, gpsi)
+    sd = float(np.sqrt(_variance(d, gd)))
     if sd <= EPS_DEGEN:
         raise DegenerateEigenstateError(
             f"state is an eigenstate of the operator (sd = {sd:.3e}); "
             "the orthogonal direction is undefined"
         )
-    perp = (w - expect * psi) / sd
+    perp = d / sd
     # discard the roundoff component along psi so orthogonality is exact
     perp = perp - complex(np.vdot(psi, g @ perp)) * psi
-    residual = abs(complex(np.vdot(perp, gpsi)))
-    if residual > EPS_ORTH:
-        raise InternalInconsistencyError(
-            f"orthogonal-state overlap {residual:.3e} exceeds {EPS_ORTH:g}"
-        )
-    return OrthogonalPair(
-        psi=psi, psi_perp=perp, context=metric, overlap_residual=residual
-    )
+    return OrthogonalPair(psi=psi, psi_perp=perp, context=metric,
+                          overlap_residual=_overlap(perp, gpsi, "orthogonal-state"))
 
 
 def ur3_default_perp(a, b, psi, metric: Metric, sign: int) -> np.ndarray:

@@ -23,13 +23,15 @@ EPS_PD = 1e-10
 # Relative residual for the operator/metric intertwining test.
 EPS_GOOD = 1e-9
 
-# Allowed imaginary leakage in quantities that are real by construction.
+# Allowed imaginary leakage in quantities that are real by construction;
+# for a variance <d|G d>, EPS_VAR * max(1, |d| |G d|), also below zero.
 EPS_VAR = 1e-9
 
 # Allowed deviation of a state's metric norm from one.
 EPS_NORM = 1e-8
 
-# Metric-orthogonality check for auxiliary states.
+# Metric-orthogonality check for auxiliary states; for the ones the
+# package constructs, EPS_ORTH * max(1, |perp| |G psi|).
 EPS_ORTH = 1e-10
 
 # Standard deviation below which a state counts as an eigenstate of the

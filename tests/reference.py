@@ -10,9 +10,11 @@ kernel against it; nothing in the package imports it.
 per-point sweep output, one `csv_row` per point, which the columnar
 writer and summary in `nhur.cli` must reproduce byte for byte.
 
-The scalar statistics kernels and `av_orthogonal_state` below are the
-package's former ones, kept here so that the oracle does not share the
-batched formula it checks.
+The scalar statistics kernels (uncentered, with an absolute EPS_VAR
+check), `av_orthogonal_state` and the good formalism's commutator and
+anticommutator forms of ur1/ur2 below are the package's former ones, kept
+here so that the oracle shares neither the centered formula nor the
+Cov_G route it checks.
 """
 
 import sys
@@ -38,7 +40,6 @@ from nhur import (
     ur3_default_perp,
 )
 from nhur.cli import csv_header, csv_row
-from nhur.metric import _variance_error
 from nhur.tolerances import EPS_DEGEN, EPS_ORTH, EPS_VAR
 
 
@@ -60,10 +61,16 @@ def _covariance_raw(
 
 
 def _as_real_variance(val: complex, what: str = "variance") -> float:
-    """Enforce that a variance came out real and nonnegative; clamp noise."""
-    error = _variance_error(val, what)
-    if error is not None:
-        raise error
+    """Enforce that a variance came out real and nonnegative within the
+    absolute EPS_VAR; clamp noise."""
+    if abs(val.imag) > EPS_VAR:
+        raise InternalInconsistencyError(
+            f"{what} has imaginary part {val.imag:.3e} beyond {EPS_VAR:g}"
+        )
+    if val.real < -EPS_VAR:
+        raise InternalInconsistencyError(
+            f"{what} is negative ({val.real:.3e}) beyond {EPS_VAR:g}"
+        )
     return max(val.real, 0.0)
 
 

@@ -1,5 +1,6 @@
 """Source hygiene no installed linter checks: every imported name is used,
-and importing the package does none of the command line's work.
+the per-point reference imports none of the package's private helpers, and
+importing the package does none of the command line's work.
 
 The package's `__init__.py` is exempt from the import check, since its
 imports are the public re-exports listed in `__all__`.
@@ -43,6 +44,23 @@ def test_no_unused_imports(path):
 def test_unused_import_check_finds_one():
     source = "import os\nimport numpy as np\nfrom math import pi, tau\nnp.sqrt(tau)\n"
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
+
+
+def private_imports(source: str) -> list:
+    """`_`-prefixed names imported from nhur or one of its modules."""
+    return sorted(
+        (node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "nhur"
+        for alias in node.names if alias.name.startswith("_"))
+
+
+def test_reference_imports_no_private_name():
+    # the oracle must not share the kernel helpers it is compared against
+    source = "from nhur.metric import _centered, g_variance\nfrom nhur import ur1\n"
+    assert private_imports(source) == [(1, "_centered")]
+    reference = (ROOT / "tests" / "reference.py").read_text(encoding="utf-8")
+    assert private_imports(reference) == []
 
 
 # Run in a fresh interpreter: `import nhur` must load neither the CLI nor

@@ -109,6 +109,10 @@ def branch_is_clear(a, b, psi, stats, tol, psi_perp=None):
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("formalism", FORMALISMS, ids=lambda f: f.value)
 def test_kernel_matches_reference(formalism, dim, with_perp):
+    """The batched kernel against the per-point reference.  The good cases
+    are also the differential test of the compatible forms: the reference
+    takes ur1/ur2's rhs from the commutator and anticommutator brackets,
+    the kernel from 2 Im Cov_G and 2 Re Cov_G."""
     rng = np.random.default_rng(1000 * dim + 10 * with_perp
                                 + FORMALISMS.index(formalism))
     for _ in range(25):
@@ -368,6 +372,21 @@ def test_ur3_default_auxiliary_state_reports_plus(rng):
                 assert (one.sign_branch, one.rhs) == (sign, one.lhs)
 
 
+def test_ur3_sign_reports_that_branch(rng):
+    for formalism in FORMALISMS:
+        for dim in (2, 4):
+            a, b, psi, metric, perp, stats = random_problem(rng, dim, formalism,
+                                                            True)
+            tol = 256 * EPS * second_moments(a, b, psi, stats.g)
+            for sign in ("plus", "minus"):
+                one = ur3(a, b, psi, metric, formalism, psi_perp=perp, sign=sign)
+                want = reference.ur3_branch(a, b, psi, metric, formalism, sign,
+                                            perp)
+                assert one.sign_branch == sign
+                assert abs(one.rhs - want.rhs) <= tol
+                assert abs(one.gap - want.gap) <= tol
+
+
 def test_ur4_tie_reports_plus(rng):
     # B = 0 makes A + B and A - B the same operator, an exact tie
     for dim in (2, 3):
@@ -385,6 +404,25 @@ def test_ur4_tie_reports_plus(rng):
         tiny = 1e-12 * random_operator(rng, dim)
         ev = ur4(tiny, 0.5 * tiny.conj().T, psi)
         assert (ev.sign_branch, ev.rhs, ev.degenerate) == ("plus", 0.0, True)
+
+
+@pytest.mark.parametrize("coef,k", [(1j, 0), (-1, 1), (1, 3), (-1, 3)],
+                         ids=["ur1", "ur2", "ur4-sum", "ur4-difference"])
+def test_an_eigenstate_of_a_combination_closes_its_gap(coef, k):
+    # psi an eigenvector of A + coef*B zeroes that relation's gap.  Taken as
+    # one G-norm, the gap's rounding scales with that norm, not with lhs,
+    # and ur4 flags the branch as degenerate whatever the rounding
+    rng = np.random.default_rng(40 + k + int(coef.imag))
+    for formalism in FORMALISMS:
+        for dim in (2, 3, 4):
+            for _ in range(25):
+                a, b, _, metric, _, stats = random_problem(rng, dim, formalism,
+                                                           False)
+                v = np.linalg.eig(a + coef * b)[1][:, 0]
+                psi = v / math.sqrt(complex(np.vdot(v, stats.g @ v)).real)
+                ev = (ur1, ur2, ur3, ur4)[k](a, b, psi, metric, formalism)
+                assert 0.0 <= ev.gap <= 1e-24 * ev.lhs
+                assert ev.degenerate == (k == 3)
 
 
 # ---- metamorphic properties ---------------------------------------------
@@ -424,16 +462,33 @@ def test_global_phase_changes_nothing(problem, phi):
     _assert_same(turned, base, a, b, psi, g)
 
 
-# Scales stay within a factor 4 of unit data: beyond that the absolute
-# EPS_VAR and EPS_UR gates start to misjudge rounding (ROADMAP item 3).
 @settings(max_examples=60, deadline=None)
-@given(problems(), st.floats(0.25, 4.0))
+@given(problems(), st.floats(1e-3, 1e3))
 def test_scaling_scales_every_value_by_c_squared(problem, c):
     a, b, psi, metric, formalism, perp = problem
     base = evaluate_all(a, b, psi, metric, formalism, psi_perp=perp)
     scaled = evaluate_all(c * a, c * b, psi, metric, formalism, psi_perp=perp)
     g = metric.g if formalism is not Formalism.PLAIN else np.eye(len(psi))
     _assert_same(scaled, base, a, b, psi, g, factor=c * c)
+    assert [(ev.holds, ev.degenerate) for ev in scaled] == [
+        (ev.holds, ev.degenerate) for ev in base]
+
+
+@pytest.mark.parametrize("c", [1e-4, 1e4, 1e6])
+def test_verdicts_do_not_depend_on_units(c):
+    # beyond the property's range: the variance checks and the ur3 gap with
+    # an explicit auxiliary state must scale with the data
+    rng = np.random.default_rng(round(math.log10(c)) + 10)
+    for formalism in FORMALISMS:
+        for dim, with_perp in ((2, False), (2, True), (4, False), (4, True)):
+            for _ in range(5):
+                a, b, psi, metric, perp, _ = random_problem(rng, dim, formalism,
+                                                            with_perp)
+                base = evaluate_all(a, b, psi, metric, formalism, psi_perp=perp)
+                scaled = evaluate_all(c * a, c * b, psi, metric, formalism,
+                                      psi_perp=perp)
+                assert [(ev.holds, ev.degenerate) for ev in scaled] == [
+                    (ev.holds, ev.degenerate) for ev in base]
 
 
 @settings(max_examples=60, deadline=None)

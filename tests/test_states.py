@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -153,6 +154,19 @@ def test_av_state_example1_combination():
         comb @ psi - mean * psi - math.sqrt(var) * pair.psi_perp
     )
     assert resid <= 1e-10
+
+
+def test_av_state_near_the_exceptional_point():
+    # cond(G) = 2e7 at this gamma, and the overlap's rounding grows with
+    # |perp| |G psi|; the postcondition is relative to that product
+    cfg = Example2Config(1.0 - 1e-7, 0.5)
+    for alpha in np.linspace(0.0, 2.0 * math.pi, 73).tolist():
+        a, b, psi, metric = build_example2(replace(cfg, alpha=alpha))
+        gpsi = metric.g @ psi
+        for x in (a, b, a + b, a - b):
+            pair = av_orthogonal_state(x, psi, metric)
+            scale = np.linalg.norm(pair.psi_perp) * np.linalg.norm(gpsi)
+            assert pair.overlap_residual <= 1e-11 * scale
 
 
 angles = st.floats(min_value=0.0, max_value=2 * math.pi)

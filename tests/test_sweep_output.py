@@ -218,9 +218,11 @@ def test_example2_sweep_with_no_usable_state(monkeypatch):
 
 
 def test_columns_are_the_one_gap_and_holds_formula():
-    # holds means gap >= -tol, the boundary included
-    batch = RelationBatch(Formalism.PLAIN, np.array([1.0, 1.0]),
-                          np.array([[1.5, 1.25], [1.0, 0.0], [1.0, 1.0], [0.5, 2.0]]),
+    # holds means gap >= -tol, the boundary included; the batch carries
+    # its gap, lhs - rhs here
+    lhs = np.array([1.0, 1.0])
+    rhs = np.array([[1.5, 1.25], [1.0, 0.0], [1.0, 1.0], [0.5, 2.0]])
+    batch = RelationBatch(Formalism.PLAIN, lhs, rhs, lhs - rhs,
                           np.ones((2, 2)), np.zeros((2, 2), bool),
                           np.zeros(2, bool), ())
     lhs, rhs, gap, holds, minus, degenerate = batch.columns(0.5)
