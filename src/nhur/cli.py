@@ -35,9 +35,8 @@ from .metric import (
     identity_metric,
     is_good_observable,
     metric_from_matrix,
-    metric_from_right_eigenvectors,
 )
-from .relations import Formalism, evaluate_all
+from .relations import Formalism, _stats_g, evaluate_all
 from .scenarios import (
     BROKEN,
     SYMMETRIC,
@@ -45,11 +44,10 @@ from .scenarios import (
     Example2Config,
     Sweep,
     _error_text,
-    broken_eigensystem,
+    _example2_frame,
     example1_sweep,
     example2_sweep,
     pt_hamiltonian,
-    symmetric_eigensystem,
 )
 from .tolerances import EPS_NORM, ur_tolerance
 
@@ -277,10 +275,10 @@ def problem_payload(a, b, psi, g: Metric | None = None,
     return payload
 
 
-def _normalize_if_needed(vec: np.ndarray, metric: Metric, name: str) -> np.ndarray:
+def _normalize_if_needed(vec: np.ndarray, g: np.ndarray, name: str) -> np.ndarray:
     """Leave exactly-normalized input untouched so results are reproducible
-    bit for bit; rescale only when the norm is visibly off."""
-    nsq = complex(np.vdot(vec, metric.g @ vec)).real
+    bit for bit; rescale only when the G-norm is visibly off."""
+    nsq = complex(np.vdot(vec, g @ vec)).real
     if abs(nsq - 1.0) <= EPS_NORM:
         return vec
     if nsq <= 0.0:
@@ -305,15 +303,11 @@ def _evaluation_record(ev) -> dict:
 
 def _evaluate_problem(problem: dict, metric: Metric, tol: float) -> list:
     """evaluate_all on a parsed problem, its states normalized if needed."""
-    stats_metric = (
-        identity_metric(problem["dim"])
-        if problem["formalism"] is Formalism.PLAIN
-        else metric
-    )
-    psi = _normalize_if_needed(problem["psi"], stats_metric, "psi")
+    stats_g = _stats_g(metric, problem["formalism"], problem["dim"])
+    psi = _normalize_if_needed(problem["psi"], stats_g, "psi")
     psi_perp = problem["psi_perp"]
     if psi_perp is not None:
-        psi_perp = _normalize_if_needed(psi_perp, stats_metric, "psi_perp")
+        psi_perp = _normalize_if_needed(psi_perp, stats_g, "psi_perp")
     return evaluate_all(
         problem["a"], problem["b"], psi, metric, problem["formalism"],
         psi_perp=psi_perp, ur_tol=tol,
@@ -402,13 +396,9 @@ def cmd_metric(args) -> int:
     phase = args.phase
     if phase is None:
         phase = SYMMETRIC if gamma * gamma < 1.0 else BROKEN
-    Example2Config(gamma=gamma, p=0.0, phase=phase).validated()
-    sys_ = (
-        symmetric_eigensystem(gamma) if phase == SYMMETRIC
-        else broken_eigensystem(gamma)
-    )
+    *_, metric = _example2_frame(
+        Example2Config(gamma=gamma, p=0.0, phase=phase).validated())
     h = pt_hamiltonian(gamma)
-    metric = metric_from_right_eigenvectors(sys_, hamiltonian=h)
     rep = metric.validation
     print(f"phase: {phase}, gamma = {gamma:g}")
     print("G =")

@@ -25,21 +25,22 @@ gap is 0.  Only a caller-supplied perp needs a matrix element.  The
 explicit constructions (states.ur3_default_perp, av_orthogonal_state)
 stay available as tools and test oracles; the kernel does not build them.
 
-`relation_batch` evaluates many points in one vectorized pass and records
-every failed check as a mask; `evaluate_all` and ur1-ur4 validate one
-input at the boundary and make the N = 1 call.  A record's holds flag is
-``gap >= -tol``; the default tolerance honors NHUR_TOLERANCE_UR.
+`relation_batch` evaluates many points in one vectorized pass and returns
+them resolved: holds is ``gap >= -tol``, ur3 sits at the branch asked
+for, and each point carries the first error of a check guarding the
+relations asked for, reading NaN and False where it failed.
+`evaluate_all` and ur1-ur4 validate one input at the boundary, make the
+N = 1 call, and raise its error or return its records; the default
+tolerance honors NHUR_TOLERANCE_UR.
 """
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    NhurError,
     NotGoodObservableError,
     NotOrthogonalError,
 )
@@ -94,7 +95,7 @@ class UrEvaluation:
     degenerate: bool = False
 
 
-# Indices of ur1..ur4 in a batch's rhs rows and in a check's relations.
+# Indices of ur1..ur4 in a batch's rhs rows and in relation_batch's relations.
 _ALL = frozenset(range(4))
 _BRANCH = ("plus", "minus")
 # (d_A, d_B) coefficients of u and gu: Var of A, B, A +- B, A +- iB; Cov(A, B)
@@ -113,94 +114,62 @@ def _record(f: Formalism, lhs: float, rhs, gap, holds, minus,
                          _BRANCH[minus[1]], degenerate))
 
 
-def _records(f: Formalism, lhs, rhs, gap, holds, minus, degenerate) -> list:
-    """Per point, the four records of `RelationBatch.columns` arrays."""
-    return [_record(f, *row) for row in zip(
-        lhs.tolist(), rhs.T.tolist(), gap.T.tolist(), holds.T.tolist(),
-        minus.T.tolist(), degenerate.tolist())]
-
-
-@dataclass(frozen=True)
-class _Check:
-    """A per-point check: the points it failed and the relations that
-    cannot be evaluated there."""
-
-    relations: frozenset
-    failed: np.ndarray
-    error: Callable[[int], NhurError]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationBatch:
     """The four relations over N points, from one `relation_batch` call.
 
-    Arrays run over points on their last axis.  rhs and gap hold ur1..ur4
-    by row, ur3 and ur4 at their best branch, which minus marks (rows ur3,
-    ur4); ur3_branches is ur3's (rhs, gap) x (plus, minus) branch.
-    checks lists, in the order evaluate_all meets them, the checks any
-    point failed.
+    Arrays run over points on their last axis.  lhs is (N,); rhs, gap and
+    holds are (4, N), ur1..ur4 by row; minus (2, N) marks a minus branch
+    of ur3 (row 0) and ur4 (row 1); degenerate is ur4's flag.  errors
+    holds each point's NhurError or None; a failed point reads NaN and
+    False.
     """
 
     formalism: Formalism
     lhs: np.ndarray
     rhs: np.ndarray
     gap: np.ndarray
-    ur3_branches: np.ndarray
+    holds: np.ndarray
     minus: np.ndarray
     degenerate: np.ndarray
-    checks: tuple
-
-    def columns(self, tol: float) -> tuple:
-        """The arrays records are built from, (lhs, rhs, gap, holds, minus,
-        degenerate): the one place where holds = gap >= -tol."""
-        return (self.lhs, self.rhs, self.gap, self.gap >= -tol, self.minus,
-                self.degenerate)
-
-    def failed(self, relations=_ALL) -> np.ndarray:
-        """The points that fail a check guarding any of `relations`."""
-        failed = np.zeros(self.lhs.shape, dtype=bool)
-        for check in self.checks:
-            if check.relations & relations:
-                failed |= check.failed
-        return failed
-
-    def error(self, i: int, relations=_ALL) -> NhurError | None:
-        """The first error point i raises for any of `relations`."""
-        for check in self.checks:
-            if check.failed[i] and check.relations & relations:
-                return check.error(i)
-        return None
-
-    def evaluations(self, tol: float, relations=_ALL) -> list:
-        """Per point, the four UrEvaluation records, or the error that
-        point raises for any of `relations`."""
-        records = _records(self.formalism, *self.columns(tol))
-        if not self.checks:
-            return records
-        return [self.error(i, relations) if bad else record for i, (bad, record)
-                in enumerate(zip(self.failed(relations).tolist(), records))]
+    errors: tuple
 
 
-def relation_batch(a, b, psi, g, formalism: Formalism,
-                   psi_perp=None) -> RelationBatch:
+def _records(batch: RelationBatch) -> list:
+    """Per point, the four records of a batch's arrays."""
+    return [_record(batch.formalism, *row) for row in zip(
+        batch.lhs.tolist(), batch.rhs.T.tolist(), batch.gap.T.tolist(),
+        batch.holds.T.tolist(), batch.minus.T.tolist(), batch.degenerate.tolist())]
+
+
+def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
+                   tol: float, relations=_ALL, sign: str = "max") -> RelationBatch:
     """Evaluate ur1..ur4 at N points in one vectorized pass.  Unchecked.
 
     a, b and g are (N, d, d) stacks or single (d, d) matrices that
     broadcast; psi and psi_perp are (N, d).  g is the metric of the
-    statistics (the identity for the plain formalism).  Inputs must be
-    finite complex arrays of consistent shape; `_validated` makes them so.
-    Every per-point check of the relations runs as a mask: the
-    good-observable gate (EPS_GOOD), state normalization (EPS_NORM),
-    reality and sign of the variances (EPS_VAR relative to |d| |G d|),
-    and normalization and orthogonality of an explicit psi_perp
-    (EPS_NORM, EPS_ORTH).
+    statistics (`_stats_g`).  Inputs must be finite complex arrays of
+    consistent shape; `_validated` makes them so.  holds is gap >= -tol;
+    ur3 reports its best branch, or the "plus" or "minus" one by sign.
+
+    The per-point checks run as masks, in this order: the good-observable
+    gate (EPS_GOOD), state normalization (EPS_NORM), reality and sign of
+    Var(A) and Var(B) (EPS_VAR relative to |d| |G d|), normalization and
+    orthogonality of an explicit psi_perp (EPS_NORM, EPS_ORTH; they guard
+    ur3), and Var(A +- B) (they guard ur4).  Only the checks that guard
+    one of `relations` (indices of ur1..ur4) run, and a point records the
+    first one it fails.
     """
     n = psi.shape[0]
-    checks = []
+    errors = [None] * n
+    failed = np.zeros(n, dtype=bool)
 
-    def check(relations, failed, error):
-        if np.count_nonzero(failed):  # half the call overhead of .any()
-            checks.append(_Check(relations, np.broadcast_to(failed, (n,)), error))
+    def check(guards, bad, error):
+        if guards & relations and np.count_nonzero(bad):  # half the cost of .any()
+            new = np.flatnonzero(bad & ~failed)
+            failed[new] = True
+            for i in new.tolist():
+                errors[i] = error(i)
 
     if formalism is Formalism.GOOD:
         res_a, res_b = _good_residual(a, g), _good_residual(b, g)
@@ -223,8 +192,8 @@ def relation_batch(a, b, psi, g, formalism: Formalism,
     unreal = _unreal(raw[:4], u[:4], gu[:4])
     var = np.maximum(raw.real, 0.0)
 
-    def check_variance(relations, k):
-        check(relations, unreal[k],
+    def check_variance(guards, k):
+        check(guards, unreal[k],
               lambda i: _variance_error(complex(raw[k, i]), u[k, i], gu[k, i]))
 
     check_variance(_ALL, 0)
@@ -234,7 +203,7 @@ def relation_batch(a, b, psi, g, formalism: Formalism,
 
     if psi_perp is None:
         # tight for the optimal auxiliary state, in every branch
-        ur3_branches = np.array([[lhs, lhs], np.zeros((2, n))])
+        rhs3, gap3 = np.array([lhs, lhs]), np.zeros((2, n))
     else:
         gperp = _mv(g, psi_perp)
         perp_nsq = _vdot(psi_perp, gperp)
@@ -251,7 +220,6 @@ def relation_batch(a, b, psi, g, formalism: Formalism,
         e = _vdot(psi_perp, gv)[..., None]
         rhs3 = np.array([rhs1, -rhs1]) + np.abs(e[..., 0]) ** 2
         gap3 = np.maximum(_vdot(v - e * psi_perp, gv - e * gperp).real, 0.0)
-        ur3_branches = np.array([rhs3, gap3])
 
     check_variance({3}, 2)
     check_variance({3}, 3)
@@ -259,48 +227,62 @@ def relation_batch(a, b, psi, g, formalism: Formalism,
     flat = np.sqrt(var[2:4]) <= EPS_DEGEN
     halves = np.where(flat, 0.0, 0.5 * var[2:4])
 
-    rhs3, gap3 = ur3_branches
     branches = np.array([rhs3, halves])  # (ur3, ur4) x (plus, minus)
     best = branches.max(1)
     minus = branches[:, 1] > branches[:, 0]
+    if sign != "max":
+        k = _BRANCH.index(sign)
+        best[0], minus[0] = rhs3[k], k == 1
     rhs = np.array([rhs1, 2.0 * cov.real, best[0], best[1]])
     gap = np.array([var[4], var[3], np.where(minus[0], gap3[1], gap3[0]),
                     halves.min(0)])
-    return RelationBatch(formalism, lhs, rhs, gap, ur3_branches,
-                         minus, flat[0] | flat[1], tuple(checks))
+    degenerate = flat[0] | flat[1]
+    if np.count_nonzero(failed):
+        lhs[failed] = rhs[:, failed] = gap[:, failed] = np.nan
+        minus[:, failed] = degenerate[failed] = False
+    return RelationBatch(formalism, lhs, rhs, gap, gap >= -tol, minus,
+                         degenerate, tuple(errors))
+
+
+def _stats_g(g: Metric | None, formalism: Formalism, dim: int) -> np.ndarray:
+    """The metric matrix of the statistics: the identity under the plain
+    formalism or when no metric is given, else g's matrix."""
+    if formalism is Formalism.PLAIN or g is None:
+        return np.eye(dim, dtype=complex)
+    return g.g
 
 
 def _validated(a, b, psi, g: Metric | None, formalism: Formalism,
                psi_perp=None):
     """Boundary checks of one problem: (a, b, psi, G array, psi_perp)
-    ready for `relation_batch`, with G the formalism's metric."""
+    ready for `relation_batch`, with G the statistics metric."""
     a = as_operator(a, name="first operator")
     dim = a.shape[0]
     b = as_operator(b, dim=dim, name="second operator")
     psi = as_state(psi, dim=dim)
     if psi_perp is not None:
         psi_perp = as_state(psi_perp, dim=dim, name="auxiliary state")
-    if formalism is Formalism.PLAIN or g is None:
-        garr = np.eye(dim, dtype=complex)
-    elif g.dim != dim:
+    garr = _stats_g(g, formalism, dim)
+    if garr.shape[0] != dim:
         raise DimensionMismatchError(
             f"metric is {g.dim}x{g.dim} but the operators are {dim}x{dim}")
-    else:
-        garr = g.g
     return a, b, psi, garr, psi_perp
 
 
-def _evaluate(a, b, psi, g, formalism, psi_perp=None) -> RelationBatch:
+def _single(a, b, psi, g, formalism, ur_tol, relations=_ALL, psi_perp=None,
+            sign="max") -> tuple:
+    """One problem's four records: validated, evaluated as a batch of
+    one, and raising the first error of a check guarding `relations`."""
     a, b, psi, garr, psi_perp = _validated(a, b, psi, g, formalism, psi_perp)
-    return relation_batch(a, b, psi[None], garr, formalism,
-                          None if psi_perp is None else psi_perp[None])
-
-
-def _single(batch: RelationBatch, tol: float, relations=_ALL):
-    (result,) = batch.evaluations(tol, relations)
-    if isinstance(result, NhurError):
-        raise result
-    return result
+    batch = relation_batch(a, b, psi[None], garr, formalism,
+                           None if psi_perp is None else psi_perp[None],
+                           tol=_resolve_tol(ur_tol), relations=relations,
+                           sign=sign)
+    (error,) = batch.errors
+    if error is not None:
+        raise error
+    (records,) = _records(batch)
+    return records
 
 
 def _resolve_tol(ur_tol: float | None) -> float:
@@ -310,13 +292,13 @@ def _resolve_tol(ur_tol: float | None) -> float:
 def ur1(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLAIN,
         *, ur_tol: float | None = None) -> UrEvaluation:
     """Variance sum against twice the imaginary part of the covariance."""
-    return _single(_evaluate(a, b, psi, g, formalism), _resolve_tol(ur_tol), {0})[0]
+    return _single(a, b, psi, g, formalism, ur_tol, {0})[0]
 
 
 def ur2(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLAIN,
         *, ur_tol: float | None = None) -> UrEvaluation:
     """Variance sum against twice the real part of the covariance."""
-    return _single(_evaluate(a, b, psi, g, formalism), _resolve_tol(ur_tol), {1})[1]
+    return _single(a, b, psi, g, formalism, ur_tol, {1})[1]
 
 
 def ur3(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLAIN,
@@ -333,13 +315,7 @@ def ur3(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLA
     """
     if sign not in ("plus", "minus", "max"):
         raise ValueError(f"sign must be plus, minus, or max, got {sign!r}")
-    batch = _evaluate(a, b, psi, g, formalism, psi_perp)
-    if sign != "max":
-        k = _BRANCH.index(sign)
-        batch = replace(batch, rhs=batch.rhs.copy(), gap=batch.gap.copy(),
-                        minus=batch.minus.copy())
-        batch.rhs[2], batch.gap[2], batch.minus[0] = *batch.ur3_branches[:, k], k == 1
-    return _single(batch, _resolve_tol(ur_tol), {2})[2]
+    return _single(a, b, psi, g, formalism, ur_tol, {2}, psi_perp, sign)[2]
 
 
 def ur4(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLAIN,
@@ -351,7 +327,7 @@ def ur4(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLA
     combination has psi as an eigenstate contributes zero and sets the
     degenerate flag instead of failing.  A tie goes to "plus".
     """
-    return _single(_evaluate(a, b, psi, g, formalism), _resolve_tol(ur_tol), {3})[3]
+    return _single(a, b, psi, g, formalism, ur_tol, {3})[3]
 
 
 def evaluate_all(a, b, psi, g: Metric | None = None,
@@ -359,5 +335,4 @@ def evaluate_all(a, b, psi, g: Metric | None = None,
                  *, psi_perp=None,
                  ur_tol: float | None = None) -> tuple[UrEvaluation, ...]:
     """All four relations over one input, from one kernel call."""
-    return _single(_evaluate(a, b, psi, g, formalism, psi_perp),
-                   _resolve_tol(ur_tol))
+    return _single(a, b, psi, g, formalism, ur_tol, psi_perp=psi_perp)

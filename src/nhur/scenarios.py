@@ -11,8 +11,9 @@ Sweeps evaluate all four relations on a uniform inclusive grid and never
 abort on a bad point; a failure is recorded as that point's typed error.
 Each sweep validates its configuration and builds its metric once, stacks
 the grid's operators and states, and evaluates them in one
-`relation_batch` call.  It returns a `Sweep`: the kernel's arrays over
-the grid, which builds per-point ScenarioPoints only when indexed.
+`relation_batch` call.  It returns a `Sweep`, the kernel's RelationBatch
+plus the grid `param`, which builds per-point ScenarioPoints only when
+indexed.
 """
 
 import math
@@ -32,9 +33,11 @@ from .linalg import SIGMA_Y, EigenSystem
 from .metric import identity_metric, metric_from_right_eigenvectors
 from .relations import (
     Formalism,
+    RelationBatch,
     UrEvaluation,
     _records,
     _resolve_tol,
+    _stats_g,
     _validated,
     relation_batch,
 )
@@ -234,25 +237,13 @@ def _error_text(exc: NhurError) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class Sweep(Sequence):
-    """A sweep's results as arrays over its N grid points `param`.
+class Sweep(RelationBatch, Sequence):
+    """A sweep's RelationBatch over its N grid points `param`.
 
-    lhs is (N,); rhs, gap and holds are (4, N), ur1..ur4 by row; minus
-    (2, N) marks a minus branch of ur3 (row 0) and ur4 (row 1); degenerate
-    is ur4's flag.  errors holds each point's NhurError or None; a failed
-    point reads NaN and False.  As a sequence a Sweep is its
-    ScenarioPoints, built on first access.
+    As a sequence a Sweep is its ScenarioPoints, built on first access.
     """
 
     param: np.ndarray
-    formalism: Formalism
-    lhs: np.ndarray
-    rhs: np.ndarray
-    gap: np.ndarray
-    holds: np.ndarray
-    minus: np.ndarray
-    degenerate: np.ndarray
-    errors: tuple
 
     @property
     def ok(self) -> np.ndarray:
@@ -260,11 +251,9 @@ class Sweep(Sequence):
 
     @cached_property
     def _scenario_points(self) -> tuple:
-        records = _records(self.formalism, self.lhs, self.rhs, self.gap,
-                           self.holds, self.minus, self.degenerate)
         return tuple(
             ScenarioPoint(x, r) if e is None else ScenarioPoint(x, (), _error_text(e))
-            for x, r, e in zip(self.param.tolist(), records, self.errors))
+            for x, r, e in zip(self.param.tolist(), _records(self), self.errors))
 
     def __len__(self) -> int:
         return len(self.errors)
@@ -273,21 +262,19 @@ class Sweep(Sequence):
         return self._scenario_points[i]
 
 
-def _collect(grid: np.ndarray, formalism: Formalism, tol: float, errors,
-             parts=()) -> Sweep:
+def _collect(grid: np.ndarray, formalism: Formalism, errors, parts=()) -> Sweep:
     """A Sweep from the per-point errors met before the kernel and the
     (point indices, RelationBatch) parts that evaluated the other points."""
     n, errors = len(grid), list(errors)
     cols = [np.full(n, np.nan), np.full((4, n), np.nan), np.full((4, n), np.nan),
             np.zeros((4, n), bool), np.zeros((2, n), bool), np.zeros(n, bool)]
     for index, batch in parts:
-        failed = batch.failed()
-        for j in np.flatnonzero(failed):
-            errors[index[j]] = batch.error(j)
-        keep = ~failed
-        for col, part in zip(cols, batch.columns(tol)):
-            col[..., index[keep]] = part[..., keep]
-    return Sweep(grid, formalism, *cols, tuple(errors))
+        for col, part in zip(cols, (batch.lhs, batch.rhs, batch.gap, batch.holds,
+                                    batch.minus, batch.degenerate)):
+            col[..., index] = part
+        for i, error in zip(index.tolist(), batch.errors):
+            errors[i] = error
+    return Sweep(formalism, *cols, tuple(errors), param=grid)
 
 
 def _grid(param_range, points: int) -> np.ndarray:
@@ -316,12 +303,13 @@ def sweep(builder, param_range, points: int,
             errors[i] = exc
             continue
         by_dim.setdefault(a.shape[0], []).append((i, a, b, psi, g))
+    tol = _resolve_tol(ur_tol)
     parts = []
     for rows in by_dim.values():
         index, *arrays = zip(*rows)
         parts.append((np.array(index),
-                      relation_batch(*map(np.stack, arrays), formalism)))
-    return _collect(grid, formalism, _resolve_tol(ur_tol), errors, parts)
+                      relation_batch(*map(np.stack, arrays), formalism, tol=tol)))
+    return _collect(grid, formalism, errors, parts)
 
 
 def example1_sweep(cfg: Example1Config | None = None, points: int = 721,
@@ -331,9 +319,9 @@ def example1_sweep(cfg: Example1Config | None = None, points: int = 721,
     base = (cfg or Example1Config()).validated()
     grid = _grid((0.0, math.pi), points)
     a, b, psi = _example1_arrays(base, grid)
-    batch = relation_batch(a, b, psi, identity_metric(2).g, formalism)
-    return _collect(grid, formalism, _resolve_tol(ur_tol), [None] * len(grid),
-                    [(np.arange(len(grid)), batch)])
+    batch = relation_batch(a, b, psi, identity_metric(2).g, formalism,
+                           tol=_resolve_tol(ur_tol))
+    return Sweep(**vars(batch), param=grid)
 
 
 def example2_sweep(cfg: Example2Config, points: int = 721,
@@ -346,9 +334,9 @@ def example2_sweep(cfg: Example2Config, points: int = 721,
     try:
         a, b, sys, metric = _example2_frame(base)
     except NhurError as exc:
-        return _collect(grid, formalism, tol, [exc] * len(grid))
-    stats_g = identity_metric(2).g if formalism is Formalism.PLAIN else metric.g
+        return _collect(grid, formalism, [exc] * len(grid))
     psi, errors = _superpose(sys.right.T, _example2_weights(base.p, grid), metric.g)
     ok = np.array([e is None for e in errors])
-    batch = relation_batch(a, b, psi[ok], stats_g, formalism)
-    return _collect(grid, formalism, tol, errors, [(np.flatnonzero(ok), batch)])
+    batch = relation_batch(a, b, psi[ok], _stats_g(metric, formalism, 2),
+                           formalism, tol=tol)
+    return _collect(grid, formalism, errors, [(np.flatnonzero(ok), batch)])

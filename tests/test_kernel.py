@@ -226,27 +226,51 @@ def test_kernel_raises_the_reference_errors(case, error):
 def test_checks_fail_only_the_relations_they_guard():
     # a non-orthogonal override breaks ur3 and nothing else
     bad = (E0 + E1) / math.sqrt(2.0)
-    batch = relation_batch(SX, SY, E0[None], np.eye(2), Formalism.PLAIN, bad[None])
-    (err,) = batch.evaluations(1e-9)
-    assert isinstance(err, NotOrthogonalError)
+    args = (SX, SY, E0[None], np.eye(2), Formalism.PLAIN, bad[None])
+    for relations in ({2}, {0, 1, 2, 3}):
+        batch = relation_batch(*args, tol=1e-9, relations=relations)
+        (err,) = batch.errors
+        assert isinstance(err, NotOrthogonalError)
+        assert np.isnan(batch.gap).all() and not batch.holds.any()
     for k in (0, 1, 3):
-        (evs,) = batch.evaluations(1e-9, {k})
-        assert evs[k].holds
+        batch = relation_batch(*args, tol=1e-9, relations={k})
+        assert batch.errors == (None,)
+        assert batch.holds[k, 0]
     with pytest.raises(NotOrthogonalError):
         ur3(SX, SY, E0, psi_perp=bad)
 
 
-def test_variance_of_the_sum_guards_only_ur4():
+def _coupled_sum_problem():
     # a non-Hermitian "metric" that couples A psi = e1 and B psi = e2:
     # Var(A) = Var(B) = 1 stay real, Var(A +- B) = 2 +- (0.1 + 0.1i) do not
     g = _fake_metric([[1.0, 0.0, 0.0], [0.0, 1.0, 0.1], [0.0, 0.1j, 1.0]])
     a, b = np.zeros((3, 3)), np.zeros((3, 3))
     a[1, 0] = b[2, 0] = 1.0
-    args = (a, b, np.array([1.0, 0.0, 0.0]), g, Formalism.GMETRIC)
+    return a, b, np.array([1.0, 0.0, 0.0]), g, Formalism.GMETRIC
+
+
+def test_variance_of_the_sum_guards_only_ur4():
+    args = _coupled_sum_problem()
     for fn in (reference.evaluate_all, evaluate_all, ur4):
         with pytest.raises(InternalInconsistencyError):
             fn(*args)
     for fn in (ur1, ur2, ur3):
+        assert fn(*args).lhs == 2.0
+
+
+def test_first_error_follows_the_check_order():
+    # the perp checks come before the Var(A +- B) checks: with a perp that
+    # is G-normalized but not orthogonal to psi, a call that needs ur3
+    # fails on the perp, ur4 still fails on its variance, and ur1 and ur2
+    # evaluate
+    args = _coupled_sum_problem()
+    perp = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    for fn in (evaluate_all, ur3):
+        with pytest.raises(NotOrthogonalError):
+            fn(*args, psi_perp=perp)
+    with pytest.raises(InternalInconsistencyError):
+        ur4(*args)
+    for fn in (ur1, ur2):
         assert fn(*args).lhs == 2.0
 
 

@@ -20,11 +20,12 @@ from nhur import (
     NotNormalizedError,
     ZeroVectorError,
     build_example1,
+    evaluate_all,
     example2_sweep,
     sweep,
 )
 from nhur import cli, relations, scenarios
-from nhur.relations import RelationBatch
+from nhur.relations import relation_batch
 from nhur.scenarios import Sweep
 
 PLAIN_EXAMPLE2 = ["example2", "--phase", "symmetric", "--formalism", "plain"]
@@ -120,9 +121,9 @@ def _hand_built(tol, keep=slice(None)):
     degenerate = np.array([False, True, False, False, False])
     errors = np.array([None, None, None, NotNormalizedError("state norm^2 is 4"),
                        None], dtype=object)
-    return Sweep(param[keep], Formalism.GMETRIC, lhs[keep], rhs[:, keep],
-                 gap[:, keep], (gap >= -tol)[:, keep], minus[:, keep],
-                 degenerate[keep], tuple(errors[keep]))
+    return Sweep(Formalism.GMETRIC, lhs[keep], rhs[:, keep], gap[:, keep],
+                 (gap >= -tol)[:, keep], minus[:, keep], degenerate[keep],
+                 tuple(errors[keep]), param=param[keep])
 
 
 def test_hand_built_sweep_with_violations_matches_per_point_output(
@@ -152,9 +153,9 @@ def test_random_sweeps_match_per_point_output(seed, tmp_path, capsys):
     failed = rng.random(n) < 0.25
     errors = tuple(NotNormalizedError(f"point {i}") if bad else None
                    for i, bad in enumerate(failed))
-    result = Sweep(np.linspace(0.0, 1.0, n), Formalism.GOOD, lhs, lhs - gap,
-                   gap, gap >= -1e-9, rng.random((2, n)) < 0.5,
-                   rng.random(n) < 0.5, errors)
+    result = Sweep(Formalism.GOOD, lhs, lhs - gap, gap, gap >= -1e-9,
+                   rng.random((2, n)) < 0.5, rng.random(n) < 0.5, errors,
+                   param=np.linspace(0.0, 1.0, n))
     _assert_matches_reference(result, tmp_path, capsys)
 
 
@@ -218,17 +219,23 @@ def test_example2_sweep_with_no_usable_state(monkeypatch):
 
 
 def test_columns_are_the_one_gap_and_holds_formula():
-    # holds means gap >= -tol, the boundary included; the batch carries
-    # its gap, lhs - rhs here
-    lhs = np.array([1.0, 1.0])
-    rhs = np.array([[1.5, 1.25], [1.0, 0.0], [1.0, 1.0], [0.5, 2.0]])
-    batch = RelationBatch(Formalism.PLAIN, lhs, rhs, lhs - rhs,
-                          np.ones((2, 2)), np.zeros((2, 2), bool),
-                          np.zeros(2, bool), ())
-    lhs, rhs, gap, holds, minus, degenerate = batch.columns(0.5)
-    assert gap.tolist() == [[-0.5, -0.25], [0.0, 1.0], [0.0, 0.0], [0.5, -1.0]]
-    assert holds.tolist() == [[True, True], [True, True], [True, True],
-                              [True, False]]
-    (first, second) = batch.evaluations(0.5)
-    assert [ev.holds for ev in first] == [True] * 4
-    assert [ev.gap for ev in second] == [-0.25, 1.0, 0.0, -1.0]
+    # holds means gap >= -tol, the boundary included: a tol of minus each
+    # computed gap holds there, and one a step past it fails there
+    points = [build_example1(Example1Config(theta0=x)) for x in (0.3, 0.7, 2.0)]
+    a, b, psi = (np.stack(arrays) for arrays in list(zip(*points))[:3])
+    args = (a, b, psi, np.eye(2), Formalism.PLAIN)
+    gap = relation_batch(*args, tol=0.0).gap
+    assert (gap[2] == 0.0).all() and (gap[[0, 1, 3]] > 0.0).all()
+    for x in gap.ravel().tolist():
+        at = relation_batch(*args, tol=-x)
+        past = relation_batch(*args, tol=-np.nextafter(x, np.inf))
+        assert at.gap.tolist() == past.gap.tolist() == gap.tolist()
+        assert at.holds.tolist() == (gap >= x).tolist()
+        assert past.holds.tolist() == (gap > x).tolist()
+    # the N = 1 records carry the same gap and holds
+    for (a1, b1, psi1, g1), x in zip(points, gap[3].tolist()):
+        evs = evaluate_all(a1, b1, psi1, g1, ur_tol=-x)
+        at = relation_batch(a1, b1, psi1[None], np.eye(2), Formalism.PLAIN, tol=-x)
+        assert [ev.gap for ev in evs] == at.gap[:, 0].tolist()
+        assert [ev.holds for ev in evs] == at.holds[:, 0].tolist()
+        assert evs[3].holds
