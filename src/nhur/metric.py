@@ -17,7 +17,8 @@ states.av_orthogonal_state, and for a whole grid in
 relations.relation_batch.  Centering first makes the rounding scale with
 the variance rather than with <X^dag G X>.  Var_G is real and nonnegative
 for positive-definite G; the implementation checks both, within EPS_VAR
-relative to |d| |G d|, instead of assuming them.
+relative to |d| |G d|, instead of assuming them.  Every overlap check, of
+a built or a supplied state, allows `_overlap_limit`, EPS_ORTH * max(1, |v| |G psi|).
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from .errors import (
     SingularFrameError,
 )
 from .linalg import EigenSystem, _vdot, as_operator, as_state
-from .tolerances import EPS_GOOD, EPS_HERM, EPS_NORM, EPS_PD, EPS_VAR
+from .tolerances import EPS_GOOD, EPS_HERM, EPS_NORM, EPS_ORTH, EPS_PD, EPS_VAR
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,18 @@ def identity_metric(dim: int = 2) -> Metric:
 
 def metric_from_matrix(g, hamiltonian=None) -> Metric:
     """Wrap an explicitly supplied metric matrix, enforcing validity."""
-    g = as_operator(g, name="metric")
+    return _checked(g, hamiltonian, "explicit",
+                    "metric is not Hermitian positive definite")
+
+
+def _checked(g, hamiltonian, provenance: str, failure: str) -> Metric:
+    """g validated and frozen, or MetricValidationError with the report."""
     report = validate_metric(g, hamiltonian)
     if not report.ok:
         raise MetricValidationError(
-            "metric is not Hermitian positive definite "
-            f"(hermitian={report.hermitian}, min eigenvalue={report.min_eigenvalue:.6g})",
-            report=report,
-        )
-    return Metric(g=_freeze(g), provenance="explicit", validation=report)
+            f"{failure} (hermitian={report.hermitian}, "
+            f"min eigenvalue={report.min_eigenvalue:.6g})", report=report)
+    return Metric(g=_freeze(g), provenance=provenance, validation=report)
 
 
 def metric_from_right_eigenvectors(sys: EigenSystem, hamiltonian=None) -> Metric:
@@ -140,14 +144,8 @@ def metric_from_right_eigenvectors(sys: EigenSystem, hamiltonian=None) -> Metric
     g = np.linalg.inv(frame_sum)
     # exact result is Hermitian; discard inversion roundoff
     g = (g + g.conj().T) / 2.0
-    report = validate_metric(g, hamiltonian)
-    if not report.ok:
-        raise MetricValidationError(
-            "eigenframe-derived metric failed validation "
-            f"(min eigenvalue={report.min_eigenvalue:.6g})",
-            report=report,
-        )
-    return Metric(g=_freeze(g), provenance="eigenframe", validation=report)
+    return _checked(g, hamiltonian, "eigenframe",
+                    "eigenframe-derived metric failed validation")
 
 
 @dataclass(frozen=True)
@@ -228,6 +226,20 @@ def _unreal(var: np.ndarray, d: np.ndarray, gd: np.ndarray) -> np.ndarray:
     if np.count_nonzero(bad):
         limit = _variance_limit(d, gd)
         bad = bad & ((np.abs(var.imag) > limit) | (var.real < -limit))
+    return bad
+
+
+def _overlap_limit(v: np.ndarray, gpsi: np.ndarray) -> np.ndarray:
+    """EPS_ORTH * max(1, |v| |G psi|), the overlap allowed in <v|G psi>."""
+    return EPS_ORTH * np.maximum(1.0, np.sqrt(_vdot(v, v).real * _vdot(gpsi, gpsi).real))
+
+
+def _overlapping(overlap: np.ndarray, v: np.ndarray, gpsi: np.ndarray) -> np.ndarray:
+    """Where overlap = |<v|G psi>| exceeds `_overlap_limit`, computed only
+    where the absolute EPS_ORTH, never larger, trips."""
+    bad = overlap > EPS_ORTH
+    if np.count_nonzero(bad):
+        bad = bad & (overlap > _overlap_limit(v, gpsi))
     return bad
 
 

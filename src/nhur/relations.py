@@ -50,16 +50,12 @@ from .metric import (
     _centered,
     _good_residual,
     _norm_error,
+    _overlap_limit,
+    _overlapping,
     _unreal,
     _variance_error,
 )
-from .tolerances import (
-    EPS_DEGEN,
-    EPS_GOOD,
-    EPS_NORM,
-    EPS_ORTH,
-    ur_tolerance,
-)
+from .tolerances import EPS_DEGEN, EPS_GOOD, EPS_NORM, ur_tolerance
 
 
 class Formalism(enum.Enum):
@@ -155,10 +151,10 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
     The per-point checks run as masks, in this order: the good-observable
     gate (EPS_GOOD), state normalization (EPS_NORM), reality and sign of
     Var(A) and Var(B) (EPS_VAR relative to |d| |G d|), normalization and
-    orthogonality of an explicit psi_perp (EPS_NORM, EPS_ORTH; they guard
-    ur3), and Var(A +- B) (they guard ur4).  Only the checks that guard
-    one of `relations` (indices of ur1..ur4) run, and a point records the
-    first one it fails.
+    orthogonality of an explicit psi_perp (EPS_NORM, and the relative
+    `_overlap_limit` of the package's own states; they guard ur3), and
+    Var(A +- B) (they guard ur4).  Only the checks that guard one of
+    `relations` (indices of ur1..ur4) run; a point records the first it fails.
     """
     n = psi.shape[0]
     errors = [None] * n
@@ -210,10 +206,10 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
         check({2}, np.abs(perp_nsq - 1.0) > EPS_NORM,
               lambda i: _norm_error("auxiliary state", complex(perp_nsq[i])))
         overlap = np.abs(_vdot(psi_perp, gpsi))
-        check({2}, overlap > EPS_ORTH,
+        check({2}, _overlapping(overlap, psi_perp, gpsi),
               lambda i: NotOrthogonalError(
-                  f"auxiliary state has metric overlap {overlap[i]:.3e} with "
-                  f"the state (limit {EPS_ORTH:g})"))
+                  f"auxiliary state has metric overlap {overlap[i]:.3e} with the "
+                  f"state (limit {_overlap_limit(psi_perp[i], gpsi[i]):.3g})"))
         # each branch's gap is the G-norm of d_A +- i d_B less its part along
         # perp; as perp is orthogonal to psi, e is <perp|G(A +- iB)|psi>
         v, gv = u[4:6], gu[4:6]

@@ -8,6 +8,7 @@ because every downstream quantity is phase-invariant and reproducible
 output is worth more than an arbitrary gauge.
 """
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,9 @@ from .errors import (
     NegativeNormError,
     ZeroVectorError,
 )
-from .metric import Metric, _centered, _variance, require_normalized
+from .metric import Metric, _centered, _overlap_limit, _variance, require_normalized
 from .linalg import _mv, _vdot, as_operator, as_state
-from .tolerances import EPS_DEGEN, EPS_MACH, EPS_ORTH, EPS_VAR
+from .tolerances import EPS_DEGEN, EPS_MACH, EPS_VAR
 
 
 @dataclass(frozen=True)
@@ -39,39 +40,40 @@ class OrthogonalPair:
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first significant entry is real > 0."""
-    idx = 0
-    for k in range(v.shape[0]):
-        if abs(v[k]) > 1e-12:
-            idx = k
-            break
-    ref = v[idx]
-    if abs(ref) == 0.0:
-        return v
-    return v * (ref.conjugate() / abs(ref))
+    """Rotate the global phase so the first significant entry, one above
+    EPS_MACH of the largest, is real > 0."""
+    mag = np.abs(v)
+    k = np.argmax(mag > EPS_MACH * mag.max())
+    return v if mag[k] == 0.0 else v * (v[k].conjugate() / mag[k])
 
 
-def _g_normalize(v: np.ndarray, metric: Metric, name: str) -> np.ndarray:
-    nsq = complex(np.vdot(v, metric.g @ v))
-    error = _norm_sq_error(nsq, name)
+def _unit(v: np.ndarray, g: np.ndarray, zero: np.ndarray, what: str):
+    """G-normalize the (N, d) rows of v: the states and N errors, each None,
+    or ZeroVectorError where zero marks the row, or the error of a norm^2
+    not real within EPS_VAR or not positive; a failed row is unusable."""
+    nsq = _vdot(v, _mv(g, v))
+    leak = np.abs(nsq.imag) > EPS_VAR * np.maximum(np.abs(nsq.real), 1.0)
+    bad = zero | leak | (nsq.real <= 0.0)
+    errors = [None] * len(v)
+    for i in np.flatnonzero(bad) if bad.any() else ():
+        if zero[i]:
+            errors[i] = ZeroVectorError(f"{what} cancels to the zero vector")
+        elif leak[i]:
+            errors[i] = InternalInconsistencyError(
+                f"{what} norm^2 has imaginary part {nsq[i].imag:.3e}")
+        else:
+            errors[i] = NegativeNormError(
+                f"{what} has non-positive metric norm^2 = {nsq[i].real:.6g}; "
+                "the metric is not positive definite on this vector")
+    return v / np.sqrt(np.where(bad, 1.0, nsq.real))[:, None], errors
+
+
+def _one(states: np.ndarray, errors: list) -> np.ndarray:
+    """The state of a batch of one, or its error raised."""
+    (state,), (error,) = states, errors
     if error is not None:
         raise error
-    return v / np.sqrt(nsq.real)
-
-
-def _norm_sq_error(nsq: complex, name: str):
-    """The error for a squared metric norm that is not real and positive,
-    or None."""
-    if abs(nsq.imag) > EPS_VAR * max(abs(nsq.real), 1.0):
-        return InternalInconsistencyError(
-            f"{name} norm^2 has imaginary part {nsq.imag:.3e}"
-        )
-    if nsq.real <= 0.0:
-        return NegativeNormError(
-            f"{name} has non-positive metric norm^2 = {nsq.real:.6g}; "
-            "the metric is not positive definite on this vector"
-        )
-    return None
+    return state
 
 
 def superposition_state(basis, weights, metric: Metric) -> np.ndarray:
@@ -88,35 +90,22 @@ def superposition_state(basis, weights, metric: Metric) -> np.ndarray:
         )
     if not np.isfinite(w).all():
         raise ZeroVectorError("weights contain non-finite entries")
-    (psi,), (error,) = _superpose(np.array(vecs), w[None], metric.g)
-    if error is not None:
-        raise error
-    return psi
+    return _one(*_superpose(np.array(vecs), w[None], metric.g))
 
 
 def _superpose(basis: np.ndarray, weights: np.ndarray, g: np.ndarray):
     """Batched, unchecked `superposition_state`: (k, d) basis rows and
-    (N, k) finite weights give (N, d) metric-normalized states and a list
-    of N errors (None where the state is fine; its row is then unusable)."""
+    (N, k) finite weights give `_unit`'s (N, d) states and N errors."""
     out = weights @ basis
     scale = (np.abs(weights) * np.sqrt(_vdot(basis, basis).real)).max(-1)
-    nsq = _vdot(out, _mv(g, out))
     zero = (np.sqrt(_vdot(out, out).real) <= EPS_MACH * scale) | (scale == 0.0)
-    leak = np.abs(nsq.imag) > EPS_VAR * np.maximum(np.abs(nsq.real), 1.0)
-    bad = zero | leak | (nsq.real <= 0.0)
-    errors = [None] * len(out)
-    for i in np.flatnonzero(bad) if bad.any() else ():
-        if zero[i]:
-            errors[i] = ZeroVectorError("superposition cancels to the zero vector")
-        else:
-            errors[i] = _norm_sq_error(complex(nsq[i]), "superposition")
-    return out / np.sqrt(np.where(bad, 1.0, nsq.real))[:, None], errors
+    return _unit(out, g, zero, "superposition")
 
 
 def _overlap(v: np.ndarray, gpsi: np.ndarray, what: str) -> float:
-    """|<v|G psi>|, checked within EPS_ORTH relative to |v| |G psi|."""
+    """|<v|G psi>|, checked within `_overlap_limit`."""
     residual = abs(complex(np.vdot(v, gpsi)))
-    limit = EPS_ORTH * max(1.0, float(np.linalg.norm(v) * np.linalg.norm(gpsi)))
+    limit = float(_overlap_limit(v, gpsi))
     if residual > limit:
         raise InternalInconsistencyError(
             f"{what} overlap {residual:.3e} exceeds {limit:.3g}")
@@ -135,8 +124,8 @@ def g_orthogonal_complement_2d(psi, metric: Metric) -> np.ndarray:
     psi = require_normalized(psi, metric)
     w = metric.g @ psi
     # (v, w) = 0 by construction: the 2D cross-vector of w
-    v = np.array([-w[1].conjugate(), w[0].conjugate()])
-    v = _fix_phase(_g_normalize(v, metric, "complement"))
+    v = np.array([[-w[1].conjugate(), w[0].conjugate()]])
+    v = _fix_phase(_one(*_unit(v, metric.g, np.zeros(1, dtype=bool), "complement")))
     _overlap(v, w, "complement")
     return v
 
@@ -153,12 +142,9 @@ def g_complement_projection(vec, psi, metric: Metric) -> np.ndarray:
     out = vec - complex(np.vdot(psi, metric.g @ vec)) * psi
     # second pass removes normalization roundoff from the projector
     out = out - complex(np.vdot(psi, metric.g @ out)) * psi
-    scale = max(float(np.linalg.norm(vec)), 1.0)
-    if float(np.linalg.norm(out)) <= EPS_DEGEN * scale:
-        raise ZeroVectorError(
-            "vector has no component orthogonal to the state"
-        )
-    return _fix_phase(_g_normalize(out, metric, "projected complement"))
+    zero = np.linalg.norm(out) <= EPS_DEGEN * max(float(np.linalg.norm(vec)), 1.0)
+    return _fix_phase(_one(*_unit(out[None], metric.g, np.array([zero]),
+                                  "projected complement")))
 
 
 def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
@@ -200,16 +186,7 @@ def ur3_default_perp(a, b, psi, metric: Metric, sign: int) -> np.ndarray:
         return g_orthogonal_complement_2d(psi, metric)
     a = as_operator(a, dim=metric.dim, name="first operator")
     b = as_operator(b, dim=metric.dim, name="second operator")
-    combined = a + (1j * sign) * b
-    try:
-        return g_complement_projection(combined @ psi, psi, metric)
-    except ZeroVectorError:
-        pass
-    for k in range(metric.dim):
-        basis_vec = np.zeros(metric.dim, dtype=complex)
-        basis_vec[k] = 1.0
-        try:
-            return g_complement_projection(basis_vec, psi, metric)
-        except ZeroVectorError:
-            continue
+    for vec in ((a + (1j * sign) * b) @ psi, *np.eye(metric.dim, dtype=complex)):
+        with suppress(ZeroVectorError):
+            return g_complement_projection(vec, psi, metric)
     raise InternalInconsistencyError("no direction orthogonal to the state found")

@@ -30,8 +30,8 @@ EPS_VAR = 1e-9
 # Allowed deviation of a state's metric norm from one.
 EPS_NORM = 1e-8
 
-# Metric-orthogonality check for auxiliary states; for the ones the
-# package constructs, EPS_ORTH * max(1, |perp| |G psi|).
+# Metric-orthogonality check for every auxiliary state, constructed or
+# supplied: EPS_ORTH * max(1, |perp| |G psi|), in metric._overlap_limit.
 EPS_ORTH = 1e-10
 
 # Standard deviation below which a state counts as an eigenstate of the

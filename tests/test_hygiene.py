@@ -1,6 +1,7 @@
 """Source hygiene no installed linter checks: every imported name is used,
-the per-point reference imports none of the package's private helpers, and
-importing the package does none of the command line's work.
+the per-point reference imports none of the package's private helpers, one
+module owns the overlap rule, and importing the package does none of the
+command line's work.
 
 The package's `__init__.py` is exempt from the import check, since its
 imports are the public re-exports listed in `__all__`.
@@ -61,6 +62,26 @@ def test_reference_imports_no_private_name():
     assert private_imports(source) == [(1, "_centered")]
     reference = (ROOT / "tests" / "reference.py").read_text(encoding="utf-8")
     assert private_imports(reference) == []
+
+
+def reads_name(source: str, name: str) -> bool:
+    """Whether the module imports `name` or reads it as an attribute."""
+    return any(
+        (isinstance(node, (ast.Import, ast.ImportFrom))
+         and any(alias.name.split(".")[-1] == name for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        for node in ast.walk(ast.parse(source)))
+
+
+def test_only_metric_applies_the_overlap_tolerance():
+    # every orthogonality check goes through metric._overlap_limit, so a
+    # second module reading EPS_ORTH would be a second overlap rule
+    assert reads_name("from .tolerances import EPS_NORM, EPS_ORTH\n", "EPS_ORTH")
+    assert reads_name("from . import tolerances\nx = tolerances.EPS_ORTH\n", "EPS_ORTH")
+    assert not reads_name("from .tolerances import EPS_NORM\n", "EPS_ORTH")
+    readers = sorted(p.name for p in (ROOT / "src" / "nhur").glob("*.py")
+                     if reads_name(p.read_text(encoding="utf-8"), "EPS_ORTH"))
+    assert readers == ["metric.py"]
 
 
 # Run in a fresh interpreter: `import nhur` must load neither the CLI nor

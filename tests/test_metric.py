@@ -106,6 +106,22 @@ def test_metric_from_matrix_rejects_invalid():
         metric_from_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+def test_metric_from_matrix_converts_g_once(monkeypatch):
+    import nhur.metric
+
+    calls = []
+    convert = nhur.metric.as_operator
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("name"))
+        return convert(*args, **kwargs)
+
+    monkeypatch.setattr(nhur.metric, "as_operator", counting)
+    metric = metric_from_matrix([[2.0, 0.5j], [-0.5j, 1.0]])
+    assert calls == ["metric"]
+    npt.assert_array_equal(metric.g, [[2.0, 0.5j], [-0.5j, 1.0]])
+
+
 def test_metric_matrix_is_read_only():
     metric = metric_gs()
     with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from nhur import (
     DimensionMismatchError,
     Example1Config,
     Example2Config,
+    Formalism,
     Metric,
     MetricReport,
     NegativeNormError,
@@ -25,8 +26,10 @@ from nhur import (
     g_complement_projection,
     g_orthogonal_complement_2d,
     identity_metric,
+    metric_from_matrix,
     superposition_state,
     symmetric_eigensystem,
+    ur3,
     ur3_default_perp,
 )
 
@@ -220,3 +223,33 @@ def test_ur3_default_perp_is_the_unique_complement(rng):
     perp = g_orthogonal_complement_2d(psi, metric)
     for sign in (1, -1):
         npt.assert_array_equal(ur3_default_perp(a, b, psi, metric, sign), perp)
+
+
+def test_package_states_pass_ur3_near_the_exceptional_point():
+    # the kernel's psi_perp check applies the same relative overlap limit
+    # as the constructions, so their own output is never rejected there
+    cfg = Example2Config(1.0 - 1e-7, 0.5)
+    for alpha in np.linspace(0.0, 2.0 * math.pi, 73).tolist():
+        a, b, psi, metric = build_example2(replace(cfg, alpha=alpha))
+        perps = [av_orthogonal_state(x, psi, metric).psi_perp
+                 for x in (a, b, a + b, a - b, a + 1j * b)]
+        perps += [ur3_default_perp(a, b, psi, metric, sign) for sign in (1, -1)]
+        for perp in perps:
+            ev = ur3(a, b, psi, metric, Formalism.GMETRIC, psi_perp=perp)
+            assert ev.holds and math.isfinite(ev.gap)
+
+
+@pytest.mark.parametrize("c", [1e20, 1e26, 1e30])
+@pytest.mark.parametrize("tail", [0.0, 1e-3])
+def test_phase_gauge_does_not_depend_on_units(c, tail):
+    # under G = c I every constructed state is the c = 1 state over sqrt(c)
+    raw = np.array([1j, tail])
+
+    def states(scale):
+        metric = metric_from_matrix(scale * np.eye(2))
+        psi = raw / math.sqrt(scale * float(np.vdot(raw, raw).real))
+        return [g_orthogonal_complement_2d(psi, metric),
+                g_complement_projection(np.array([1, 1j]), psi, metric)]
+
+    for got, want in zip(states(c), states(1.0)):
+        npt.assert_allclose(got * math.sqrt(c), want, rtol=0, atol=1e-14)
