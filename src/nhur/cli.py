@@ -90,8 +90,10 @@ def write_sweep_csv(path: str, param_name: str, sweep: Sweep) -> int:
     ok = sweep.ok
     floats = np.vstack([sweep.param, sweep.lhs, sweep.rhs, sweep.gap])[:, ok]
     # rows equal bit for bit, as ur3's rhs and lhs are by default, format once
-    distinct = {row.tobytes(): row.tolist() for row in floats}
-    text = {key: list(map(_fmt, row)) for key, row in distinct.items()}
+    distinct = {row.tobytes(): tuple(row.tolist()) for row in floats}
+    # one % per row; splitlines, unlike split, gives [] for no points
+    text = {key: ("%.17g\n" * len(row) % row).splitlines()
+            for key, row in distinct.items()}
     x, lhs, *rhs_gap = [text[row.tobytes()] for row in floats]
     rhs, gap = rhs_gap[:4], rhs_gap[4:]
     holds = np.where(sweep.holds[:, ok], "true", "false").tolist()

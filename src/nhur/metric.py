@@ -1,24 +1,23 @@
 """Hilbert-space metric: construction, validation, and weighted statistics.
 
 A metric G is a Hermitian positive-definite matrix defining the inner
-product ``<u|G|v>``.  With G = identity this reduces to the ordinary Dirac
-product, which is how the plain formalism is realized downstream: every
-statistic in this module is G-weighted and the identity metric recovers
-the unweighted value exactly.
+product ``<u|G|v>``; a Metric stores the Hermitian part of the matrix it
+validated, bit for bit when that matrix is exactly Hermitian.  With G =
+identity this is the Dirac product, which is how the plain formalism is
+realized downstream: the identity metric recovers every unweighted value.
 
 With the centered vector d_X = (X - <X>_G) psi, where <X>_G = <psi|G X|psi>,
-
-    Var_G(X)   = <d_X|G d_X>
-    Cov_G(A,B) = <d_A|G d_B>
-
-the Dirac formulas with G inserted.  One batched helper, `_centered`,
-builds d and G d for g_variance and g_covariance here, for
+Var_G(X) = <d_X|G d_X> and Cov_G(A,B) = <d_A|G d_B>.  One batched helper,
+`_centered`, builds d and G d for g_variance and g_covariance here, for
 states.av_orthogonal_state, and for a whole grid in
-relations.relation_batch.  Centering first makes the rounding scale with
-the variance rather than with <X^dag G X>.  Var_G is real and nonnegative
-for positive-definite G; the implementation checks both, within EPS_VAR
-relative to |d| |G d|, instead of assuming them.  Every overlap check, of
-a built or a supplied state, allows `_overlap_limit`, EPS_ORTH * max(1, |v| |G psi|).
+relations.relation_batch; centering first makes the rounding scale with
+the variance rather than with <X^dag G X>.
+
+Every rounding allowance on a product <u|v> is `_limit`,
+eps * max(1, |u| |v|): a quantity real and nonnegative by construction (a
+variance or a norm^2) within EPS_VAR through `_exceeds`, and an overlap
+<v|G psi> within EPS_ORTH through `_overlap_limit`.  Only this module
+reads those two tolerances.
 """
 
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ class Metric:
     """A validated metric matrix with its provenance.
 
     provenance is one of "identity", "explicit", "eigenframe".  The matrix
-    is stored read-only; instances are safe to share.
+    is stored exactly Hermitian and read-only; instances are safe to share.
     """
 
     g: np.ndarray
@@ -90,7 +89,7 @@ def validate_metric(g, hamiltonian=None) -> MetricReport:
     g = as_operator(g, name="metric")
     herm_dev = float(np.linalg.norm(g - g.conj().T))
     hermitian = herm_dev <= EPS_HERM * float(np.linalg.norm(g))
-    eigs = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
+    eigs = np.linalg.eigvalsh(_hermitian(g))
     min_eig = float(eigs[0])
     residual = None
     if hamiltonian is not None:
@@ -117,13 +116,20 @@ def metric_from_matrix(g, hamiltonian=None) -> Metric:
 
 
 def _checked(g, hamiltonian, provenance: str, failure: str) -> Metric:
-    """g validated and frozen, or MetricValidationError with the report."""
+    """g validated, its Hermitian part frozen; or MetricValidationError."""
     report = validate_metric(g, hamiltonian)
     if not report.ok:
         raise MetricValidationError(
             f"{failure} (hermitian={report.hermitian}, "
             f"min eigenvalue={report.min_eigenvalue:.6g})", report=report)
-    return Metric(g=_freeze(g), provenance=provenance, validation=report)
+    return Metric(g=_freeze(_hermitian(np.asarray(g, dtype=complex))),
+                  provenance=provenance, validation=report)
+
+
+def _hermitian(g: np.ndarray) -> np.ndarray:
+    """(g + g^dag) / 2, or g itself, bit for bit, if it is exactly Hermitian."""
+    herm = (g + g.conj().T) / 2.0
+    return g if np.array_equal(g, herm) else herm
 
 
 def metric_from_right_eigenvectors(sys: EigenSystem, hamiltonian=None) -> Metric:
@@ -141,11 +147,10 @@ def metric_from_right_eigenvectors(sys: EigenSystem, hamiltonian=None) -> Metric
             "eigenvector frame sum is not invertible "
             f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})"
         )
-    g = np.linalg.inv(frame_sum)
-    # exact result is Hermitian; discard inversion roundoff
-    g = (g + g.conj().T) / 2.0
-    return _checked(g, hamiltonian, "eigenframe",
-                    "eigenframe-derived metric failed validation")
+    # Hermitian by construction: validate that part, as the inverse's own
+    # asymmetry, about eps cond(S), can exceed EPS_HERM on an accepted frame
+    return _checked(_hermitian(np.linalg.inv(frame_sum)), hamiltonian,
+                    "eigenframe", "eigenframe-derived metric failed validation")
 
 
 @dataclass(frozen=True)
@@ -175,8 +180,10 @@ def is_good_observable(x, metric: Metric) -> GoodObservableCheck:
 
 def _good_residual(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Batched ``|X^dag G - G X|_F / (|G|_F |X|_F)`` over leading axes;
-    0 where the denominator vanishes."""
-    raw = _frobenius(np.conj(np.swapaxes(x, -1, -2)) @ g - g @ x)
+    0 where the denominator vanishes.  G is Hermitian, so X^dag G is
+    (G X)^dag and one product serves."""
+    gx = g @ x
+    raw = _frobenius(np.conj(np.swapaxes(gx, -1, -2)) - gx)
     denom = _frobenius(g) * _frobenius(x)
     return np.divide(raw, denom, out=np.zeros(np.shape(raw)), where=denom != 0.0)
 
@@ -214,38 +221,31 @@ def _centered(w: np.ndarray, gw: np.ndarray, psi: np.ndarray,
     return w - mean * psi, gw - mean * gpsi
 
 
-def _variance_limit(d: np.ndarray, gd: np.ndarray) -> np.ndarray:
-    """EPS_VAR * max(1, |d| |G d|), the rounding allowed in <d|G d>."""
-    return EPS_VAR * np.maximum(1.0, np.sqrt(_vdot(d, d).real * _vdot(gd, gd).real))
-
-
-def _unreal(var: np.ndarray, d: np.ndarray, gd: np.ndarray) -> np.ndarray:
-    """Where var = <d|G d> is not real and nonnegative within the limit,
-    computed only where the absolute EPS_VAR, never larger, trips."""
-    bad = (np.abs(var.imag) > EPS_VAR) | (var.real < -EPS_VAR)
-    if np.count_nonzero(bad):
-        limit = _variance_limit(d, gd)
-        bad = bad & ((np.abs(var.imag) > limit) | (var.real < -limit))
-    return bad
+def _limit(eps: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """eps * max(1, |u| |v|), the rounding allowed in <u|v>; batched."""
+    return eps * np.maximum(1.0, np.sqrt(_vdot(u, u).real * _vdot(v, v).real))
 
 
 def _overlap_limit(v: np.ndarray, gpsi: np.ndarray) -> np.ndarray:
-    """EPS_ORTH * max(1, |v| |G psi|), the overlap allowed in <v|G psi>."""
-    return EPS_ORTH * np.maximum(1.0, np.sqrt(_vdot(v, v).real * _vdot(gpsi, gpsi).real))
+    """The overlap allowed in <v|G psi>: only this module reads EPS_ORTH."""
+    return _limit(EPS_ORTH, v, gpsi)
 
 
-def _overlapping(overlap: np.ndarray, v: np.ndarray, gpsi: np.ndarray) -> np.ndarray:
-    """Where overlap = |<v|G psi>| exceeds `_overlap_limit`, computed only
-    where the absolute EPS_ORTH, never larger, trips."""
-    bad = overlap > EPS_ORTH
+def _exceeds(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Where x = <u|v>, real and nonnegative by construction (a variance or
+    a norm^2), has an excess max(|Im x|, -Re x) beyond _limit(EPS_VAR, u, v),
+    computed only where the absolute EPS_VAR, never larger, trips.  Only
+    this module reads EPS_VAR."""
+    excess = np.maximum(np.abs(x.imag), -x.real)
+    bad = excess > EPS_VAR
     if np.count_nonzero(bad):
-        bad = bad & (overlap > _overlap_limit(v, gpsi))
+        bad = bad & (excess > _limit(EPS_VAR, u, v))
     return bad
 
 
 def _variance_error(val: complex, d: np.ndarray, gd: np.ndarray):
-    """The error for a variance val = <d|G d> that `_unreal` flagged."""
-    limit = float(_variance_limit(d, gd))
+    """The error for a variance val = <d|G d> that `_exceeds` flagged."""
+    limit = float(_limit(EPS_VAR, d, gd))
     return InternalInconsistencyError(
         f"variance {val:.3e} is not real and nonnegative within {limit:.3g}")
 
@@ -253,7 +253,7 @@ def _variance_error(val: complex, d: np.ndarray, gd: np.ndarray):
 def _variance(d: np.ndarray, gd: np.ndarray) -> float:
     """Var_G(X) of one state from its d and G d, checked and clamped at 0."""
     raw = _vdot(d, gd)
-    if _unreal(raw, d, gd):
+    if _exceeds(raw, d, gd):
         raise _variance_error(complex(raw), d, gd)
     return max(float(raw.real), 0.0)
 

@@ -25,8 +25,8 @@ gap is 0.  Only a caller-supplied perp needs a matrix element.  The
 explicit constructions (states.ur3_default_perp, av_orthogonal_state)
 stay available as tools and test oracles; the kernel does not build them.
 
-`relation_batch` evaluates many points in one vectorized pass and returns
-them resolved: holds is ``gap >= -tol``, ur3 sits at the branch asked
+`relation_batch` evaluates many points in one vectorized pass, then
+resolves them: holds is ``gap >= -tol``, ur3 sits at the branch asked
 for, and each point carries the first error of a check guarding the
 relations asked for, reading NaN and False where it failed.
 `evaluate_all` and ur1-ur4 validate one input at the boundary, make the
@@ -48,11 +48,10 @@ from .linalg import _mv, _vdot, as_operator, as_state
 from .metric import (
     Metric,
     _centered,
+    _exceeds,
     _good_residual,
     _norm_error,
     _overlap_limit,
-    _overlapping,
-    _unreal,
     _variance_error,
 )
 from .tolerances import EPS_DEGEN, EPS_GOOD, EPS_NORM, ur_tolerance
@@ -148,92 +147,80 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
     consistent shape; `_validated` makes them so.  holds is gap >= -tol;
     ur3 reports its best branch, or the "plus" or "minus" one by sign.
 
-    The per-point checks run as masks, in this order: the good-observable
-    gate (EPS_GOOD), state normalization (EPS_NORM), reality and sign of
-    Var(A) and Var(B) (EPS_VAR relative to |d| |G d|), normalization and
-    orthogonality of an explicit psi_perp (EPS_NORM, and the relative
-    `_overlap_limit` of the package's own states; they guard ur3), and
-    Var(A +- B) (they guard ur4).  Only the checks that guard one of
-    `relations` (indices of ur1..ur4) run; a point records the first it fails.
+    It computes every value, then resolves one ordered table of checks,
+    each a mask, the relations it guards and its error: the good-observable
+    gate (EPS_GOOD), state normalization (EPS_NORM), Var(A) and Var(B) real
+    and nonnegative, an explicit psi_perp's normalization and orthogonality
+    (guarding ur3), and Var(A +- B) (guarding ur4).  Only checks guarding
+    one of `relations` (indices of ur1..ur4) count; a point records the
+    first it fails.
     """
     n = psi.shape[0]
-    errors = [None] * n
-    failed = np.zeros(n, dtype=bool)
-
-    def check(guards, bad, error):
-        if guards & relations and np.count_nonzero(bad):  # half the cost of .any()
-            new = np.flatnonzero(bad & ~failed)
-            failed[new] = True
-            for i in new.tolist():
-                errors[i] = error(i)
-
+    checks = []  # (guards, mask, error of point i), in the order they apply
     if formalism is Formalism.GOOD:
         res_a, res_b = _good_residual(a, g), _good_residual(b, g)
-        check(_ALL, (res_a > EPS_GOOD) | (res_b > EPS_GOOD),
-              lambda i: NotGoodObservableError(
-                  "good-observable formalism requires both operators to satisfy "
-                  f"X^dag G = G X; residuals a={np.broadcast_to(res_a, n)[i]:.3e}, "
-                  f"b={np.broadcast_to(res_b, n)[i]:.3e} (threshold {EPS_GOOD:g})"))
+        gate = np.broadcast_to((res_a > EPS_GOOD) | (res_b > EPS_GOOD), n)
+        checks.append((_ALL, gate, lambda i: NotGoodObservableError(
+            "good-observable formalism requires both operators to satisfy "
+            f"X^dag G = G X; residuals a={np.broadcast_to(res_a, n)[i]:.3e}, "
+            f"b={np.broadcast_to(res_b, n)[i]:.3e} (threshold {EPS_GOOD:g})")))
 
-    gpsi = _mv(g, psi)
+    v = np.array([psi, _mv(a, psi), _mv(b, psi)])
+    gv = _mv(g, v)  # G psi, G A psi and G B psi in one product
+    gpsi = gv[0]
     nsq = _vdot(psi, gpsi)
-    check(_ALL, np.abs(nsq - 1.0) > EPS_NORM,
-          lambda i: _norm_error("state", complex(nsq[i])))
+    checks.append((_ALL, np.abs(nsq - 1.0) > EPS_NORM,
+                   lambda i: _norm_error("state", complex(nsq[i]))))
 
-    w = np.array([_mv(a, psi), _mv(b, psi)])
-    d, gd = _centered(w, _mv(g, w), psi, gpsi)
+    d, gd = _centered(v[1:], gv[1:], psi, gpsi)
     u, gu = (_COMBOS @ np.array([d, gd]).reshape(2, 2, -1)).reshape(2, 7, *psi.shape)
     stats = _vdot(u, gu)
     raw, cov = stats[:6], stats[6]
-    unreal = _unreal(raw[:4], u[:4], gu[:4])
     var = np.maximum(raw.real, 0.0)
-
-    def check_variance(guards, k):
-        check(guards, unreal[k],
-              lambda i: _variance_error(complex(raw[k, i]), u[k, i], gu[k, i]))
-
-    check_variance(_ALL, 0)
-    check_variance(_ALL, 1)
+    unreal = _exceeds(raw[:4], u[:4], gu[:4])
+    var_checks = [(guards, unreal[k], lambda i, k=k: _variance_error(
+        complex(raw[k, i]), u[k, i], gu[k, i]))
+        for k, guards in enumerate((_ALL, _ALL, {3}, {3}))]
+    checks += var_checks[:2]
     lhs = var[0] + var[1]
     rhs1 = 2.0 * cov.imag
-
     if psi_perp is None:
         # tight for the optimal auxiliary state, in every branch
-        rhs3, gap3 = np.array([lhs, lhs]), np.zeros((2, n))
+        rhs3, gap3, minus3 = lhs, np.zeros(n), np.full(n, sign == "minus")
     else:
         gperp = _mv(g, psi_perp)
         perp_nsq = _vdot(psi_perp, gperp)
-        check({2}, np.abs(perp_nsq - 1.0) > EPS_NORM,
-              lambda i: _norm_error("auxiliary state", complex(perp_nsq[i])))
         overlap = np.abs(_vdot(psi_perp, gpsi))
-        check({2}, _overlapping(overlap, psi_perp, gpsi),
-              lambda i: NotOrthogonalError(
-                  f"auxiliary state has metric overlap {overlap[i]:.3e} with the "
-                  f"state (limit {_overlap_limit(psi_perp[i], gpsi[i]):.3g})"))
+        limit = _overlap_limit(psi_perp, gpsi)
+        checks += [({2}, np.abs(perp_nsq - 1.0) > EPS_NORM,
+                    lambda i: _norm_error("auxiliary state", complex(perp_nsq[i]))),
+                   ({2}, overlap > limit, lambda i: NotOrthogonalError(
+                       f"auxiliary state has metric overlap {overlap[i]:.3e} with "
+                       f"the state (limit {limit[i]:.3g})"))]
         # each branch's gap is the G-norm of d_A +- i d_B less its part along
         # perp; as perp is orthogonal to psi, e is <perp|G(A +- iB)|psi>
-        v, gv = u[4:6], gu[4:6]
-        e = _vdot(psi_perp, gv)[..., None]
+        w, gw = u[4:6], gu[4:6]
+        e = _vdot(psi_perp, gw)[..., None]
         rhs3 = np.array([rhs1, -rhs1]) + np.abs(e[..., 0]) ** 2
-        gap3 = np.maximum(_vdot(v - e * psi_perp, gv - e * gperp).real, 0.0)
+        gap3 = np.maximum(_vdot(w - e * psi_perp, gw - e * gperp).real, 0.0)
+        minus3 = rhs3[1] > rhs3[0] if sign == "max" else np.full(n, sign == "minus")
+        rhs3, gap3 = np.where(minus3, [rhs3[1], gap3[1]], [rhs3[0], gap3[0]])
+    checks += var_checks[2:]
 
-    check_variance({3}, 2)
-    check_variance({3}, 3)
     # an eigenstate of A +- B: that branch bound is trivially zero
     flat = np.sqrt(var[2:4]) <= EPS_DEGEN
     halves = np.where(flat, 0.0, 0.5 * var[2:4])
-
-    branches = np.array([rhs3, halves])  # (ur3, ur4) x (plus, minus)
-    best = branches.max(1)
-    minus = branches[:, 1] > branches[:, 0]
-    if sign != "max":
-        k = _BRANCH.index(sign)
-        best[0], minus[0] = rhs3[k], k == 1
-    rhs = np.array([rhs1, 2.0 * cov.real, best[0], best[1]])
-    gap = np.array([var[4], var[3], np.where(minus[0], gap3[1], gap3[0]),
-                    halves.min(0)])
+    rhs = np.array([rhs1, 2.0 * cov.real, rhs3, halves.max(0)])
+    gap = np.array([var[4], var[3], gap3, halves.min(0)])
+    minus = np.array([minus3, halves[1] > halves[0]])
     degenerate = flat[0] | flat[1]
-    if np.count_nonzero(failed):
+    errors = [None] * n
+    guarded = [(mask, error) for guards, mask, error in checks if guards & relations]
+    bad = np.array([mask for mask, _ in guarded])
+    if np.count_nonzero(bad):
+        failed, first = bad.any(0), bad.argmax(0)
+        for i in np.flatnonzero(failed).tolist():
+            errors[i] = guarded[first[i]][1](i)
         lhs[failed] = rhs[:, failed] = gap[:, failed] = np.nan
         minus[:, failed] = degenerate[failed] = False
     return RelationBatch(formalism, lhs, rhs, gap, gap >= -tol, minus,

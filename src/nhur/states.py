@@ -20,9 +20,10 @@ from .errors import (
     NegativeNormError,
     ZeroVectorError,
 )
-from .metric import Metric, _centered, _overlap_limit, _variance, require_normalized
+from .metric import (Metric, _centered, _exceeds, _overlap_limit, _variance,
+                     require_normalized)
 from .linalg import _mv, _vdot, as_operator, as_state
-from .tolerances import EPS_DEGEN, EPS_MACH, EPS_VAR
+from .tolerances import EPS_DEGEN, EPS_MACH
 
 
 @dataclass(frozen=True)
@@ -50,15 +51,16 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 def _unit(v: np.ndarray, g: np.ndarray, zero: np.ndarray, what: str):
     """G-normalize the (N, d) rows of v: the states and N errors, each None,
     or ZeroVectorError where zero marks the row, or the error of a norm^2
-    not real within EPS_VAR or not positive; a failed row is unusable."""
-    nsq = _vdot(v, _mv(g, v))
-    leak = np.abs(nsq.imag) > EPS_VAR * np.maximum(np.abs(nsq.real), 1.0)
+    not positive, or not real within `_exceeds`; a failed row is unusable."""
+    gv = _mv(g, v)
+    nsq = _vdot(v, gv)
+    leak = _exceeds(nsq, v, gv)
     bad = zero | leak | (nsq.real <= 0.0)
     errors = [None] * len(v)
     for i in np.flatnonzero(bad) if bad.any() else ():
         if zero[i]:
             errors[i] = ZeroVectorError(f"{what} cancels to the zero vector")
-        elif leak[i]:
+        elif nsq[i].real > 0.0:
             errors[i] = InternalInconsistencyError(
                 f"{what} norm^2 has imaginary part {nsq[i].imag:.3e}")
         else:

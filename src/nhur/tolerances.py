@@ -23,8 +23,9 @@ EPS_PD = 1e-10
 # Relative residual for the operator/metric intertwining test.
 EPS_GOOD = 1e-9
 
-# Allowed imaginary leakage in quantities that are real by construction;
-# for a variance <d|G d>, EPS_VAR * max(1, |d| |G d|), also below zero.
+# Allowed imaginary part, or part below zero, of a product <u|v> that is
+# real and nonnegative by construction (a variance or a norm^2):
+# EPS_VAR * max(1, |u| |v|), in metric._exceeds.
 EPS_VAR = 1e-9
 
 # Allowed deviation of a state's metric norm from one.

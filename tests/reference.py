@@ -11,10 +11,11 @@ per-point sweep output, one `csv_row` per point, which the columnar
 writer and summary in `nhur.cli` must reproduce byte for byte.
 
 The scalar statistics kernels (uncentered, with an absolute EPS_VAR
-check), `av_orthogonal_state` and the good formalism's commutator and
-anticommutator forms of ur1/ur2 below are the package's former ones, kept
-here so that the oracle shares neither the centered formula nor the
-Cov_G route it checks.
+check), `av_orthogonal_state`, the two-product good-observable residual
+and the good formalism's commutator and anticommutator forms of ur1/ur2
+below are the package's former ones, kept here so that the oracle shares
+neither the centered formula, the Cov_G route nor the one-product gate
+it checks.
 """
 
 import sys
@@ -35,12 +36,18 @@ from nhur import (
     as_operator,
     commutator,
     identity_metric,
-    is_good_observable,
     require_normalized,
     ur3_default_perp,
 )
 from nhur.cli import csv_header, csv_row
-from nhur.tolerances import EPS_DEGEN, EPS_ORTH, EPS_VAR
+from nhur.tolerances import EPS_DEGEN, EPS_GOOD, EPS_ORTH, EPS_VAR
+
+
+def good_residual(x: np.ndarray, g: np.ndarray) -> float:
+    """|X^dag G - G X|_F / (|G|_F |X|_F) with both products the definition
+    names, not the package's one-product form; 0 for a zero denominator."""
+    denom = np.linalg.norm(g) * np.linalg.norm(x)
+    return float(np.linalg.norm(x.conj().T @ g - g @ x) / denom) if denom else 0.0
 
 
 def _expect(x: np.ndarray, psi: np.ndarray, g: np.ndarray) -> complex:
@@ -123,13 +130,12 @@ def _prepare(a, b, psi, g: Metric | None, formalism: Formalism) -> _Context:
     else:
         metric = g
     if formalism is Formalism.GOOD:
-        check_a = is_good_observable(a, metric)
-        check_b = is_good_observable(b, metric)
-        if not (check_a and check_b):
+        res_a, res_b = good_residual(a, metric.g), good_residual(b, metric.g)
+        if res_a > EPS_GOOD or res_b > EPS_GOOD:
             raise NotGoodObservableError(
                 "good-observable formalism requires both operators to satisfy "
-                f"X^dag G = G X; residuals a={check_a.residual:.3e}, "
-                f"b={check_b.residual:.3e} (threshold {check_a.threshold:g})"
+                f"X^dag G = G X; residuals a={res_a:.3e}, "
+                f"b={res_b:.3e} (threshold {EPS_GOOD:g})"
             )
     psi = require_normalized(psi, metric)
     garr = metric.g

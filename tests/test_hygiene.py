@@ -1,7 +1,7 @@
 """Source hygiene no installed linter checks: every imported name is used,
 the per-point reference imports none of the package's private helpers, one
-module owns the overlap rule, and importing the package does none of the
-command line's work.
+module owns the overlap rule and the variance-limit rule, and importing
+the package does none of the command line's work.
 
 The package's `__init__.py` is exempt from the import check, since its
 imports are the public re-exports listed in `__all__`.
@@ -81,6 +81,18 @@ def test_only_metric_applies_the_overlap_tolerance():
     assert not reads_name("from .tolerances import EPS_NORM\n", "EPS_ORTH")
     readers = sorted(p.name for p in (ROOT / "src" / "nhur").glob("*.py")
                      if reads_name(p.read_text(encoding="utf-8"), "EPS_ORTH"))
+    assert readers == ["metric.py"]
+
+
+def test_only_metric_applies_the_variance_tolerance():
+    # every check of a product that is real by construction (a variance, a
+    # norm^2) goes through metric._exceeds, so a second reader of EPS_VAR
+    # would be a second variance-limit rule
+    assert reads_name("from .tolerances import EPS_DEGEN, EPS_VAR\n", "EPS_VAR")
+    assert reads_name("import nhur.tolerances as t\nt.EPS_VAR\n", "EPS_VAR")
+    assert not reads_name("from .metric import _exceeds\n", "EPS_VAR")
+    readers = sorted(p.name for p in (ROOT / "src" / "nhur").glob("*.py")
+                     if reads_name(p.read_text(encoding="utf-8"), "EPS_VAR"))
     assert readers == ["metric.py"]
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from helpers import (
     dirac_covariance,
     dirac_expect,
@@ -14,6 +15,7 @@ from helpers import (
     metric_gb,
     metric_gs,
     metric_sqrt,
+    random_hermitian,
     random_operator,
     random_state,
 )
@@ -120,6 +122,30 @@ def test_metric_from_matrix_converts_g_once(monkeypatch):
     metric = metric_from_matrix([[2.0, 0.5j], [-0.5j, 1.0]])
     assert calls == ["metric"]
     npt.assert_array_equal(metric.g, [[2.0, 0.5j], [-0.5j, 1.0]])
+
+
+def test_metric_stores_the_hermitian_part(rng):
+    g = random_hermitian(rng, 3) + 3.0 * np.eye(3)
+    g[1, 1] = complex(g[1, 1].real, -0.0)  # still exactly Hermitian
+    assert metric_from_matrix(g).g.tobytes() == g.tobytes()
+    skewed = metric_from_matrix(g + 1e-12j * random_hermitian(rng, 3)).g
+    assert (skewed == skewed.conj().T).all()
+    npt.assert_allclose(skewed, g, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 64])
+@pytest.mark.parametrize("kind", ["hermitian", "eigenframe"])
+def test_good_residual_matches_the_two_product_formula(rng, dim, kind):
+    # the gate forms X^dag G as (G X)^dag from one product
+    m = random_operator(rng, dim)
+    if kind == "hermitian":
+        metric = metric_from_matrix(m @ m.conj().T / dim + np.eye(dim))
+    else:
+        frame = EigenSystem.from_right(np.arange(dim), m + dim * np.eye(dim))
+        metric = metric_from_right_eigenvectors(frame)
+    for x in (random_operator(rng, dim), good_observable_for(rng, metric)):
+        expected = reference.good_residual(x, np.asarray(metric.g))
+        assert abs(is_good_observable(x, metric).residual - expected) <= 1e-13
 
 
 def test_metric_matrix_is_read_only():

@@ -14,6 +14,7 @@ from nhur import (
     Example1Config,
     Example2Config,
     Formalism,
+    InternalInconsistencyError,
     Metric,
     MetricReport,
     NegativeNormError,
@@ -23,6 +24,7 @@ from nhur import (
     av_orthogonal_state,
     build_example1,
     build_example2,
+    example2_sweep,
     g_complement_projection,
     g_orthogonal_complement_2d,
     identity_metric,
@@ -237,6 +239,15 @@ def test_package_states_pass_ur3_near_the_exceptional_point():
         for perp in perps:
             ev = ur3(a, b, psi, metric, Formalism.GMETRIC, psi_perp=perp)
             assert ev.holds and math.isfinite(ev.gap)
+
+
+@pytest.mark.parametrize("formalism", [Formalism.GOOD, Formalism.GMETRIC])
+def test_near_ep_superpositions_do_not_leak(formalism):
+    # cond(G) is about 2e8 here: a superposition's norm^2 carries an
+    # imaginary part up to about 1e-8, within the relative limit
+    # EPS_VAR * |v| |G v| though not within EPS_VAR * max(|norm^2|, 1)
+    sw = example2_sweep(Example2Config(1.0 - 1e-8, 0.5), 721, formalism)
+    assert not any(isinstance(e, InternalInconsistencyError) for e in sw.errors)
 
 
 @pytest.mark.parametrize("c", [1e20, 1e26, 1e30])
