@@ -32,6 +32,7 @@ from .errors import MetricValidationError, NhurError
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, as_operator
 from .metric import (
     Metric,
+    _norm_check,
     identity_metric,
     is_good_observable,
     metric_from_matrix,
@@ -49,7 +50,7 @@ from .scenarios import (
     example2_sweep,
     pt_hamiltonian,
 )
-from .tolerances import EPS_NORM, ur_tolerance
+from .tolerances import ur_tolerance
 
 _RELATIONS = ("ur1", "ur2", "ur3", "ur4")
 
@@ -278,16 +279,16 @@ def problem_payload(a, b, psi, g: Metric | None = None,
 
 
 def _normalize_if_needed(vec: np.ndarray, g: np.ndarray, name: str) -> np.ndarray:
-    """Leave exactly-normalized input untouched so results are reproducible
-    bit for bit; rescale only when the G-norm is visibly off."""
-    nsq = complex(np.vdot(vec, g @ vec)).real
-    if abs(nsq - 1.0) <= EPS_NORM:
+    """Leave a state `metric._norm_check` accepts untouched, so results are
+    reproducible bit for bit; rescale one whose G-norm is off."""
+    gvec = g @ vec
+    nsq = complex(np.vdot(vec, gvec))
+    if not _norm_check(name, nsq, vec, gvec)[0]:
         return vec
-    if nsq <= 0.0:
+    if nsq.real <= 0.0:
         raise ProblemParseError(
-            f"{name} has non-positive metric norm^2 = {nsq:.6g}"
-        )
-    return vec / math.sqrt(nsq)
+            f"{name} has non-positive metric norm^2 = {nsq.real:.6g}")
+    return vec / math.sqrt(nsq.real)
 
 
 def _evaluation_record(ev) -> dict:

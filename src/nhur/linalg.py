@@ -68,6 +68,11 @@ def _vdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", u.conj(), v)
 
 
+def _well_conditioned(smallest, largest) -> bool:
+    """The one conditioning rule, smallest > EPS_PD * largest (relative)."""
+    return smallest > EPS_PD * largest
+
+
 def commutator(a, b) -> np.ndarray:
     a = as_operator(a)
     b = as_operator(b, dim=a.shape[0])
@@ -110,7 +115,7 @@ class EigenSystem:
         right = as_operator(right, name="right eigenvector frame")
         values = as_state(values, dim=right.shape[0], name="eigenvalues")
         sv = np.linalg.svd(right, compute_uv=False)
-        if sv[-1] <= EPS_PD * sv[0]:
+        if not _well_conditioned(sv[-1], sv[0]):
             raise SingularFrameError(
                 "right eigenvector frame is numerically singular "
                 f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})"

@@ -14,10 +14,11 @@ relations.relation_batch; centering first makes the rounding scale with
 the variance rather than with <X^dag G X>.
 
 Every rounding allowance on a product <u|v> is `_limit`,
-eps * max(1, |u| |v|): a quantity real and nonnegative by construction (a
-variance or a norm^2) within EPS_VAR through `_exceeds`, and an overlap
-<v|G psi> within EPS_ORTH through `_overlap_limit`.  Only this module
-reads those two tolerances.
+eps * max(1, |u| |v|): a norm^2 <v|G v> within EPS_NORM of 1
+(`_norm_check`), a variance or norm^2 real and nonnegative within EPS_VAR
+(`_exceeds`), and an overlap <v|G psi> within EPS_ORTH (`_overlap_limit`).
+The good-observable gate (`_good`) and the eigenstate rule (`_vanishes`)
+live here too; no other module reads the tolerances of these rules.
 """
 
 from dataclasses import dataclass
@@ -27,11 +28,12 @@ import numpy as np
 from .errors import (
     InternalInconsistencyError,
     MetricValidationError,
+    NotGoodObservableError,
     NotNormalizedError,
     SingularFrameError,
 )
-from .linalg import EigenSystem, _vdot, as_operator, as_state
-from .tolerances import EPS_GOOD, EPS_HERM, EPS_NORM, EPS_ORTH, EPS_PD, EPS_VAR
+from .linalg import EigenSystem, _vdot, _well_conditioned, as_operator, as_state
+from .tolerances import EPS_DEGEN, EPS_GOOD, EPS_HERM, EPS_NORM, EPS_ORTH, EPS_VAR
 
 
 @dataclass(frozen=True)
@@ -81,26 +83,32 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def validate_metric(g, hamiltonian=None) -> MetricReport:
-    """Check Hermiticity and positive definiteness; never raises.
+    """Check Hermiticity and positive definiteness, both relative to G's
+    scale (`linalg._well_conditioned`); never raises.
 
     With a Hamiltonian supplied the report also carries the stationarity
     residual of the static metric condition, ``|GH - H^dag G|_F``.
     """
+    return _validation(g, hamiltonian)[0]
+
+
+def _validation(g, hamiltonian) -> tuple:
+    """(report, Hermitian part) of g, converted once."""
     g = as_operator(g, name="metric")
+    herm = _hermitian(g)
     herm_dev = float(np.linalg.norm(g - g.conj().T))
-    hermitian = herm_dev <= EPS_HERM * float(np.linalg.norm(g))
-    eigs = np.linalg.eigvalsh(_hermitian(g))
+    eigs = np.linalg.eigvalsh(herm)
     min_eig = float(eigs[0])
     residual = None
     if hamiltonian is not None:
         h = as_operator(hamiltonian, dim=g.shape[0], name="hamiltonian")
         residual = float(np.linalg.norm(g @ h - h.conj().T @ g))
     return MetricReport(
-        hermitian=hermitian,
-        positive_definite=min_eig > EPS_PD,
+        hermitian=herm_dev <= EPS_HERM * float(np.linalg.norm(g)),
+        positive_definite=_well_conditioned(min_eig, float(np.abs(eigs).max())),
         min_eigenvalue=min_eig,
         stationarity_residual=residual,
-    )
+    ), herm
 
 
 def identity_metric(dim: int = 2) -> Metric:
@@ -117,13 +125,12 @@ def metric_from_matrix(g, hamiltonian=None) -> Metric:
 
 def _checked(g, hamiltonian, provenance: str, failure: str) -> Metric:
     """g validated, its Hermitian part frozen; or MetricValidationError."""
-    report = validate_metric(g, hamiltonian)
+    report, herm = _validation(g, hamiltonian)
     if not report.ok:
         raise MetricValidationError(
             f"{failure} (hermitian={report.hermitian}, "
             f"min eigenvalue={report.min_eigenvalue:.6g})", report=report)
-    return Metric(g=_freeze(_hermitian(np.asarray(g, dtype=complex))),
-                  provenance=provenance, validation=report)
+    return Metric(g=_freeze(herm), provenance=provenance, validation=report)
 
 
 def _hermitian(g: np.ndarray) -> np.ndarray:
@@ -142,7 +149,7 @@ def metric_from_right_eigenvectors(sys: EigenSystem, hamiltonian=None) -> Metric
     right = as_operator(sys.right, name="right eigenvector frame")
     frame_sum = right @ right.conj().T
     sv = np.linalg.svd(frame_sum, compute_uv=False)
-    if sv[-1] <= EPS_PD * sv[0]:
+    if not _well_conditioned(sv[-1], sv[0]):
         raise SingularFrameError(
             "eigenvector frame sum is not invertible "
             f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})"
@@ -174,8 +181,24 @@ def is_good_observable(x, metric: Metric) -> GoodObservableCheck:
     x = as_operator(x, dim=metric.dim, name="observable")
     residual = float(_good_residual(x, metric.g))
     return GoodObservableCheck(
-        is_good=residual <= EPS_GOOD, residual=residual, threshold=EPS_GOOD
+        is_good=_good(residual), residual=residual, threshold=EPS_GOOD
     )
+
+
+def _good(residual):
+    """The one good-observable comparison, residual <= EPS_GOOD; batched."""
+    return residual <= EPS_GOOD
+
+
+def _good_gate(a, b, g: np.ndarray, n: int) -> tuple:
+    """The kernel's gate over n points: where A or B is not `_good` under
+    G, and the error of point i."""
+    res_a, res_b = _good_residual(a, g), _good_residual(b, g)
+    bad = np.broadcast_to(~(_good(res_a) & _good(res_b)), n)
+    return bad, lambda i: NotGoodObservableError(
+        "good-observable formalism requires both operators to satisfy "
+        f"X^dag G = G X; residuals a={np.broadcast_to(res_a, n)[i]:.3e}, "
+        f"b={np.broadcast_to(res_b, n)[i]:.3e} (threshold {EPS_GOOD:g})")
 
 
 def _good_residual(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -195,17 +218,25 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
 def require_normalized(psi, metric: Metric, name: str = "state") -> np.ndarray:
     """Validate that psi is unit-norm under the metric; returns the array."""
     psi = as_state(psi, dim=metric.dim, name=name)
-    nsq = complex(np.vdot(psi, metric.g @ psi))
-    if abs(nsq - 1.0) > EPS_NORM:
-        raise _norm_error(name, nsq)
+    gpsi = metric.g @ psi
+    bad, error = _norm_check(name, np.vdot(psi, gpsi), psi, gpsi)
+    if bad:
+        raise error(())
     return psi
 
 
-def _norm_error(name: str, nsq: complex) -> NotNormalizedError:
-    return NotNormalizedError(
-        f"{name} has metric norm^2 = {nsq.real:.12g} "
-        f"(must be 1 within {EPS_NORM:g})"
-    )
+def _norm_check(name: str, nsq, v: np.ndarray, gv: np.ndarray) -> tuple:
+    """The one normalization rule, batched: where nsq = <v|G v> is off 1
+    beyond _limit(EPS_NORM, v, G v), and the error of point i."""
+    bad = _beyond(np.abs(nsq - 1.0), EPS_NORM, v, gv)
+    return bad, lambda i: NotNormalizedError(
+        f"{name} has metric norm^2 = {nsq[i].real:.12g} "
+        f"(must be 1 within {float(_limit(EPS_NORM, v[i], gv[i])):.3g})")
+
+
+def _vanishes(length, scale=1.0):
+    """The eigenstate rule, batched in length: length <= EPS_DEGEN * max(1, scale)."""
+    return length <= EPS_DEGEN * max(1.0, scale)
 
 
 # The one Var_G/Cov_G kernel, unchecked: callers are responsible for
@@ -231,16 +262,19 @@ def _overlap_limit(v: np.ndarray, gpsi: np.ndarray) -> np.ndarray:
     return _limit(EPS_ORTH, v, gpsi)
 
 
+def _beyond(excess, eps: float, u: np.ndarray, v: np.ndarray):
+    """Where excess passes _limit(eps, u, v), computed only where the
+    absolute eps, never larger, trips."""
+    bad = excess > eps
+    if np.count_nonzero(bad):
+        bad = bad & (excess > _limit(eps, u, v))
+    return bad
+
+
 def _exceeds(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Where x = <u|v>, real and nonnegative by construction (a variance or
-    a norm^2), has an excess max(|Im x|, -Re x) beyond _limit(EPS_VAR, u, v),
-    computed only where the absolute EPS_VAR, never larger, trips.  Only
-    this module reads EPS_VAR."""
-    excess = np.maximum(np.abs(x.imag), -x.real)
-    bad = excess > EPS_VAR
-    if np.count_nonzero(bad):
-        bad = bad & (excess > _limit(EPS_VAR, u, v))
-    return bad
+    a norm^2), has an excess max(|Im x|, -Re x) beyond _limit(EPS_VAR, u, v)."""
+    return _beyond(np.maximum(np.abs(x.imag), -x.real), EPS_VAR, u, v)
 
 
 def _variance_error(val: complex, d: np.ndarray, gd: np.ndarray):

@@ -28,7 +28,8 @@ stay available as tools and test oracles; the kernel does not build them.
 `relation_batch` evaluates many points in one vectorized pass, then
 resolves them: holds is ``gap >= -tol``, ur3 sits at the branch asked
 for, and each point carries the first error of a check guarding the
-relations asked for, reading NaN and False where it failed.
+relations asked for, reading NaN and False where it failed.  Each check
+applies the one rule `metric` holds for it; this module reads no EPS_*.
 `evaluate_all` and ur1-ur4 validate one input at the boundary, make the
 N = 1 call, and raise its error or return its records; the default
 tolerance honors NHUR_TOLERANCE_UR.
@@ -39,22 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotGoodObservableError,
-    NotOrthogonalError,
-)
+from .errors import DimensionMismatchError, NotOrthogonalError
 from .linalg import _mv, _vdot, as_operator, as_state
-from .metric import (
-    Metric,
-    _centered,
-    _exceeds,
-    _good_residual,
-    _norm_error,
-    _overlap_limit,
-    _variance_error,
-)
-from .tolerances import EPS_DEGEN, EPS_GOOD, EPS_NORM, ur_tolerance
+from .metric import (Metric, _centered, _exceeds, _good_gate, _norm_check,
+                     _overlap_limit, _vanishes, _variance_error)
+from .tolerances import ur_tolerance
 
 
 class Formalism(enum.Enum):
@@ -149,28 +139,20 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
 
     It computes every value, then resolves one ordered table of checks,
     each a mask, the relations it guards and its error: the good-observable
-    gate (EPS_GOOD), state normalization (EPS_NORM), Var(A) and Var(B) real
-    and nonnegative, an explicit psi_perp's normalization and orthogonality
-    (guarding ur3), and Var(A +- B) (guarding ur4).  Only checks guarding
-    one of `relations` (indices of ur1..ur4) count; a point records the
-    first it fails.
+    gate, state normalization, Var(A) and Var(B) real and nonnegative, an
+    explicit psi_perp's normalization and orthogonality (guarding ur3), and
+    Var(A +- B) (guarding ur4).  Only checks guarding one of `relations`
+    (indices of ur1..ur4) count; a point records the first it fails.
     """
     n = psi.shape[0]
     checks = []  # (guards, mask, error of point i), in the order they apply
     if formalism is Formalism.GOOD:
-        res_a, res_b = _good_residual(a, g), _good_residual(b, g)
-        gate = np.broadcast_to((res_a > EPS_GOOD) | (res_b > EPS_GOOD), n)
-        checks.append((_ALL, gate, lambda i: NotGoodObservableError(
-            "good-observable formalism requires both operators to satisfy "
-            f"X^dag G = G X; residuals a={np.broadcast_to(res_a, n)[i]:.3e}, "
-            f"b={np.broadcast_to(res_b, n)[i]:.3e} (threshold {EPS_GOOD:g})")))
+        checks.append((_ALL, *_good_gate(a, b, g, n)))
 
     v = np.array([psi, _mv(a, psi), _mv(b, psi)])
     gv = _mv(g, v)  # G psi, G A psi and G B psi in one product
     gpsi = gv[0]
-    nsq = _vdot(psi, gpsi)
-    checks.append((_ALL, np.abs(nsq - 1.0) > EPS_NORM,
-                   lambda i: _norm_error("state", complex(nsq[i]))))
+    checks.append((_ALL, *_norm_check("state", _vdot(psi, gpsi), psi, gpsi)))
 
     d, gd = _centered(v[1:], gv[1:], psi, gpsi)
     u, gu = (_COMBOS @ np.array([d, gd]).reshape(2, 2, -1)).reshape(2, 7, *psi.shape)
@@ -189,11 +171,10 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
         rhs3, gap3, minus3 = lhs, np.zeros(n), np.full(n, sign == "minus")
     else:
         gperp = _mv(g, psi_perp)
-        perp_nsq = _vdot(psi_perp, gperp)
         overlap = np.abs(_vdot(psi_perp, gpsi))
         limit = _overlap_limit(psi_perp, gpsi)
-        checks += [({2}, np.abs(perp_nsq - 1.0) > EPS_NORM,
-                    lambda i: _norm_error("auxiliary state", complex(perp_nsq[i]))),
+        checks += [({2}, *_norm_check("auxiliary state", _vdot(psi_perp, gperp),
+                                      psi_perp, gperp)),
                    ({2}, overlap > limit, lambda i: NotOrthogonalError(
                        f"auxiliary state has metric overlap {overlap[i]:.3e} with "
                        f"the state (limit {limit[i]:.3g})"))]
@@ -208,7 +189,7 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
     checks += var_checks[2:]
 
     # an eigenstate of A +- B: that branch bound is trivially zero
-    flat = np.sqrt(var[2:4]) <= EPS_DEGEN
+    flat = _vanishes(np.sqrt(var[2:4]))
     halves = np.where(flat, 0.0, 0.5 * var[2:4])
     rhs = np.array([rhs1, 2.0 * cov.real, rhs3, halves.max(0)])
     gap = np.array([var[4], var[3], gap3, halves.min(0)])

@@ -20,10 +20,10 @@ from .errors import (
     NegativeNormError,
     ZeroVectorError,
 )
-from .metric import (Metric, _centered, _exceeds, _overlap_limit, _variance,
-                     require_normalized)
+from .metric import (Metric, _centered, _exceeds, _overlap_limit, _vanishes,
+                     _variance, require_normalized)
 from .linalg import _mv, _vdot, as_operator, as_state
-from .tolerances import EPS_DEGEN, EPS_MACH
+from .tolerances import EPS_MACH
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def g_complement_projection(vec, psi, metric: Metric) -> np.ndarray:
     out = vec - complex(np.vdot(psi, metric.g @ vec)) * psi
     # second pass removes normalization roundoff from the projector
     out = out - complex(np.vdot(psi, metric.g @ out)) * psi
-    zero = np.linalg.norm(out) <= EPS_DEGEN * max(float(np.linalg.norm(vec)), 1.0)
+    zero = _vanishes(np.linalg.norm(out), np.linalg.norm(vec))
     return _fix_phase(_one(*_unit(out[None], metric.g, np.array([zero]),
                                   "projected complement")))
 
@@ -154,8 +154,8 @@ def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
 
     The returned pair satisfies the reconstruction above with the
     metric-weighted expectation and standard deviation.  Raises
-    DegenerateEigenstateError when psi is an eigenstate of x (DX below
-    EPS_DEGEN), where the direction is undefined.
+    DegenerateEigenstateError when psi is an eigenstate of x (DX within
+    EPS_DEGEN, `metric._vanishes`), where the direction is undefined.
     """
     x = as_operator(x, dim=metric.dim, name="operator")
     psi = require_normalized(psi, metric)
@@ -163,7 +163,7 @@ def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
     w, gpsi = x @ psi, g @ psi
     d, gd = _centered(w, g @ w, psi, gpsi)
     sd = float(np.sqrt(_variance(d, gd)))
-    if sd <= EPS_DEGEN:
+    if _vanishes(sd):
         raise DegenerateEigenstateError(
             f"state is an eigenstate of the operator (sd = {sd:.3e}); "
             "the orthogonal direction is undefined"

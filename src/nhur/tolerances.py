@@ -1,46 +1,47 @@
 """Central numerical tolerances.
 
-All comparison thresholds used across the package live here so that tests
-and library code agree on a single set of numbers.  Values are absolute
-unless a docstring says otherwise.
+All comparison thresholds live here so that tests and library code agree
+on a single set of numbers.  Each is applied by one rule, named beside
+it, in the one package module that reads it; a relative limit on a
+product <u|v> is eps * max(1, |u| |v|) (`metric._limit`).
 """
 
 import os
 
-# Floating-point noise floor for quantities of order one.
+# Noise floor relative to the largest entry or term: states._fix_phase, _superpose.
 EPS_MACH = 1e-12
 
-# Eigenvalue splitting below which a 2x2 operator is treated as sitting at
-# an exceptional point (relative to the operator scale).
+# |gamma^2 - 1| at or below which Example2Config.validated rejects gamma
+# as the exceptional point; absolute, gamma being dimensionless.
 EPS_EP = 1e-8
 
-# Hermiticity check for candidate metrics, relative to the matrix scale.
+# Hermiticity of a candidate metric, relative to |G|_F: metric._validation.
 EPS_HERM = 1e-10
 
-# Smallest metric eigenvalue accepted as positive definite.
+# Conditioning: smallest > EPS_PD * largest, relative, for a metric's
+# eigenvalues and a frame's singular values: linalg._well_conditioned.
 EPS_PD = 1e-10
 
-# Relative residual for the operator/metric intertwining test.
+# Relative residual of X^dag G = G X, the good-observable gate: metric._good.
 EPS_GOOD = 1e-9
 
-# Allowed imaginary part, or part below zero, of a product <u|v> that is
-# real and nonnegative by construction (a variance or a norm^2):
-# EPS_VAR * max(1, |u| |v|), in metric._exceeds.
+# Imaginary or negative part of a variance or norm^2 <u|v>, which is real and
+# nonnegative by construction, relative: metric._exceeds.
 EPS_VAR = 1e-9
 
-# Allowed deviation of a state's metric norm from one.
+# Deviation of a state's norm^2 <v|G v> from one, relative: metric._norm_check.
 EPS_NORM = 1e-8
 
-# Metric-orthogonality check for every auxiliary state, constructed or
-# supplied: EPS_ORTH * max(1, |perp| |G psi|), in metric._overlap_limit.
+# Overlap <perp|G psi> of every auxiliary state, constructed or supplied,
+# relative: metric._overlap_limit.
 EPS_ORTH = 1e-10
 
-# Standard deviation below which a state counts as an eigenstate of the
-# operator (the normalized orthogonal state is then undefined).
+# Length that vanishes, EPS_DEGEN * max(1, scale): metric._vanishes.  For a
+# standard deviation it is absolute, and psi is then an eigenstate.
 EPS_DEGEN = 1e-9
 
 # Slack granted when deciding whether an uncertainty bound holds:
-# the inequality passes when gap >= -EPS_UR.
+# the inequality passes when gap >= -EPS_UR; read by ur_tolerance.
 EPS_UR = 1e-9
 
 _ENV_UR = "NHUR_TOLERANCE_UR"

@@ -1,6 +1,6 @@
 """Source hygiene no installed linter checks: every imported name is used,
-the per-point reference imports none of the package's private helpers, one
-module owns the overlap rule and the variance-limit rule, and importing
+the per-point reference imports none of the package's private helpers,
+each tolerance is read by one module, which owns its rule, and importing
 the package does none of the command line's work.
 
 The package's `__init__.py` is exempt from the import check, since its
@@ -94,6 +94,39 @@ def test_only_metric_applies_the_variance_tolerance():
     readers = sorted(p.name for p in (ROOT / "src" / "nhur").glob("*.py")
                      if reads_name(p.read_text(encoding="utf-8"), "EPS_VAR"))
     assert readers == ["metric.py"]
+
+
+def tolerance_names(source: str) -> list:
+    """The EPS_* names a module assigns at its top level."""
+    targets = [t for node in ast.parse(source).body
+               for t in (node.targets if isinstance(node, ast.Assign) else
+                         [node.target] if isinstance(node, ast.AnnAssign) else [])]
+    return sorted(t.id for t in targets
+                  if isinstance(t, ast.Name) and t.id.startswith("EPS_"))
+
+
+def shared_tolerances(sources: dict, names) -> dict:
+    """Each name read by more than one of the named module sources, with
+    its readers."""
+    readers = {name: sorted(mod for mod, src in sources.items()
+                            if reads_name(src, name)) for name in names}
+    return {name: mods for name, mods in readers.items() if len(mods) > 1}
+
+
+def test_each_tolerance_has_one_reader():
+    # a tolerance read by two modules is two copies of its rule, which can
+    # drift apart; each rule lives in the one module that reads it
+    pair = {"a.py": "from .tolerances import EPS_NORM, EPS_PD\n",
+            "b.py": "from . import tolerances\ntolerances.EPS_NORM\n"}
+    assert shared_tolerances(pair, ["EPS_NORM", "EPS_PD"]) == {
+        "EPS_NORM": ["a.py", "b.py"]}
+    assert tolerance_names("EPS_A = 1\nX = 2\nEPS_B: float = 3\n") == ["EPS_A", "EPS_B"]
+    package = ROOT / "src" / "nhur"
+    names = tolerance_names((package / "tolerances.py").read_text(encoding="utf-8"))
+    assert {"EPS_NORM", "EPS_PD", "EPS_GOOD", "EPS_DEGEN"} <= set(names)
+    sources = {p.name: p.read_text(encoding="utf-8") for p in package.glob("*.py")
+               if p.name != "tolerances.py"}
+    assert shared_tolerances(sources, names) == {}
 
 
 # Run in a fresh interpreter: `import nhur` must load neither the CLI nor

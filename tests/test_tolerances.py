@@ -1,0 +1,215 @@
+"""Each tolerance rule has one home.
+
+The normalization and conditioning rules are relative, so a verdict does
+not depend on the units of G or on the distance to the exceptional
+point.  Moving a rule's constant in its one module moves every check that
+applies it: the kernel, the public validators and the CLI alike.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+import nhur.linalg
+import nhur.metric
+from helpers import good_observable_for, metric_gs, random_hermitian, random_operator
+from nhur import (
+    DegenerateEigenstateError,
+    EigenSystem,
+    Example2Config,
+    Formalism,
+    MetricValidationError,
+    NotGoodObservableError,
+    NotNormalizedError,
+    SIGMA_X,
+    SIGMA_Z,
+    SingularFrameError,
+    ZeroVectorError,
+    av_orthogonal_state,
+    evaluate_all,
+    example2_sweep,
+    g_complement_projection,
+    identity_metric,
+    is_good_observable,
+    metric_from_matrix,
+    metric_from_right_eigenvectors,
+    require_normalized,
+    symmetric_eigensystem,
+    validate_metric,
+)
+from nhur.cli import _normalize_if_needed, main
+
+E0 = np.array([1.0, 0.0], dtype=complex)
+E1 = np.array([0.0, 1.0], dtype=complex)
+NEAR_EP = 1.0 - 1e-8
+
+# a normalized state under a widely spread G: |psi| |G psi| is about 4.3e3,
+# so the normalization limit is about 4.3e-5
+G_WIDE = np.diag([1e4, 1e-4]).astype(complex)
+PSI_WIDE = np.array([0.5e-2, math.sqrt(0.75e4)], dtype=complex)
+
+
+def _norm_limit(v, g):
+    return 1e-8 * max(1.0, np.linalg.norm(v) * np.linalg.norm(g @ v))
+
+
+def test_normalization_limit_scales_with_the_state():
+    metric = metric_from_matrix(G_WIDE)
+    within = PSI_WIDE * (1.0 + 5e-7)  # norm^2 off by 1e-6
+    require_normalized(within, metric)
+    evaluate_all(SIGMA_X, SIGMA_Z, within, metric, Formalism.GMETRIC)
+    beyond = PSI_WIDE * (1.0 + 1e-4)
+    limit = f"within {_norm_limit(beyond, G_WIDE):.3g})"
+    assert limit == "within 4.33e-05)"
+    with pytest.raises(NotNormalizedError, match=re.escape(limit)):
+        require_normalized(beyond, metric)
+    with pytest.raises(NotNormalizedError, match=re.escape(limit)):
+        evaluate_all(SIGMA_X, SIGMA_Z, beyond, metric, Formalism.GMETRIC)
+
+
+def test_unit_scale_state_off_by_2e_8_still_fails():
+    psi = E0 * math.sqrt(1.0 + 2e-8)
+    for call in (lambda: require_normalized(psi, identity_metric(2)),
+                 lambda: evaluate_all(SIGMA_X, SIGMA_Z, psi),
+                 lambda: evaluate_all(SIGMA_X, SIGMA_Z, E1, psi_perp=psi)):
+        with pytest.raises(NotNormalizedError, match=re.escape("within 1e-08)")):
+            call()
+
+
+@pytest.mark.parametrize("g", [np.eye(2, dtype=complex), G_WIDE],
+                         ids=["identity", "wide"])
+def test_cli_rescales_exactly_the_states_the_kernel_rejects(g):
+    metric = metric_from_matrix(g)
+    base = E0 if g is not G_WIDE else PSI_WIDE
+    outcomes = set()
+    for off in (0.0, 1e-9, 4.9e-9, 1e-7, 1e-5, 1e-3):
+        psi = base * (1.0 + off)
+        try:
+            require_normalized(psi, metric)
+            accepted = True
+        except NotNormalizedError:
+            accepted = False
+        out = _normalize_if_needed(psi, g, "psi")
+        assert (out is psi) == accepted
+        require_normalized(out, metric)
+        outcomes.add(accepted)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("formalism", [Formalism.GOOD, Formalism.GMETRIC])
+def test_near_ep_sweep_has_no_failed_point(formalism):
+    # cond(G) is about 2e8; at alpha = 0.253 the package-built state has
+    # norm^2 off by 8.6e-9, within EPS_NORM |psi| |G psi|, about 4.5e-5
+    sw = example2_sweep(Example2Config(NEAR_EP, 0.5), 721, formalism)
+    assert sw.errors == (None,) * 721
+
+
+def test_near_ep_cli_sweep_writes_every_row(tmp_path, capsys):
+    out = tmp_path / "near-ep.csv"
+    argv = ["example2", "--phase", "symmetric", "--gamma", "0.99999999",
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert len(out.read_text().splitlines()) == 1 + 721
+    assert "error" not in capsys.readouterr().err
+
+
+def _ill_conditioned(rng, cond):
+    q, _ = np.linalg.qr(random_operator(rng, 3))
+    g = q @ np.diag([1.0, 0.5, 1.0 / cond]) @ q.conj().T
+    return (g + g.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("c", [1e-20, 1e-10, 1.0, 1e10])
+def test_metric_validity_does_not_depend_on_units(c, rng):
+    g = c * (random_hermitian(rng, 3) + 3.0 * np.eye(3))
+    metric = metric_from_matrix(g)
+    assert metric.validation.ok
+    assert metric.validation.min_eigenvalue == np.linalg.eigvalsh(g)[0]
+    for bad in (c * np.diag([1.0, 1e-10]), c * _ill_conditioned(rng, 1e12)):
+        report = validate_metric(bad)
+        assert report.hermitian and not report.positive_definite
+        # rejected for its conditioning: every eigenvalue is positive
+        assert report.min_eigenvalue == np.linalg.eigvalsh(bad)[0] > 0.0
+        with pytest.raises(MetricValidationError):
+            metric_from_matrix(bad)
+
+
+def test_one_conditioning_rule(monkeypatch):
+    # each check passes iff its smallest/largest ratio exceeds EPS_PD: 1/2
+    # for the gamma = 0.6 frame, 1/4 for its frame sum and its metric
+    system = symmetric_eigensystem(0.6)
+    g = np.asarray(metric_from_right_eigenvectors(system).g)
+    builds = ((lambda: EigenSystem.from_right(system.values, system.right), 0.5),
+              (lambda: metric_from_right_eigenvectors(system), 0.25))
+    for eps in (0.2, 0.3, 0.6):
+        monkeypatch.setattr(nhur.linalg, "EPS_PD", eps)
+        assert validate_metric(g).positive_definite is (0.25 > eps)
+        for build, ratio in builds:
+            if ratio > eps:
+                build()
+            else:
+                with pytest.raises(SingularFrameError):
+                    build()
+
+
+def test_one_normalization_rule(monkeypatch):
+    psi = E0 * math.sqrt(1.0 + 1e-6)
+    calls = (lambda: require_normalized(psi, identity_metric(2)),
+             lambda: evaluate_all(SIGMA_X, SIGMA_Z, psi),
+             lambda: evaluate_all(SIGMA_X, SIGMA_Z, E1, psi_perp=psi))
+    monkeypatch.setattr(nhur.metric, "EPS_NORM", 1e-5)
+    for call in calls:
+        call()
+    assert _normalize_if_needed(psi, np.eye(2), "psi") is psi
+    monkeypatch.setattr(nhur.metric, "EPS_NORM", 1e-7)
+    for call in calls:
+        with pytest.raises(NotNormalizedError, match=re.escape("within 1e-07)")):
+            call()
+    assert _normalize_if_needed(psi, np.eye(2), "psi") is not psi
+
+
+def test_one_good_observable_comparison(monkeypatch, rng):
+    metric = metric_gs(0.6)
+    good = good_observable_for(rng, metric)
+    x = good + 1e-6 * random_operator(rng)
+    residual = is_good_observable(x, metric).residual
+    psi = np.linalg.inv(np.linalg.cholesky(np.asarray(metric.g))).conj().T @ E0
+    for eps, ok in ((residual, True), (residual / 2.0, False)):
+        monkeypatch.setattr(nhur.metric, "EPS_GOOD", eps)
+        check = is_good_observable(x, metric)
+        assert check.is_good is ok and check.threshold == eps
+        if ok:
+            evaluate_all(x, good, psi, metric, Formalism.GOOD)
+        else:
+            with pytest.raises(NotGoodObservableError):
+                evaluate_all(x, good, psi, metric, Formalism.GOOD)
+
+
+def test_one_eigenstate_rule(monkeypatch):
+    # at E0, A + B and A - B have standard deviation 1e-6
+    a, b = SIGMA_Z, 1e-6 * SIGMA_X
+    metric = identity_metric(2)
+    for eps, flat in ((1e-9, False), (1e-5, True)):
+        monkeypatch.setattr(nhur.metric, "EPS_DEGEN", eps)
+        assert evaluate_all(a, b, E0)[3].degenerate is flat
+        calls = (lambda: av_orthogonal_state(a + b, E0, metric),
+                 lambda: g_complement_projection(E0 + 1e-6 * E1, E0, metric))
+        for call, error in zip(calls, (DegenerateEigenstateError, ZeroVectorError)):
+            if flat:
+                with pytest.raises(error):
+                    call()
+            else:
+                call()
+
+
+def test_gate_and_check_agree_on_a_nan_residual():
+    # |X|_F overflows, so the residual is inf / inf: not good, in both
+    x = 1e200 * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    metric = identity_metric(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        check = is_good_observable(x, metric)
+        with pytest.raises(NotGoodObservableError, match="a=nan"):
+            evaluate_all(x, SIGMA_Z, E0, metric, Formalism.GOOD)
+    assert math.isnan(check.residual) and not check
