@@ -7,6 +7,11 @@ Four subcommands:
   check      evaluate one problem from a JSON file, write a JSON report
   metric     print metric diagnostics for the PT model at one gamma
 
+`example2` normalizes its states in the metric of the statistics (the
+Dirac product under --formalism plain), and `check` rescales an off-norm
+state the same way, through `states`; this module applies no tolerance
+rule of its own.
+
 Exit codes: 0 when every evaluated inequality holds, 1 when at least one
 is violated beyond tolerance, 2 for usage, parse, or validation errors.
 `main(argv)` may be called repeatedly in one process: it builds the
@@ -30,13 +35,7 @@ import numpy as np
 
 from .errors import MetricValidationError, NhurError
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, as_operator
-from .metric import (
-    Metric,
-    _norm_check,
-    identity_metric,
-    is_good_observable,
-    metric_from_matrix,
-)
+from .metric import Metric, identity_metric, is_good_observable, metric_from_matrix
 from .relations import Formalism, _stats_g, evaluate_all
 from .scenarios import (
     BROKEN,
@@ -50,6 +49,7 @@ from .scenarios import (
     example2_sweep,
     pt_hamiltonian,
 )
+from .states import _normalized
 from .tolerances import ur_tolerance
 
 _RELATIONS = ("ur1", "ur2", "ur3", "ur4")
@@ -278,19 +278,6 @@ def problem_payload(a, b, psi, g: Metric | None = None,
     return payload
 
 
-def _normalize_if_needed(vec: np.ndarray, g: np.ndarray, name: str) -> np.ndarray:
-    """Leave a state `metric._norm_check` accepts untouched, so results are
-    reproducible bit for bit; rescale one whose G-norm is off."""
-    gvec = g @ vec
-    nsq = complex(np.vdot(vec, gvec))
-    if not _norm_check(name, nsq, vec, gvec)[0]:
-        return vec
-    if nsq.real <= 0.0:
-        raise ProblemParseError(
-            f"{name} has non-positive metric norm^2 = {nsq.real:.6g}")
-    return vec / math.sqrt(nsq.real)
-
-
 def _evaluation_record(ev) -> dict:
     return {
         "relation": ev.relation,
@@ -302,19 +289,6 @@ def _evaluation_record(ev) -> dict:
         "holds": ev.holds,
         "degenerate": ev.degenerate,
     }
-
-
-def _evaluate_problem(problem: dict, metric: Metric, tol: float) -> list:
-    """evaluate_all on a parsed problem, its states normalized if needed."""
-    stats_g = _stats_g(metric, problem["formalism"], problem["dim"])
-    psi = _normalize_if_needed(problem["psi"], stats_g, "psi")
-    psi_perp = problem["psi_perp"]
-    if psi_perp is not None:
-        psi_perp = _normalize_if_needed(psi_perp, stats_g, "psi_perp")
-    return evaluate_all(
-        problem["a"], problem["b"], psi, metric, problem["formalism"],
-        psi_perp=psi_perp, ur_tol=tol,
-    )
 
 
 def cmd_check(args) -> int:
@@ -358,7 +332,14 @@ def cmd_check(args) -> int:
         "B": {"is_good": check_b.is_good, "residual": check_b.residual},
     }
     try:
-        evaluations = _evaluate_problem(problem, metric, tol)
+        stats_g = _stats_g(metric, problem["formalism"], problem["dim"])
+        psi = _normalized(problem["psi"], stats_g, "psi")
+        psi_perp = problem["psi_perp"]
+        if psi_perp is not None:
+            psi_perp = _normalized(psi_perp, stats_g, "psi_perp")
+        evaluations = evaluate_all(problem["a"], problem["b"], psi, metric,
+                                   problem["formalism"], psi_perp=psi_perp,
+                                   ur_tol=tol)
     except NhurError as exc:
         # as above; the report so far, residuals included, explains the failure
         print(f"error: {exc}", file=sys.stderr)

@@ -203,12 +203,15 @@ def _good_gate(a, b, g: np.ndarray, n: int) -> tuple:
 
 def _good_residual(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Batched ``|X^dag G - G X|_F / (|G|_F |X|_F)`` over leading axes;
-    0 where the denominator vanishes.  G is Hermitian, so X^dag G is
+    0 where the denominator vanishes, NaN where the numerator overflows
+    (inf / inf, which would warn).  G is Hermitian, so X^dag G is
     (G X)^dag and one product serves."""
     gx = g @ x
     raw = _frobenius(np.conj(np.swapaxes(gx, -1, -2)) - gx)
     denom = _frobenius(g) * _frobenius(x)
-    return np.divide(raw, denom, out=np.zeros(np.shape(raw)), where=denom != 0.0)
+    finite = raw < np.inf  # False at NaN too
+    return np.divide(raw, denom, out=np.where(finite, 0.0, np.nan),
+                     where=finite & (denom != 0.0))
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -235,8 +238,8 @@ def _norm_check(name: str, nsq, v: np.ndarray, gv: np.ndarray) -> tuple:
 
 
 def _vanishes(length, scale=1.0):
-    """The eigenstate rule, batched in length: length <= EPS_DEGEN * max(1, scale)."""
-    return length <= EPS_DEGEN * max(1.0, scale)
+    """The eigenstate rule, batched in length: length <= EPS_DEGEN * scale."""
+    return length <= EPS_DEGEN * scale
 
 
 # The one Var_G/Cov_G kernel, unchecked: callers are responsible for

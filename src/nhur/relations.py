@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotOrthogonalError
+from .errors import DimensionMismatchError, NonFiniteError, NotOrthogonalError
 from .linalg import _mv, _vdot, as_operator, as_state
 from .metric import (Metric, _centered, _exceeds, _good_gate, _norm_check,
                      _overlap_limit, _vanishes, _variance_error)
@@ -140,8 +140,9 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
     It computes every value, then resolves one ordered table of checks,
     each a mask, the relations it guards and its error: the good-observable
     gate, state normalization, Var(A) and Var(B) real and nonnegative, an
-    explicit psi_perp's normalization and orthogonality (guarding ur3), and
-    Var(A +- B) (guarding ur4).  Only checks guarding one of `relations`
+    explicit psi_perp's normalization and orthogonality (guarding ur3),
+    Var(A +- B) (guarding ur4), and last a finite lhs, rhs and gap, as
+    overflow is no verdict.  Only checks guarding one of `relations`
     (indices of ur1..ur4) count; a point records the first it fails.
     """
     n = psi.shape[0]
@@ -191,10 +192,17 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
     # an eigenstate of A +- B: that branch bound is trivially zero
     flat = _vanishes(np.sqrt(var[2:4]))
     halves = np.where(flat, 0.0, 0.5 * var[2:4])
-    rhs = np.array([rhs1, 2.0 * cov.real, rhs3, halves.max(0)])
-    gap = np.array([var[4], var[3], gap3, halves.min(0)])
+    values = np.array([lhs, rhs1, 2.0 * cov.real, rhs3, halves.max(0),
+                       var[4], var[3], gap3, halves.min(0)])
+    lhs, rhs, gap = values[0], values[1:5], values[5:]
     minus = np.array([minus3, halves[1] > halves[0]])
     degenerate = flat[0] | flat[1]
+    # last, so any earlier error stands: an overflow is not a verdict; the
+    # row joins the table only when a value overflowed
+    finite = np.isfinite(values)
+    if not finite.all():
+        checks.append((_ALL, ~finite.all(0), lambda i: NonFiniteError(
+            f"relation values overflow double precision (lhs = {lhs[i]:.3g})")))
     errors = [None] * n
     guarded = [(mask, error) for guards, mask, error in checks if guards & relations]
     bad = np.array([mask for mask, _ in guarded])

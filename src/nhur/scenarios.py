@@ -5,7 +5,9 @@ operators, assembled from polar parts, with a real planar state; it runs
 under the Dirac product.  The second is the PT two-level model
 ``H(gamma) = [[i*gamma, 1], [1, -i*gamma]]`` in both of its spectral
 phases, with the metric built from the right eigenvectors and the state a
-weighted superposition of them.
+weighted superposition of them, normalized in the metric of the
+statistics: G under the good and gmetric formalisms, the Dirac product
+under plain.
 
 Sweeps evaluate all four relations on a uniform inclusive grid and never
 abort on a bad point; a failure is recorded as that point's typed error.
@@ -210,7 +212,9 @@ def build_example2(cfg: Example2Config):
     In the symmetric phase the observable pair is (H(gamma), sigma_y); in
     the broken phase H(gamma) stops being a good observable for the
     broken-phase metric and the pair is (H(1/gamma), sigma_y).  The state
-    superposes the two right eigenvectors with weights (1, p e^{i alpha}).
+    superposes the two right eigenvectors with weights (1, p e^{i alpha}),
+    G-normalized; `example2_sweep` under plain normalizes it in the Dirac
+    product instead.
     """
     cfg = cfg.validated()
     a, b, sys, g = _example2_frame(cfg)
@@ -335,8 +339,8 @@ def example2_sweep(cfg: Example2Config, points: int = 721,
         a, b, sys, metric = _example2_frame(base)
     except NhurError as exc:
         return _collect(grid, formalism, [exc] * len(grid))
-    psi, errors = _superpose(sys.right.T, _example2_weights(base.p, grid), metric.g)
+    g = _stats_g(metric, formalism, 2)
+    psi, errors = _superpose(sys.right.T, _example2_weights(base.p, grid), g)
     ok = np.array([e is None for e in errors])
-    batch = relation_batch(a, b, psi[ok], _stats_g(metric, formalism, 2),
-                           formalism, tol=tol)
+    batch = relation_batch(a, b, psi[ok], g, formalism, tol=tol)
     return _collect(grid, formalism, errors, [(np.flatnonzero(ok), batch)])

@@ -20,8 +20,8 @@ from .errors import (
     NegativeNormError,
     ZeroVectorError,
 )
-from .metric import (Metric, _centered, _exceeds, _overlap_limit, _vanishes,
-                     _variance, require_normalized)
+from .metric import (Metric, _centered, _exceeds, _norm_check, _overlap_limit,
+                     _vanishes, _variance, require_normalized)
 from .linalg import _mv, _vdot, as_operator, as_state
 from .tolerances import EPS_MACH
 
@@ -76,6 +76,15 @@ def _one(states: np.ndarray, errors: list) -> np.ndarray:
     if error is not None:
         raise error
     return state
+
+
+def _normalized(v: np.ndarray, g: np.ndarray, what: str) -> np.ndarray:
+    """v itself where `_norm_check` accepts it, so results are reproducible
+    bit for bit; else v G-normalized by `_unit`, or its error raised."""
+    gv = g @ v
+    if not _norm_check(what, np.vdot(v, gv), v, gv)[0]:
+        return v
+    return _one(*_unit(v[None], g, np.array([not v.any()]), what))
 
 
 def superposition_state(basis, weights, metric: Metric) -> np.ndarray:

@@ -36,8 +36,9 @@ EPS_NORM = 1e-8
 # relative: metric._overlap_limit.
 EPS_ORTH = 1e-10
 
-# Length that vanishes, EPS_DEGEN * max(1, scale): metric._vanishes.  For a
-# standard deviation it is absolute, and psi is then an eigenstate.
+# Length that vanishes, EPS_DEGEN * scale: metric._vanishes.  For a standard
+# deviation the scale is 1, and psi is then an eigenstate; for a projection
+# it is the length of the projected vector.
 EPS_DEGEN = 1e-9
 
 # Slack granted when deciding whether an uncertainty bound holds:

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import numpy.testing as npt
 import pytest
 
@@ -15,7 +16,9 @@ from nhur import (
     cli,
     evaluate_all,
     example1_sweep,
+    g_complement_projection,
     identity_metric,
+    metric_from_matrix,
 )
 from nhur.cli import build_parser, csv_header, main, problem_payload
 
@@ -315,6 +318,49 @@ def test_check_rescales_off_normalization_state(tmp_path):
     ur1 = report["evaluations"][0]
     npt.assert_allclose(ur1["lhs"], 2.0, atol=1e-14)
     npt.assert_allclose(ur1["rhs"], 2.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("formalism", [Formalism.PLAIN, Formalism.GMETRIC])
+def test_check_rescales_in_the_metric_of_the_statistics(formalism, tmp_path, rng):
+    # G is the identity for plain statistics; psi and psi_perp arrive
+    # scaled off 1 by 2 and 3, and both are rescaled
+    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    metric = metric_from_matrix(m @ m.conj().T + np.eye(3))
+    stats = np.eye(3) if formalism is Formalism.PLAIN else metric.g
+    stats_metric = metric_from_matrix(stats)
+    psi = random_state(rng, stats_metric)
+    perp = g_complement_projection(rng.normal(size=3), psi, stats_metric)
+    a, b = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in "ab")
+    inp = tmp_path / "problem.json"
+    rep = tmp_path / "report.json"
+    _write_problem(inp, problem_payload(a, b, 2.0 * psi, metric, formalism.value,
+                                        3.0 * perp))
+    assert main(["check", "--input", str(inp), "--out", str(rep)]) == 0
+    direct = evaluate_all(a, b, psi, metric, formalism, psi_perp=perp)
+    for rec, ev in zip(json.loads(rep.read_text())["evaluations"], direct):
+        npt.assert_allclose([rec["lhs"], rec["rhs"]], [ev.lhs, ev.rhs], rtol=1e-13)
+        npt.assert_allclose(rec["gap"], ev.gap, rtol=1e-13, atol=1e-13 * ev.lhs)
+
+
+@pytest.mark.parametrize("formalism", ["plain", "gmetric"])
+def test_check_zero_state_fails_typed(formalism, tmp_path, capsys):
+    # a well-formed file whose state has no direction to rescale
+    payload = {
+        "dim": 2,
+        "A": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+        "B": [[[0, 0], [0, -1]], [[0, 1], [0, 0]]],
+        "psi": [[0, 0], [0, 0]],
+        "G": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]],
+        "formalism": formalism,
+    }
+    inp = tmp_path / "problem.json"
+    rep = tmp_path / "report.json"
+    _write_problem(inp, payload)
+    assert main(["check", "--input", str(inp), "--out", str(rep)]) == 2
+    report = json.loads(rep.read_text())
+    assert report["error"] == "ZeroVectorError: psi cancels to the zero vector"
+    assert capsys.readouterr().err == "error: psi cancels to the zero vector\n"
+    assert "evaluations" not in report
 
 
 def test_check_hermitian_pair_matches_plain_statistics(tmp_path, rng):

@@ -1,7 +1,8 @@
 """Source hygiene no installed linter checks: every imported name is used,
-the per-point reference imports none of the package's private helpers,
-each tolerance is read by one module, which owns its rule, and importing
-the package does none of the command line's work.
+the per-point reference imports none of the package's private helpers and
+the CLI none of the metric's, each tolerance is read by one module, which
+owns its rule, and importing the package does none of the command line's
+work.
 
 The package's `__init__.py` is exempt from the import check, since its
 imports are the public re-exports listed in `__all__`.
@@ -47,12 +48,17 @@ def test_unused_import_check_finds_one():
     assert unused_imports(source) == [(1, "os"), (3, "pi")]
 
 
-def private_imports(source: str) -> list:
-    """`_`-prefixed names imported from nhur or one of its modules."""
+def private_imports(source: str, module: str = "nhur") -> list:
+    """`_`-prefixed names imported from `module` or one of its submodules;
+    a relative import, as in the package's own modules, is one from nhur."""
+    def absolute(node):
+        name = node.module or ""
+        return f"nhur.{name}".rstrip(".") if node.level else name
+
     return sorted(
         (node.lineno, alias.name) for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ImportFrom)
-        and (node.module or "").split(".")[0] == "nhur"
+        and (absolute(node) + ".").startswith(module + ".")
         for alias in node.names if alias.name.startswith("_"))
 
 
@@ -62,6 +68,19 @@ def test_reference_imports_no_private_name():
     assert private_imports(source) == [(1, "_centered")]
     reference = (ROOT / "tests" / "reference.py").read_text(encoding="utf-8")
     assert private_imports(reference) == []
+
+
+def test_cli_imports_no_private_metric_name():
+    # the CLI applies no tolerance rule of its own: every check it needs
+    # comes through a public validator or through states and relations
+    source = ("from .metric import Metric, _norm_check\n"
+              "from .relations import _stats_g\nfrom nhur.metric import _limit\n")
+    assert private_imports(source, "nhur.metric") == [(1, "_norm_check"),
+                                                      (3, "_limit")]
+    assert private_imports(source) == [(1, "_norm_check"), (2, "_stats_g"),
+                                       (3, "_limit")]
+    cli = (ROOT / "src" / "nhur" / "cli.py").read_text(encoding="utf-8")
+    assert private_imports(cli, "nhur.metric") == []
 
 
 def reads_name(source: str, name: str) -> bool:

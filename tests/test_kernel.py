@@ -29,6 +29,7 @@ from nhur import (
     NotOrthogonalError,
     build_example1,
     av_orthogonal_state,
+    broken_eigensystem,
     build_example2,
     evaluate_all,
     example1_sweep,
@@ -39,7 +40,9 @@ from nhur import (
     identity_metric,
     metric_from_matrix,
     pt_hamiltonian,
+    superposition_state,
     sweep,
+    symmetric_eigensystem,
     ur1,
     ur2,
     ur3,
@@ -314,14 +317,20 @@ def test_sweeps_match_reference_point_by_point(cfg, formalism):
     assert all(pt.ok for pt in points)
 
 
-def test_plain_example2_sweep_fails_like_reference():
-    # the scenario's state is normalized under G, not the Dirac product
-    cfg = Example2Config.symmetric_default()
-    for pt in example2_sweep(cfg, points=9, formalism=Formalism.PLAIN):
-        with pytest.raises(NotNormalizedError):
-            reference.evaluate_all(*build_example2(replace(cfg, alpha=pt.param)),
-                                   Formalism.PLAIN)
-        assert pt.error.startswith("NotNormalizedError: ")
+def test_plain_example2_sweep_matches_reference():
+    # under plain the superposition is normalized in the Dirac product
+    for cfg, _ in BENCH_SWEEPS[1:3]:
+        system = (broken_eigensystem if cfg.phase == BROKEN
+                  else symmetric_eigensystem)(cfg.gamma)
+        basis = [system.right_vector(0), system.right_vector(1)]
+        for pt in example2_sweep(cfg, points=181, formalism=Formalism.PLAIN):
+            a, b, _, metric = build_example2(replace(cfg, alpha=pt.param))
+            psi = superposition_state(basis, [1.0, cfg.p * np.exp(1j * pt.param)],
+                                      identity_metric(2))
+            want = reference.evaluate_all(a, b, psi, metric, Formalism.PLAIN)
+            assert pt.ok, pt.error
+            tol = 256 * EPS * second_moments(a, b, psi, np.eye(2))
+            assert_matches(pt.evaluations, want, tol)
 
 
 def test_generic_sweep_matches_closed_form_sweep():

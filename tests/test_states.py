@@ -134,6 +134,24 @@ def test_complement_projection_rejects_parallel_vector():
         g_complement_projection(3.0 * E0, E0, identity_metric(2))
 
 
+def test_complement_projection_does_not_depend_on_units(rng):
+    metric = identity_metric(3)
+    e0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    vec = np.array([0.3, 1.0, 0.5j])
+    want = g_complement_projection(vec, e0, metric)
+    npt.assert_allclose(want, [0.0, 2.0 / math.sqrt(5.0), 1j / math.sqrt(5.0)],
+                        atol=1e-15)
+    npt.assert_allclose(g_complement_projection(1e-10 * vec, e0, metric), want,
+                        rtol=0, atol=1e-15)
+    # so ur3's default state follows (A + iB) psi at any scale, not the
+    # basis fallback (0, 1, 0)
+    a, b = random_operator(rng, 3), random_operator(rng, 3)
+    psi = random_state(rng, metric)
+    want = g_complement_projection((a + 1j * b) @ psi, psi, metric)
+    npt.assert_allclose(ur3_default_perp(1e-10 * a, 1e-10 * b, psi, metric, 1),
+                        want, rtol=0, atol=1e-14)
+
+
 def test_av_state_ladder_case():
     pair = av_orthogonal_state(np.array(SIGMA_X), E0, identity_metric(2))
     npt.assert_allclose(pair.psi_perp, E1, atol=1e-14)

@@ -28,9 +28,6 @@ from nhur import cli, relations, scenarios
 from nhur.relations import relation_batch
 from nhur.scenarios import Sweep
 
-PLAIN_EXAMPLE2 = ["example2", "--phase", "symmetric", "--formalism", "plain"]
-
-
 def _run_cli(argv, out, capsys):
     code = cli.main(argv + ["--out", str(out)])
     captured = capsys.readouterr()
@@ -60,15 +57,17 @@ def test_benchmark_commands_match_per_point_output(argv, points, tmp_path,
     assert csv.count(b"\n") == int(points) + 1
 
 
-def test_plain_example2_fails_everywhere_like_per_point_output(
-        tmp_path, capsys, monkeypatch):
-    got, want = _cli_and_reference(PLAIN_EXAMPLE2 + ["--points", "181"],
-                                   tmp_path, capsys, monkeypatch)
-    assert got == want
-    csv, stdout, stderr, code = got
-    assert code == 2
-    assert csv.decode("ascii") == cli.csv_header("alpha") + "\n"
-    assert stderr.count("NotNormalizedError: ") == 181
+def test_plain_example2_matches_per_point_output(tmp_path, capsys, monkeypatch):
+    # the superposition is Dirac-normalized, so every point evaluates
+    for phase in ("symmetric", "broken"):
+        argv = ["example2", "--phase", phase, "--formalism", "plain"]
+        got, want = _cli_and_reference(argv + ["--points", "181"],
+                                       tmp_path, capsys, monkeypatch)
+        monkeypatch.undo()
+        assert got == want
+        csv, stdout, stderr, code = got
+        assert code == 0 and stderr == ""
+        assert csv.count(b"\n") == 1 + 181
 
 
 def _write_and_summarize(writer, summarize, result, path, capsys, tol=1e-9):
@@ -174,8 +173,7 @@ def test_cli_sweeps_build_no_per_point_records(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_keeps_typed_errors():
-    result = example2_sweep(Example2Config.symmetric_default(), points=9,
-                            formalism=Formalism.PLAIN)
+    result = sweep(_shaky_builder, (0.6, 1.4), 9)  # every state off-norm
     assert all(isinstance(e, NotNormalizedError) for e in result.errors)
     for pt, exc in zip(result, result.errors):
         assert pt.error == f"NotNormalizedError: {exc}"

@@ -22,6 +22,7 @@ from nhur import (
     Formalism,
     MetricValidationError,
     NotGoodObservableError,
+    NonFiniteError,
     NotNormalizedError,
     SIGMA_X,
     SIGMA_Z,
@@ -39,7 +40,9 @@ from nhur import (
     symmetric_eigensystem,
     validate_metric,
 )
-from nhur.cli import _normalize_if_needed, main
+from nhur.cli import main
+from nhur.relations import relation_batch
+from nhur.states import _normalized
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -91,7 +94,7 @@ def test_cli_rescales_exactly_the_states_the_kernel_rejects(g):
             accepted = True
         except NotNormalizedError:
             accepted = False
-        out = _normalize_if_needed(psi, g, "psi")
+        out = _normalized(psi, g, "psi")
         assert (out is psi) == accepted
         require_normalized(out, metric)
         outcomes.add(accepted)
@@ -162,12 +165,12 @@ def test_one_normalization_rule(monkeypatch):
     monkeypatch.setattr(nhur.metric, "EPS_NORM", 1e-5)
     for call in calls:
         call()
-    assert _normalize_if_needed(psi, np.eye(2), "psi") is psi
+    assert _normalized(psi, np.eye(2), "psi") is psi
     monkeypatch.setattr(nhur.metric, "EPS_NORM", 1e-7)
     for call in calls:
         with pytest.raises(NotNormalizedError, match=re.escape("within 1e-07)")):
             call()
-    assert _normalize_if_needed(psi, np.eye(2), "psi") is not psi
+    assert _normalized(psi, np.eye(2), "psi") is not psi
 
 
 def test_one_good_observable_comparison(monkeypatch, rng):
@@ -213,3 +216,27 @@ def test_gate_and_check_agree_on_a_nan_residual():
         with pytest.raises(NotGoodObservableError, match="a=nan"):
             evaluate_all(x, SIGMA_Z, E0, metric, Formalism.GOOD)
     assert math.isnan(check.residual) and not check
+
+
+TALL = 1e200 * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+def test_overflow_is_no_verdict():
+    # lhs overflows to inf, which would read as holding; no np.errstate
+    # here, so the suite's warning filter also checks that none is raised
+    metric = identity_metric(2)
+    for formalism in (Formalism.PLAIN, Formalism.GMETRIC):
+        with pytest.raises(NonFiniteError, match="lhs = inf"):
+            evaluate_all(TALL, SIGMA_Z, E1, metric, formalism)
+    with pytest.raises(NonFiniteError, match="lhs = inf"):
+        evaluate_all(1e155 * SIGMA_X, SIGMA_Z, [0.6, 0.8])
+    with pytest.raises(NotGoodObservableError, match="a=nan"):
+        evaluate_all(TALL, SIGMA_Z, E1, metric, Formalism.GOOD)
+    # the check comes last: an error found before it keeps its class
+    with pytest.raises(NotNormalizedError):
+        evaluate_all(TALL, SIGMA_Z, 2.0 * E1)
+    # in a batch only the point that overflowed fails
+    batch = relation_batch(np.array([TALL, SIGMA_X]), SIGMA_Z, np.array([E1, E1]),
+                           np.eye(2), Formalism.PLAIN, tol=1e-9)
+    assert isinstance(batch.errors[0], NonFiniteError) and batch.errors[1] is None
+    assert np.isnan(batch.gap[:, 0]).all() and batch.holds[:, 1].all()
