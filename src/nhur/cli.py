@@ -21,8 +21,8 @@ CSV is written with full double precision (17 significant digits), '.'
 decimal points, and LF line endings.  A sweep's CSV and summary come
 straight from its arrays, a column at a time, with no per-point record;
 the bytes equal those of `csv_row` per point.  JSON problem files carry
-complex numbers as [re, im] pairs, either as flat row-major entry lists
-or nested row lists.
+complex numbers as [re, im] pairs of JSON numbers, as flat row-major
+lists or as rows; each field is one regular array, converted at once.
 """
 
 import argparse
@@ -180,38 +180,33 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token!r} is not allowed")
 
 
-def _is_pair(node) -> bool:
-    return (
-        isinstance(node, list)
-        and len(node) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                for x in node)
-    )
-
-
-def _collect_pairs(node, where: str, out: list) -> None:
-    if _is_pair(node):
-        if not all(math.isfinite(x) for x in node):
-            raise ProblemParseError(f"{where}: non-finite entry {node}")
-        out.append(complex(node[0], node[1]))
-        return
-    if isinstance(node, list):
-        for child in node:
-            _collect_pairs(child, where, out)
-        return
-    raise ProblemParseError(
-        f"{where}: expected [re, im] pairs, got {node!r}"
-    )
-
-
 def _parse_complex(node, count: int, where: str) -> np.ndarray:
-    entries: list = []
-    _collect_pairs(node, where, entries)
-    if len(entries) != count:
+    """A field of [re, im] pairs, a flat list or rows of them, as `count`
+    complex entries: converted as one array, checked as one array."""
+    arr = np.array(node, dtype=object)
+    leaves = arr.reshape(-1)
+    odd = set(map(type, leaves)) - {int, float}  # JSON numbers; bool is odd
+    if odd or arr.shape[-1:] != (2,):
+        # name the first leaf that is no number, else the first entry that
+        # is no pair; a bare number or an empty field names itself
+        got = (next(x for x in leaves if type(x) in odd) if odd else
+               arr.reshape(-1, arr.shape[-1])[0].tolist() if arr.ndim and arr.size
+               else node)
+        raise ProblemParseError(f"{where}: expected [re, im] pairs, got {got!r}")
+    pairs = arr.reshape(-1, 2)
+    try:
+        flt = pairs.astype(float)
+    except OverflowError:  # an integer beyond double range reads as inf
+        flt = np.where(np.abs(pairs) <= sys.float_info.max, pairs,
+                       math.inf).astype(float)
+    finite = np.isfinite(flt).all(1)
+    if not finite.all():
         raise ProblemParseError(
-            f"{where}: expected {count} complex entries, got {len(entries)}"
-        )
-    return np.array(entries, dtype=complex)
+            f"{where}: non-finite entry {pairs[finite.argmin()].tolist()}")
+    if len(flt) != count:
+        raise ProblemParseError(
+            f"{where}: expected {count} complex entries, got {len(flt)}")
+    return flt.view(complex).ravel()
 
 
 def parse_problem(payload: dict) -> dict:
@@ -257,7 +252,7 @@ def parse_problem(payload: dict) -> dict:
 
 
 def _pairs(arr: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.ravel(arr, order="C")]
+    return np.ravel(arr).view(float).reshape(-1, 2).tolist()
 
 
 def problem_payload(a, b, psi, g: Metric | None = None,
@@ -295,7 +290,7 @@ def cmd_check(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             payload = json.load(fh, parse_constant=_reject_constant)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return 2
     problem = parse_problem(payload)

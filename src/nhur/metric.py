@@ -14,9 +14,11 @@ relations.relation_batch; centering first makes the rounding scale with
 the variance rather than with <X^dag G X>.
 
 Every rounding allowance on a product <u|v> is `_limit`,
-eps * max(1, |u| |v|): a norm^2 <v|G v> within EPS_NORM of 1
-(`_norm_check`), a variance or norm^2 real and nonnegative within EPS_VAR
-(`_exceeds`), and an overlap <v|G psi> within EPS_ORTH (`_overlap_limit`).
+eps * max(1, |u| |v|), and `_beyond` applies each, computing the limit
+only where the absolute eps trips: a norm^2 <v|G v> within EPS_NORM of 1
+and finite (`_norm_check`), a variance or norm^2 real and nonnegative
+within EPS_VAR (`_exceeds`), and an overlap <v|G psi> within EPS_ORTH
+(`_overlap_beyond`, with `_overlap_limit` for its error text).
 The good-observable gate (`_good`) and the eigenstate rule (`_vanishes`)
 live here too; no other module reads the tolerances of these rules.
 """
@@ -230,8 +232,9 @@ def require_normalized(psi, metric: Metric, name: str = "state") -> np.ndarray:
 
 def _norm_check(name: str, nsq, v: np.ndarray, gv: np.ndarray) -> tuple:
     """The one normalization rule, batched: where nsq = <v|G v> is off 1
-    beyond _limit(EPS_NORM, v, G v), and the error of point i."""
-    bad = _beyond(np.abs(nsq - 1.0), EPS_NORM, v, gv)
+    beyond _limit(EPS_NORM, v, G v) or is not finite, and the error of
+    point i."""
+    bad = _beyond(np.abs(nsq - 1.0), EPS_NORM, v, gv, finite=True)
     return bad, lambda i: NotNormalizedError(
         f"{name} has metric norm^2 = {nsq[i].real:.12g} "
         f"(must be 1 within {float(_limit(EPS_NORM, v[i], gv[i])):.3g})")
@@ -256,8 +259,9 @@ def _centered(w: np.ndarray, gw: np.ndarray, psi: np.ndarray,
 
 
 def _limit(eps: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """eps * max(1, |u| |v|), the rounding allowed in <u|v>; batched."""
-    return eps * np.maximum(1.0, np.sqrt(_vdot(u, u).real * _vdot(v, v).real))
+    """eps * max(1, |u| |v|), the rounding allowed in <u|v>; batched.  The
+    norms multiply, not their squares, which would overflow first."""
+    return eps * np.maximum(1.0, np.sqrt(_vdot(u, u).real) * np.sqrt(_vdot(v, v).real))
 
 
 def _overlap_limit(v: np.ndarray, gpsi: np.ndarray) -> np.ndarray:
@@ -265,12 +269,20 @@ def _overlap_limit(v: np.ndarray, gpsi: np.ndarray) -> np.ndarray:
     return _limit(EPS_ORTH, v, gpsi)
 
 
-def _beyond(excess, eps: float, u: np.ndarray, v: np.ndarray):
+def _overlap_beyond(overlap, v: np.ndarray, gpsi: np.ndarray):
+    """Where overlap = |<v|G psi>| passes `_overlap_limit`, by `_beyond`."""
+    return _beyond(overlap, EPS_ORTH, v, gpsi)
+
+
+def _beyond(excess, eps: float, u: np.ndarray, v: np.ndarray,
+            finite: bool = False):
     """Where excess passes _limit(eps, u, v), computed only where the
-    absolute eps, never larger, trips."""
-    bad = excess > eps
+    absolute eps, never larger, trips.  With finite, an excess that is not
+    finite, NaN included, passes too: its _limit overflowed with it."""
+    bad = np.logical_not(excess <= eps) if finite else excess > eps
     if np.count_nonzero(bad):
-        bad = bad & (excess > _limit(eps, u, v))
+        past = excess > _limit(eps, u, v)
+        bad = bad & (past | ~np.isfinite(excess) if finite else past)
     return bad
 
 

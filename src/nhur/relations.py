@@ -43,7 +43,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NonFiniteError, NotOrthogonalError
 from .linalg import _mv, _vdot, as_operator, as_state
 from .metric import (Metric, _centered, _exceeds, _good_gate, _norm_check,
-                     _overlap_limit, _vanishes, _variance_error)
+                     _overlap_beyond, _overlap_limit, _vanishes, _variance_error)
 from .tolerances import ur_tolerance
 
 
@@ -127,6 +127,13 @@ def _records(batch: RelationBatch) -> list:
         batch.holds.T.tolist(), batch.minus.T.tolist(), batch.degenerate.tolist())]
 
 
+def _dropped(off: np.ndarray, *arrays):
+    """arrays, (N, d) or stacks of them, zeroed where off marks a state
+    that fails normalization: its point fails whatever the values, and
+    zeros keep a norm that overflowed from raising warnings later on."""
+    return np.where(off[:, None], 0.0, arrays) if np.count_nonzero(off) else arrays
+
+
 def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
                    tol: float, relations=_ALL, sign: str = "max") -> RelationBatch:
     """Evaluate ur1..ur4 at N points in one vectorized pass.  Unchecked.
@@ -153,7 +160,10 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
     v = np.array([psi, _mv(a, psi), _mv(b, psi)])
     gv = _mv(g, v)  # G psi, G A psi and G B psi in one product
     gpsi = gv[0]
-    checks.append((_ALL, *_norm_check("state", _vdot(psi, gpsi), psi, gpsi)))
+    off, error = _norm_check("state", _vdot(psi, gpsi), psi, gpsi)
+    checks.append((_ALL, off, error))
+    v, gv = _dropped(off, v, gv)
+    psi, gpsi = v[0], gv[0]
 
     d, gd = _centered(v[1:], gv[1:], psi, gpsi)
     u, gu = (_COMBOS @ np.array([d, gd]).reshape(2, 2, -1)).reshape(2, 7, *psi.shape)
@@ -172,13 +182,15 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
         rhs3, gap3, minus3 = lhs, np.zeros(n), np.full(n, sign == "minus")
     else:
         gperp = _mv(g, psi_perp)
+        off, error = _norm_check("auxiliary state", _vdot(psi_perp, gperp),
+                                 psi_perp, gperp)
+        psi_perp, gperp = _dropped(off, psi_perp, gperp)
         overlap = np.abs(_vdot(psi_perp, gpsi))
-        limit = _overlap_limit(psi_perp, gpsi)
-        checks += [({2}, *_norm_check("auxiliary state", _vdot(psi_perp, gperp),
-                                      psi_perp, gperp)),
-                   ({2}, overlap > limit, lambda i: NotOrthogonalError(
-                       f"auxiliary state has metric overlap {overlap[i]:.3e} with "
-                       f"the state (limit {limit[i]:.3g})"))]
+        checks += [({2}, off, error),
+                   ({2}, _overlap_beyond(overlap, psi_perp, gpsi),
+                    lambda i: NotOrthogonalError(
+                        f"auxiliary state has metric overlap {overlap[i]:.3e} with "
+                        f"the state (limit {_overlap_limit(psi_perp[i], gpsi[i]):.3g})"))]
         # each branch's gap is the G-norm of d_A +- i d_B less its part along
         # perp; as perp is orthogonal to psi, e is <perp|G(A +- iB)|psi>
         w, gw = u[4:6], gu[4:6]

@@ -20,8 +20,8 @@ from .errors import (
     NegativeNormError,
     ZeroVectorError,
 )
-from .metric import (Metric, _centered, _exceeds, _norm_check, _overlap_limit,
-                     _vanishes, _variance, require_normalized)
+from .metric import (Metric, _centered, _exceeds, _norm_check, _overlap_beyond,
+                     _overlap_limit, _vanishes, _variance, require_normalized)
 from .linalg import _mv, _vdot, as_operator, as_state
 from .tolerances import EPS_MACH
 
@@ -80,10 +80,14 @@ def _one(states: np.ndarray, errors: list) -> np.ndarray:
 
 def _normalized(v: np.ndarray, g: np.ndarray, what: str) -> np.ndarray:
     """v itself where `_norm_check` accepts it, so results are reproducible
-    bit for bit; else v G-normalized by `_unit`, or its error raised."""
+    bit for bit; else v G-normalized by `_unit`, or its error raised.  v is
+    first scaled by a power of two to a largest part in [0.5, 1), which is
+    exact and keeps a tiny or huge v's norm^2 from under- or overflowing."""
     gv = g @ v
     if not _norm_check(what, np.vdot(v, gv), v, gv)[0]:
         return v
+    parts = np.ascontiguousarray(v).view(float)
+    v = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
     return _one(*_unit(v[None], g, np.array([not v.any()]), what))
 
 
@@ -114,12 +118,11 @@ def _superpose(basis: np.ndarray, weights: np.ndarray, g: np.ndarray):
 
 
 def _overlap(v: np.ndarray, gpsi: np.ndarray, what: str) -> float:
-    """|<v|G psi>|, checked within `_overlap_limit`."""
+    """|<v|G psi>|, checked by `_overlap_beyond`."""
     residual = abs(complex(np.vdot(v, gpsi)))
-    limit = float(_overlap_limit(v, gpsi))
-    if residual > limit:
-        raise InternalInconsistencyError(
-            f"{what} overlap {residual:.3e} exceeds {limit:.3g}")
+    if _overlap_beyond(residual, v, gpsi):
+        raise InternalInconsistencyError(f"{what} overlap {residual:.3e} "
+                                         f"exceeds {_overlap_limit(v, gpsi):.3g}")
     return residual
 
 

@@ -29,11 +29,12 @@ EPS_GOOD = 1e-9
 # nonnegative by construction, relative: metric._exceeds.
 EPS_VAR = 1e-9
 
-# Deviation of a state's norm^2 <v|G v> from one, relative: metric._norm_check.
+# Deviation of a state's norm^2 <v|G v> from one, relative; a norm^2 that
+# is not finite fails: metric._norm_check.
 EPS_NORM = 1e-8
 
 # Overlap <perp|G psi> of every auxiliary state, constructed or supplied,
-# relative: metric._overlap_limit.
+# relative: metric._overlap_beyond.
 EPS_ORTH = 1e-10
 
 # Length that vanishes, EPS_DEGEN * scale: metric._vanishes.  For a standard

@@ -6,12 +6,15 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import BENCH_COMMANDS, dirac_covariance, dirac_variance, random_state
 from nhur import (
     SIGMA_X,
     Example2Config,
     Formalism,
+    Metric,
     build_example2,
     cli,
     evaluate_all,
@@ -20,7 +23,8 @@ from nhur import (
     identity_metric,
     metric_from_matrix,
 )
-from nhur.cli import build_parser, csv_header, main, problem_payload
+from nhur.cli import (ProblemParseError, build_parser, csv_header, main,
+                      parse_problem, problem_payload)
 
 EXPECTED_HEADER = (
     "theta0,"
@@ -195,6 +199,118 @@ def test_check_rejects_infinity_token(tmp_path, capsys):
     )
     assert main(["check", "--input", str(inp)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# a well-formed dim-2 problem in the row form; the parse tests replace fields
+PROBLEM = {
+    "dim": 2,
+    "A": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]],
+    "B": [[[0, 0], [0, -1]], [[0, 1], [0, 0]]],
+    "psi": [[1, 0], [0, 0]],
+    "formalism": "plain",
+}
+BIG = 10 ** 400  # 401 digits, beyond double range
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("A", True, "expected [re, im] pairs, got True"),
+    ("A", "1", "expected [re, im] pairs, got '1'"),
+    ("psi", None, "expected [re, im] pairs, got None"),
+    ("psi", [[1.5, True], [0, 0]], "expected [re, im] pairs, got True"),
+    ("A", [[[0, 0], [1, 0]], [[1, 0]]],
+     "expected [re, im] pairs, got [[0, 0], [1, 0]]"),
+    ("psi", [[1, 0, 0], [0, 0, 0]], "expected [re, im] pairs, got [1, 0, 0]"),
+    ("psi", [], "expected [re, im] pairs, got []"),
+    ("psi", [[1, 0]], "expected 2 complex entries, got 1"),
+    ("psi", [[1, 0], [BIG, 0]], f"non-finite entry [{BIG}, 0]"),
+    ("G", [[[BIG, 0], [0, 0]], [[0, 0], [1, 0]]], f"non-finite entry [{BIG}, 0]"),
+], ids=["true", "string", "null", "bool-in-pair", "ragged-row", "3-wide",
+        "empty", "count", "big-int-psi", "big-int-G"])
+def test_check_rejects_malformed_field(tmp_path, capsys, field, value, message):
+    payload = dict(PROBLEM, **{field: value})
+    with pytest.raises(ProblemParseError) as caught:
+        parse_problem(payload)
+    assert str(caught.value) == f"{field}: {message}"
+    inp = tmp_path / "problem.json"
+    _write_problem(inp, payload)
+    assert main(["check", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err == f"error: {field}: {message}\n"
+
+
+def test_check_rejects_a_literal_beyond_double_range(tmp_path, capsys):
+    # json reads 1e400 as inf, a number the parser then finds non-finite
+    inp = tmp_path / "problem.json"
+    inp.write_text(json.dumps(PROBLEM).replace('"psi": [[1, 0]',
+                                               '"psi": [[1e400, 0]'),
+                   encoding="ascii")
+    assert main(["check", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err == "error: psi: non-finite entry [inf, 0]\n"
+
+
+def test_check_cannot_read_a_file_nested_too_deep(tmp_path, capsys):
+    inp = tmp_path / "problem.json"
+    inp.write_text('{"dim": 1, "A": ' + "[" * 100000 + "]" * 100000 + "}",
+                   encoding="ascii")
+    assert main(["check", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {inp}: ")
+
+
+def test_deep_nesting_and_a_bare_pair_still_parse():
+    flat = parse_problem(dict(PROBLEM, A=[[0, 0], [1, 0], [1, 0], [0, 0]]))
+    deep = parse_problem(dict(PROBLEM, A=[[[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]]))
+    npt.assert_array_equal(deep["a"], flat["a"])
+    assert deep["a"].shape == (2, 2)
+    one = parse_problem({"dim": 1, "A": [2, 0], "B": [0, 1], "psi": [1, 0],
+                         "formalism": "plain"})
+    npt.assert_array_equal(one["a"], [[2]])
+    npt.assert_array_equal(one["b"], [[1j]])
+    npt.assert_array_equal(one["psi"], [1])
+
+
+# every double, the extremes and the signed zero among them, survives JSON
+DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.booleans(), st.data())
+def test_problem_file_round_trip_is_bit_identical(dim, rows, data):
+    def draw(*shape):
+        size = 2 * math.prod(shape)
+        parts = data.draw(st.lists(DOUBLES, min_size=size, max_size=size))
+        return np.array(parts).view(complex).reshape(shape)
+
+    a, b, g = draw(dim, dim), draw(dim, dim), draw(dim, dim)
+    psi, perp = draw(dim), draw(dim)
+    payload = problem_payload(a, b, psi, Metric(g, "explicit", None), "gmetric",
+                              perp)
+    if rows:
+        for key in ("A", "B", "G"):
+            pairs = payload[key]
+            payload[key] = [pairs[i:i + dim] for i in range(0, dim * dim, dim)]
+    parsed = parse_problem(json.loads(json.dumps(payload)))
+    for key, arr in (("a", a), ("b", b), ("g", g), ("psi", psi), ("psi_perp", perp)):
+        assert parsed[key].shape == arr.shape
+        assert parsed[key].tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-170])
+def test_check_rescales_a_tiny_state(tmp_path, scale):
+    # the norm^2 of a tiny state underflows; scaled first, it evaluates
+    # as the unit state does
+    reports = []
+    for x in (1, scale):
+        inp = tmp_path / "problem.json"
+        rep = tmp_path / "report.json"
+        _write_problem(inp, dict(PROBLEM, psi=[[x, 0], [0, 0]]))
+        assert main(["check", "--input", str(inp), "--out", str(rep)]) == 0
+        reports.append(json.loads(rep.read_text())["evaluations"])
+    for unit, tiny in zip(*reports):
+        for key in ("lhs", "rhs", "gap"):
+            npt.assert_allclose(tiny[key], unit[key], rtol=1e-15, atol=1e-15)
+        assert tiny["holds"] == unit["holds"]
 
 
 def test_check_rejects_unknown_formalism(tmp_path, capsys):

@@ -93,7 +93,7 @@ def reads_name(source: str, name: str) -> bool:
 
 
 def test_only_metric_applies_the_overlap_tolerance():
-    # every orthogonality check goes through metric._overlap_limit, so a
+    # every orthogonality check goes through metric._overlap_beyond, so a
     # second module reading EPS_ORTH would be a second overlap rule
     assert reads_name("from .tolerances import EPS_NORM, EPS_ORTH\n", "EPS_ORTH")
     assert reads_name("from . import tolerances\nx = tolerances.EPS_ORTH\n", "EPS_ORTH")

@@ -23,6 +23,7 @@ from nhur import (
     MetricValidationError,
     NotGoodObservableError,
     NonFiniteError,
+    NotOrthogonalError,
     NotNormalizedError,
     SIGMA_X,
     SIGMA_Z,
@@ -240,3 +241,43 @@ def test_overflow_is_no_verdict():
                            np.eye(2), Formalism.PLAIN, tol=1e-9)
     assert isinstance(batch.errors[0], NonFiniteError) and batch.errors[1] is None
     assert np.isnan(batch.gap[:, 0]).all() and batch.holds[:, 1].all()
+
+
+def test_perp_overlap_limit_is_relative():
+    # |perp| |G psi| is about 2.5e3 here, so overlaps between EPS_ORTH and
+    # 2.5e-7 pass; past that the message names the overlap and the limit
+    metric = metric_from_matrix(G_WIDE)
+    gpsi = G_WIDE @ PSI_WIDE
+    perp = np.array([-gpsi[1], gpsi[0]]).conj()  # G-normalized and orthogonal
+    args = (SIGMA_X, SIGMA_Z, PSI_WIDE, metric, Formalism.GMETRIC)
+    assert evaluate_all(*args, psi_perp=perp + 1e-8 * PSI_WIDE)[2].holds
+    bad = perp + 1e-6 * PSI_WIDE
+    overlap = abs(np.vdot(bad, gpsi))
+    limit = 1e-10 * np.linalg.norm(bad) * np.linalg.norm(gpsi)
+    with pytest.raises(NotOrthogonalError) as caught:
+        evaluate_all(*args, psi_perp=bad)
+    assert str(caught.value) == (f"auxiliary state has metric overlap {overlap:.3e} "
+                                 f"with the state (limit {limit:.3g})")
+
+
+def test_an_overflowed_state_is_not_normalized():
+    # norm^2 = inf, whose relative limit is inf too; norm^2 = 1e160, whose
+    # limit overflowed as |v|^2 |G v|^2; and inf - inf = NaN under a metric.
+    # No np.errstate: the suite's warning filter checks that none escapes
+    metric = identity_metric(2)
+    for psi in ([1e200, 0], [1e80, 0]):
+        with pytest.raises(NotNormalizedError, match="state has metric norm"):
+            require_normalized(psi, metric)
+        with pytest.raises(NotNormalizedError, match="state has metric norm"):
+            evaluate_all(SIGMA_X, SIGMA_Z, psi)
+    with pytest.raises(NotNormalizedError, match="norm\\^2 = nan"):
+        evaluate_all(SIGMA_X, SIGMA_Z, [1e200, 0.5e200],
+                     metric_from_matrix([[2, -1.9], [-1.9, 2]]), Formalism.GMETRIC)
+    with pytest.raises(NotNormalizedError, match="auxiliary state"):
+        evaluate_all(SIGMA_X, SIGMA_Z, E0, psi_perp=[0, 1e200])
+    # in a batch only that point fails, and the other keeps its values
+    batch = relation_batch(SIGMA_X, SIGMA_Z, np.array([[1e200, 0], E0]),
+                           np.eye(2), Formalism.PLAIN, tol=1e-9)
+    assert isinstance(batch.errors[0], NotNormalizedError) and batch.errors[1] is None
+    ev = evaluate_all(SIGMA_X, SIGMA_Z, E0)
+    assert batch.gap[:, 1].tolist() == [e.gap for e in ev]
