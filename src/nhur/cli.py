@@ -187,9 +187,12 @@ def _parse_complex(node, count: int, where: str) -> np.ndarray:
     leaves = arr.reshape(-1)
     odd = set(map(type, leaves)) - {int, float}  # JSON numbers; bool is odd
     if odd or arr.shape[-1:] != (2,):
-        # name the first leaf that is no number, else the first entry that
-        # is no pair; a bare number or an empty field names itself
-        got = (next(x for x in leaves if type(x) in odd) if odd else
+        # name the first leaf that is no number, or in an irregular nesting
+        # (a leaf is a list) the first that is no pair of numbers, else the
+        # first entry that is no pair; a bare number or empty field names itself
+        got = (next(x for x in leaves if type(x) is not list or len(x) != 2
+                    or set(map(type, x)) - {int, float}) if list in odd else
+               next(x for x in leaves if type(x) in odd) if odd else
                arr.reshape(-1, arr.shape[-1])[0].tolist() if arr.ndim and arr.size
                else node)
         raise ProblemParseError(f"{where}: expected [re, im] pairs, got {got!r}")

@@ -73,6 +73,15 @@ def _well_conditioned(smallest, largest) -> bool:
     return smallest > EPS_PD * largest
 
 
+def _stable_inverse(m: np.ndarray, what: str) -> np.ndarray:
+    """m^-1, or SingularFrameError unless m's singular values `_well_conditioned`."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    if not _well_conditioned(sv[-1], sv[0]):
+        raise SingularFrameError(f"{what} is numerically singular "
+                                 f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})")
+    return np.linalg.inv(m)
+
+
 def commutator(a, b) -> np.ndarray:
     a = as_operator(a)
     b = as_operator(b, dim=a.shape[0])
@@ -114,12 +123,6 @@ class EigenSystem:
         """
         right = as_operator(right, name="right eigenvector frame")
         values = as_state(values, dim=right.shape[0], name="eigenvalues")
-        sv = np.linalg.svd(right, compute_uv=False)
-        if not _well_conditioned(sv[-1], sv[0]):
-            raise SingularFrameError(
-                "right eigenvector frame is numerically singular "
-                f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})"
-            )
-        left = np.linalg.inv(right)
+        left = _stable_inverse(right, "right eigenvector frame")
         return cls(values=values, right=right, left=left)
 

@@ -13,14 +13,15 @@ states.av_orthogonal_state, and for a whole grid in
 relations.relation_batch; centering first makes the rounding scale with
 the variance rather than with <X^dag G X>.
 
-Every rounding allowance on a product <u|v> is `_limit`,
-eps * max(1, |u| |v|), and `_beyond` applies each, computing the limit
-only where the absolute eps trips: a norm^2 <v|G v> within EPS_NORM of 1
-and finite (`_norm_check`), a variance or norm^2 real and nonnegative
-within EPS_VAR (`_exceeds`), and an overlap <v|G psi> within EPS_ORTH
-(`_overlap_beyond`, with `_overlap_limit` for its error text).
-The good-observable gate (`_good`) and the eigenstate rule (`_vanishes`)
-live here too; no other module reads the tolerances of these rules.
+Each rule that can fail a point is one function returning (mask, error
+of point i), and only it words that failure: a norm^2 <v|G v> within
+EPS_NORM of 1 and finite (`_norm_check`), a variance or norm^2 real and
+nonnegative within EPS_VAR (`_real_check`), an overlap <v|G psi> within
+EPS_ORTH (`_overlap_check`), and the good-observable gate (`_good_gate`).
+Each limit on a product <u|v> is `_limit`, eps * max(1, |u| |v|), which
+`_beyond` computes only where the absolute eps trips.  The eigenstate
+rule (`_vanishes`) takes its scale from the caller's operands.  No other
+module reads the tolerances of these rules.
 """
 
 from dataclasses import dataclass
@@ -32,9 +33,9 @@ from .errors import (
     MetricValidationError,
     NotGoodObservableError,
     NotNormalizedError,
-    SingularFrameError,
 )
-from .linalg import EigenSystem, _vdot, _well_conditioned, as_operator, as_state
+from .linalg import (EigenSystem, _stable_inverse, _vdot, _well_conditioned,
+                     as_operator, as_state)
 from .tolerances import EPS_DEGEN, EPS_GOOD, EPS_HERM, EPS_NORM, EPS_ORTH, EPS_VAR
 
 
@@ -150,16 +151,11 @@ def metric_from_right_eigenvectors(sys: EigenSystem, hamiltonian=None) -> Metric
     """
     right = as_operator(sys.right, name="right eigenvector frame")
     frame_sum = right @ right.conj().T
-    sv = np.linalg.svd(frame_sum, compute_uv=False)
-    if not _well_conditioned(sv[-1], sv[0]):
-        raise SingularFrameError(
-            "eigenvector frame sum is not invertible "
-            f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})"
-        )
+    inverse = _stable_inverse(frame_sum, "eigenvector frame sum")
     # Hermitian by construction: validate that part, as the inverse's own
     # asymmetry, about eps cond(S), can exceed EPS_HERM on an accepted frame
-    return _checked(_hermitian(np.linalg.inv(frame_sum)), hamiltonian,
-                    "eigenframe", "eigenframe-derived metric failed validation")
+    return _checked(_hermitian(inverse), hamiltonian, "eigenframe",
+                    "eigenframe-derived metric failed validation")
 
 
 @dataclass(frozen=True)
@@ -232,16 +228,17 @@ def require_normalized(psi, metric: Metric, name: str = "state") -> np.ndarray:
 
 def _norm_check(name: str, nsq, v: np.ndarray, gv: np.ndarray) -> tuple:
     """The one normalization rule, batched: where nsq = <v|G v> is off 1
-    beyond _limit(EPS_NORM, v, G v) or is not finite, and the error of
-    point i."""
-    bad = _beyond(np.abs(nsq - 1.0), EPS_NORM, v, gv, finite=True)
-    return bad, lambda i: NotNormalizedError(
-        f"{name} has metric norm^2 = {nsq[i].real:.12g} "
-        f"(must be 1 within {float(_limit(EPS_NORM, v[i], gv[i])):.3g})")
+    beyond _limit(EPS_NORM, v, G v) or not finite, and the error of point i."""
+    excess = np.abs(nsq - 1.0)
+    finite = np.isfinite(excess)
+    return _beyond(excess, EPS_NORM, v, gv) | ~finite, lambda i: NotNormalizedError(
+        f"{name} has metric norm^2 = {nsq[i].real:.12g} (must be 1"
+        + (f" within {float(_limit(EPS_NORM, v[i], gv[i])):.3g}" if finite[i] else "")
+        + ")")
 
 
-def _vanishes(length, scale=1.0):
-    """The eigenstate rule, batched in length: length <= EPS_DEGEN * scale."""
+def _vanishes(length, scale):
+    """The eigenstate rule, batched: length <= EPS_DEGEN * its operands' scale."""
     return length <= EPS_DEGEN * scale
 
 
@@ -250,12 +247,13 @@ def _vanishes(length, scale=1.0):
 
 def _centered(w: np.ndarray, gw: np.ndarray, psi: np.ndarray,
               gpsi: np.ndarray) -> tuple:
-    """(d, G d) with d = (X - <X>_G) psi, from w = X psi and the G images
-    of w and psi; batched over leading axes.  G d = G w - <X>_G G psi by
-    linearity, so centering costs no matrix product.  Var_G(X) = <d|G d>
-    and Cov_G(A, B) = <d_A|G d_B>."""
+    """(d, G d, <X>_G) with d = (X - <X>_G) psi, from w = X psi and the G
+    images of w and psi; batched over leading axes, the mean keeping a
+    last axis of 1.  G d = G w - <X>_G G psi by linearity, so centering
+    costs no matrix product.  Var_G(X) = <d|G d>, Cov_G(A, B) = <d_A|G d_B>
+    and |X psi|_G^2 = Var_G(X) + |<X>_G|^2."""
     mean = _vdot(psi, gw)[..., None]
-    return w - mean * psi, gw - mean * gpsi
+    return w - mean * psi, gw - mean * gpsi, mean
 
 
 def _limit(eps: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -264,46 +262,39 @@ def _limit(eps: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return eps * np.maximum(1.0, np.sqrt(_vdot(u, u).real) * np.sqrt(_vdot(v, v).real))
 
 
-def _overlap_limit(v: np.ndarray, gpsi: np.ndarray) -> np.ndarray:
-    """The overlap allowed in <v|G psi>: only this module reads EPS_ORTH."""
-    return _limit(EPS_ORTH, v, gpsi)
+def _overlap_check(what: str, overlap, v: np.ndarray, gpsi: np.ndarray, error) -> tuple:
+    """The one orthogonality rule, batched: where overlap = |<v|G psi>|
+    passes _limit(EPS_ORTH, v, G psi), and the `error` (a class) of point i."""
+    return _beyond(overlap, EPS_ORTH, v, gpsi), lambda i: error(
+        f"{what} has metric overlap {overlap[i]:.3e} with the state "
+        f"(limit {_limit(EPS_ORTH, v[i], gpsi[i]):.3g})")
 
 
-def _overlap_beyond(overlap, v: np.ndarray, gpsi: np.ndarray):
-    """Where overlap = |<v|G psi>| passes `_overlap_limit`, by `_beyond`."""
-    return _beyond(overlap, EPS_ORTH, v, gpsi)
-
-
-def _beyond(excess, eps: float, u: np.ndarray, v: np.ndarray,
-            finite: bool = False):
+def _beyond(excess, eps: float, u: np.ndarray, v: np.ndarray):
     """Where excess passes _limit(eps, u, v), computed only where the
-    absolute eps, never larger, trips.  With finite, an excess that is not
-    finite, NaN included, passes too: its _limit overflowed with it."""
-    bad = np.logical_not(excess <= eps) if finite else excess > eps
+    absolute eps, never larger, trips; a NaN excess passes nothing."""
+    bad = excess > eps
     if np.count_nonzero(bad):
-        past = excess > _limit(eps, u, v)
-        bad = bad & (past | ~np.isfinite(excess) if finite else past)
+        bad = bad & (excess > _limit(eps, u, v))
     return bad
 
 
-def _exceeds(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Where x = <u|v>, real and nonnegative by construction (a variance or
-    a norm^2), has an excess max(|Im x|, -Re x) beyond _limit(EPS_VAR, u, v)."""
-    return _beyond(np.maximum(np.abs(x.imag), -x.real), EPS_VAR, u, v)
-
-
-def _variance_error(val: complex, d: np.ndarray, gd: np.ndarray):
-    """The error for a variance val = <d|G d> that `_exceeds` flagged."""
-    limit = float(_limit(EPS_VAR, d, gd))
-    return InternalInconsistencyError(
-        f"variance {val:.3e} is not real and nonnegative within {limit:.3g}")
+def _real_check(what: str, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple:
+    """The one rule for x = <u|v>, real and nonnegative by construction (a
+    variance or a norm^2), batched: where its excess max(|Im x|, -Re x)
+    passes _limit(EPS_VAR, u, v), and the error of point i."""
+    excess = np.maximum(np.abs(x.imag), -x.real)
+    return _beyond(excess, EPS_VAR, u, v), lambda i: InternalInconsistencyError(
+        f"{what} {complex(x[i]):.3e} is not real and nonnegative within "
+        f"{float(_limit(EPS_VAR, u[i], v[i])):.3g}")
 
 
 def _variance(d: np.ndarray, gd: np.ndarray) -> float:
     """Var_G(X) of one state from its d and G d, checked and clamped at 0."""
     raw = _vdot(d, gd)
-    if _exceeds(raw, d, gd):
-        raise _variance_error(complex(raw), d, gd)
+    bad, error = _real_check("variance", raw, d, gd)
+    if bad:
+        raise error(())
     return max(float(raw.real), 0.0)
 
 
@@ -319,7 +310,8 @@ def g_variance(x, psi, metric: Metric) -> float:
     x = as_operator(x, dim=metric.dim, name="observable")
     psi = require_normalized(psi, metric)
     w = x @ psi
-    return _variance(*_centered(w, metric.g @ w, psi, metric.g @ psi))
+    d, gd, _ = _centered(w, metric.g @ w, psi, metric.g @ psi)
+    return _variance(d, gd)
 
 
 def g_covariance(a, b, psi, metric: Metric) -> complex:
@@ -329,5 +321,5 @@ def g_covariance(a, b, psi, metric: Metric) -> complex:
     psi = require_normalized(psi, metric)
     g = metric.g
     w = np.array([a @ psi, b @ psi])
-    (da, _), (_, gdb) = _centered(w, w @ g.T, psi, g @ psi)
-    return complex(_vdot(da, gdb))
+    d, gd, _ = _centered(w, w @ g.T, psi, g @ psi)
+    return complex(_vdot(d[0], gd[1]))

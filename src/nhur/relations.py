@@ -42,8 +42,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, NotOrthogonalError
 from .linalg import _mv, _vdot, as_operator, as_state
-from .metric import (Metric, _centered, _exceeds, _good_gate, _norm_check,
-                     _overlap_beyond, _overlap_limit, _vanishes, _variance_error)
+from .metric import (Metric, _centered, _good_gate, _norm_check, _overlap_check,
+                     _real_check, _vanishes)
 from .tolerances import ur_tolerance
 
 
@@ -66,8 +66,8 @@ class UrEvaluation:
     sign_branch records which branch achieved the reported bound for the
     relations that have one; a tie goes to "plus", so ur3 with the
     default auxiliary state, where both branches equal lhs, reports
-    "plus".  degenerate marks ur4 evaluations where at least one branch
-    hit an eigenstate of A+B or A-B and contributed 0.
+    "plus".  degenerate marks ur4 evaluations where a branch hit an eigenstate
+    of A+-B, sd <= EPS_DEGEN (|A psi|_G + |B psi|_G), and contributed 0.
     """
 
     relation: str
@@ -165,15 +165,14 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
     v, gv = _dropped(off, v, gv)
     psi, gpsi = v[0], gv[0]
 
-    d, gd = _centered(v[1:], gv[1:], psi, gpsi)
+    d, gd, mean = _centered(v[1:], gv[1:], psi, gpsi)
     u, gu = (_COMBOS @ np.array([d, gd]).reshape(2, 2, -1)).reshape(2, 7, *psi.shape)
     stats = _vdot(u, gu)
     raw, cov = stats[:6], stats[6]
     var = np.maximum(raw.real, 0.0)
-    unreal = _exceeds(raw[:4], u[:4], gu[:4])
-    var_checks = [(guards, unreal[k], lambda i, k=k: _variance_error(
-        complex(raw[k, i]), u[k, i], gu[k, i]))
-        for k, guards in enumerate((_ALL, _ALL, {3}, {3}))]
+    unreal, error = _real_check("variance", raw[:4], u[:4], gu[:4])
+    var_checks = [(guards, unreal[k], lambda i, k=k: error((k, i)))
+                  for k, guards in enumerate((_ALL, _ALL, {3}, {3}))]
     checks += var_checks[:2]
     lhs = var[0] + var[1]
     rhs1 = 2.0 * cov.imag
@@ -185,12 +184,10 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
         off, error = _norm_check("auxiliary state", _vdot(psi_perp, gperp),
                                  psi_perp, gperp)
         psi_perp, gperp = _dropped(off, psi_perp, gperp)
-        overlap = np.abs(_vdot(psi_perp, gpsi))
         checks += [({2}, off, error),
-                   ({2}, _overlap_beyond(overlap, psi_perp, gpsi),
-                    lambda i: NotOrthogonalError(
-                        f"auxiliary state has metric overlap {overlap[i]:.3e} with "
-                        f"the state (limit {_overlap_limit(psi_perp[i], gpsi[i]):.3g})"))]
+                   ({2}, *_overlap_check("auxiliary state",
+                                         np.abs(_vdot(psi_perp, gpsi)),
+                                         psi_perp, gpsi, NotOrthogonalError))]
         # each branch's gap is the G-norm of d_A +- i d_B less its part along
         # perp; as perp is orthogonal to psi, e is <perp|G(A +- iB)|psi>
         w, gw = u[4:6], gu[4:6]
@@ -201,18 +198,21 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
         rhs3, gap3 = np.where(minus3, [rhs3[1], gap3[1]], [rhs3[0], gap3[0]])
     checks += var_checks[2:]
 
-    # an eigenstate of A +- B: that branch bound is trivially zero
-    flat = _vanishes(np.sqrt(var[2:4]))
+    # an eigenstate of A +- B on the scale |A psi|_G + |B psi|_G: that bound is 0
+    sd = np.sqrt(var[:4])
+    norm = np.hypot(sd[:2], np.abs(mean[..., 0]))
+    flat = _vanishes(sd[2:], norm[0] + norm[1])
     halves = np.where(flat, 0.0, 0.5 * var[2:4])
-    values = np.array([lhs, rhs1, 2.0 * cov.real, rhs3, halves.max(0),
-                       var[4], var[3], gap3, halves.min(0)])
+    values = np.array([lhs, rhs1, 2.0 * cov.real, rhs3,
+                       np.maximum(halves[0], halves[1]), var[4], var[3], gap3,
+                       np.minimum(halves[0], halves[1])])
     lhs, rhs, gap = values[0], values[1:5], values[5:]
     minus = np.array([minus3, halves[1] > halves[0]])
     degenerate = flat[0] | flat[1]
     # last, so any earlier error stands: an overflow is not a verdict; the
     # row joins the table only when a value overflowed
     finite = np.isfinite(values)
-    if not finite.all():
+    if np.count_nonzero(finite) < finite.size:
         checks.append((_ALL, ~finite.all(0), lambda i: NonFiniteError(
             f"relation values overflow double precision (lhs = {lhs[i]:.3g})")))
     errors = [None] * n

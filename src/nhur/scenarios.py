@@ -317,13 +317,12 @@ def sweep(builder, param_range, points: int,
 
 
 def example1_sweep(cfg: Example1Config | None = None, points: int = 721,
-                   formalism: Formalism = Formalism.PLAIN,
                    *, ur_tol: float | None = None) -> Sweep:
-    """Sweep theta0 over [0, pi]."""
+    """Sweep theta0 over [0, pi] under the Dirac product."""
     base = (cfg or Example1Config()).validated()
     grid = _grid((0.0, math.pi), points)
     a, b, psi = _example1_arrays(base, grid)
-    batch = relation_batch(a, b, psi, identity_metric(2).g, formalism,
+    batch = relation_batch(a, b, psi, identity_metric(2).g, Formalism.PLAIN,
                            tol=_resolve_tol(ur_tol))
     return Sweep(**vars(batch), param=grid)
 

@@ -20,8 +20,8 @@ from .errors import (
     NegativeNormError,
     ZeroVectorError,
 )
-from .metric import (Metric, _centered, _exceeds, _norm_check, _overlap_beyond,
-                     _overlap_limit, _vanishes, _variance, require_normalized)
+from .metric import (Metric, _centered, _norm_check, _overlap_check, _real_check,
+                     _vanishes, _variance, require_normalized)
 from .linalg import _mv, _vdot, as_operator, as_state
 from .tolerances import EPS_MACH
 
@@ -51,18 +51,17 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 def _unit(v: np.ndarray, g: np.ndarray, zero: np.ndarray, what: str):
     """G-normalize the (N, d) rows of v: the states and N errors, each None,
     or ZeroVectorError where zero marks the row, or the error of a norm^2
-    not positive, or not real within `_exceeds`; a failed row is unusable."""
+    not positive, or not real by `_real_check`; a failed row is unusable."""
     gv = _mv(g, v)
     nsq = _vdot(v, gv)
-    leak = _exceeds(nsq, v, gv)
+    leak, leak_error = _real_check(f"{what} norm^2", nsq, v, gv)
     bad = zero | leak | (nsq.real <= 0.0)
     errors = [None] * len(v)
     for i in np.flatnonzero(bad) if bad.any() else ():
         if zero[i]:
             errors[i] = ZeroVectorError(f"{what} cancels to the zero vector")
         elif nsq[i].real > 0.0:
-            errors[i] = InternalInconsistencyError(
-                f"{what} norm^2 has imaginary part {nsq[i].imag:.3e}")
+            errors[i] = leak_error(i)
         else:
             errors[i] = NegativeNormError(
                 f"{what} has non-positive metric norm^2 = {nsq[i].real:.6g}; "
@@ -83,7 +82,8 @@ def _normalized(v: np.ndarray, g: np.ndarray, what: str) -> np.ndarray:
     bit for bit; else v G-normalized by `_unit`, or its error raised.  v is
     first scaled by a power of two to a largest part in [0.5, 1), which is
     exact and keeps a tiny or huge v's norm^2 from under- or overflowing."""
-    gv = g @ v
+    with np.errstate(over="ignore", invalid="ignore"):  # then v fails the check
+        gv = g @ v
     if not _norm_check(what, np.vdot(v, gv), v, gv)[0]:
         return v
     parts = np.ascontiguousarray(v).view(float)
@@ -118,12 +118,12 @@ def _superpose(basis: np.ndarray, weights: np.ndarray, g: np.ndarray):
 
 
 def _overlap(v: np.ndarray, gpsi: np.ndarray, what: str) -> float:
-    """|<v|G psi>|, checked by `_overlap_beyond`."""
-    residual = abs(complex(np.vdot(v, gpsi)))
-    if _overlap_beyond(residual, v, gpsi):
-        raise InternalInconsistencyError(f"{what} overlap {residual:.3e} "
-                                         f"exceeds {_overlap_limit(v, gpsi):.3g}")
-    return residual
+    """|<v|G psi>|, checked by `_overlap_check`."""
+    residual = np.abs(np.vdot(v, gpsi))
+    bad, error = _overlap_check(what, residual, v, gpsi, InternalInconsistencyError)
+    if bad:
+        raise error(())
+    return float(residual)
 
 
 def g_orthogonal_complement_2d(psi, metric: Metric) -> np.ndarray:
@@ -167,15 +167,15 @@ def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
     The returned pair satisfies the reconstruction above with the
     metric-weighted expectation and standard deviation.  Raises
     DegenerateEigenstateError when psi is an eigenstate of x (DX within
-    EPS_DEGEN, `metric._vanishes`), where the direction is undefined.
+    EPS_DEGEN |x|_F, `metric._vanishes`), where the direction is undefined.
     """
     x = as_operator(x, dim=metric.dim, name="operator")
     psi = require_normalized(psi, metric)
     g = metric.g
     w, gpsi = x @ psi, g @ psi
-    d, gd = _centered(w, g @ w, psi, gpsi)
+    d, gd, _ = _centered(w, g @ w, psi, gpsi)
     sd = float(np.sqrt(_variance(d, gd)))
-    if _vanishes(sd):
+    if _vanishes(sd, np.linalg.norm(x)):
         raise DegenerateEigenstateError(
             f"state is an eigenstate of the operator (sd = {sd:.3e}); "
             "the orthogonal direction is undefined"

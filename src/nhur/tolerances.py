@@ -26,7 +26,7 @@ EPS_PD = 1e-10
 EPS_GOOD = 1e-9
 
 # Imaginary or negative part of a variance or norm^2 <u|v>, which is real and
-# nonnegative by construction, relative: metric._exceeds.
+# nonnegative by construction, relative: metric._real_check.
 EPS_VAR = 1e-9
 
 # Deviation of a state's norm^2 <v|G v> from one, relative; a norm^2 that
@@ -34,12 +34,12 @@ EPS_VAR = 1e-9
 EPS_NORM = 1e-8
 
 # Overlap <perp|G psi> of every auxiliary state, constructed or supplied,
-# relative: metric._overlap_beyond.
+# relative: metric._overlap_check.
 EPS_ORTH = 1e-10
 
-# Length that vanishes, EPS_DEGEN * scale: metric._vanishes.  For a standard
-# deviation the scale is 1, and psi is then an eigenstate; for a projection
-# it is the length of the projected vector.
+# Length that vanishes, EPS_DEGEN * scale: metric._vanishes.  The scale is
+# |A psi|_G + |B psi|_G for the sd of A +- B, |X|_F for that of X, and the
+# projected vector's length for a projection.
 EPS_DEGEN = 1e-9
 
 # Slack granted when deciding whether an uncertainty bound holds:

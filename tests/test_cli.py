@@ -219,12 +219,13 @@ BIG = 10 ** 400  # 401 digits, beyond double range
     ("psi", [[1.5, True], [0, 0]], "expected [re, im] pairs, got True"),
     ("A", [[[0, 0], [1, 0]], [[1, 0]]],
      "expected [re, im] pairs, got [[0, 0], [1, 0]]"),
+    ("A", [[1, 2], 5], "expected [re, im] pairs, got 5"),
     ("psi", [[1, 0, 0], [0, 0, 0]], "expected [re, im] pairs, got [1, 0, 0]"),
     ("psi", [], "expected [re, im] pairs, got []"),
     ("psi", [[1, 0]], "expected 2 complex entries, got 1"),
     ("psi", [[1, 0], [BIG, 0]], f"non-finite entry [{BIG}, 0]"),
     ("G", [[[BIG, 0], [0, 0]], [[0, 0], [1, 0]]], f"non-finite entry [{BIG}, 0]"),
-], ids=["true", "string", "null", "bool-in-pair", "ragged-row", "3-wide",
+], ids=["true", "string", "null", "bool-in-pair", "ragged-row", "pair-and-number", "3-wide",
         "empty", "count", "big-int-psi", "big-int-G"])
 def test_check_rejects_malformed_field(tmp_path, capsys, field, value, message):
     payload = dict(PROBLEM, **{field: value})
@@ -416,6 +417,24 @@ def test_check_accepts_orthogonal_override(tmp_path):
     # bound is unchanged
     ur3 = [r["evaluations"][2] for r in reports]
     npt.assert_allclose(ur3[0]["rhs"], ur3[1]["rhs"], atol=1e-12)
+
+
+def test_check_rescales_a_state_whose_metric_image_overflows(tmp_path, capsys):
+    # G psi overflows before the power-of-two rescale: that fails the
+    # normalization check, and the rescaled state evaluates as [1, 1] does
+    reports = []
+    for x in (1, 1.7e308):
+        inp = tmp_path / "problem.json"
+        rep = tmp_path / "report.json"
+        _write_problem(inp, dict(PROBLEM, psi=[[x, 0], [x, 0]], formalism="gmetric",
+                                 G=[[[3, 0], [1, 0]], [[1, 0], [2, 0]]]))
+        assert main(["check", "--input", str(inp), "--out", str(rep)]) == 0
+        assert capsys.readouterr().err == ""
+        reports.append(json.loads(rep.read_text())["evaluations"])
+    for unit, huge in zip(*reports):
+        for key in ("lhs", "rhs", "gap"):
+            npt.assert_allclose(huge[key], unit[key], rtol=1e-14, atol=1e-15)
+        assert huge["holds"] == unit["holds"]
 
 
 def test_check_rescales_off_normalization_state(tmp_path):

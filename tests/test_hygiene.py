@@ -93,7 +93,7 @@ def reads_name(source: str, name: str) -> bool:
 
 
 def test_only_metric_applies_the_overlap_tolerance():
-    # every orthogonality check goes through metric._overlap_beyond, so a
+    # every orthogonality check goes through metric._overlap_check, so a
     # second module reading EPS_ORTH would be a second overlap rule
     assert reads_name("from .tolerances import EPS_NORM, EPS_ORTH\n", "EPS_ORTH")
     assert reads_name("from . import tolerances\nx = tolerances.EPS_ORTH\n", "EPS_ORTH")
@@ -105,14 +105,46 @@ def test_only_metric_applies_the_overlap_tolerance():
 
 def test_only_metric_applies_the_variance_tolerance():
     # every check of a product that is real by construction (a variance, a
-    # norm^2) goes through metric._exceeds, so a second reader of EPS_VAR
+    # norm^2) goes through metric._real_check, so a second reader of EPS_VAR
     # would be a second variance-limit rule
     assert reads_name("from .tolerances import EPS_DEGEN, EPS_VAR\n", "EPS_VAR")
     assert reads_name("import nhur.tolerances as t\nt.EPS_VAR\n", "EPS_VAR")
-    assert not reads_name("from .metric import _exceeds\n", "EPS_VAR")
+    assert not reads_name("from .metric import _real_check\n", "EPS_VAR")
     readers = sorted(p.name for p in (ROOT / "src" / "nhur").glob("*.py")
                      if reads_name(p.read_text(encoding="utf-8"), "EPS_VAR"))
     assert readers == ["metric.py"]
+
+
+def constructs(source: str, name: str) -> bool:
+    """Whether the module calls `name`, bare or as an attribute."""
+    return any(isinstance(node, ast.Call)
+               and (getattr(node.func, "id", None) == name
+                    or getattr(node.func, "attr", None) == name)
+               for node in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("error, home", [("NotOrthogonalError", "metric.py"),
+                                         ("SingularFrameError", "linalg.py")])
+def test_each_rule_error_is_worded_in_its_rules_module(error, home):
+    # the overlap rule words its failure in metric, the conditioning rule
+    # in linalg; a caller passes the class or calls the rule, so a second
+    # module building the error would be a second wording of the rule
+    assert constructs(f"raise errors.{error}('x')\n", error)
+    assert constructs(f"bad = lambda i: {error}(f'{{i}}')\n", error)
+    assert not constructs(f"check(mask, {error})\n", error)
+    builders = sorted(p.name for p in (ROOT / "src" / "nhur").glob("*.py")
+                      if constructs(p.read_text(encoding="utf-8"), error))
+    assert set(builders) <= {home}
+
+
+def test_only_metric_applies_a_limit():
+    # a rule's limit is applied by _beyond inside that rule's function; a
+    # module importing either could phrase a failure of its own
+    for path in (ROOT / "src" / "nhur").glob("*.py"):
+        if path.name != "metric.py":
+            names = {name for _, name in
+                     private_imports(path.read_text(encoding="utf-8"), "nhur.metric")}
+            assert not names & {"_limit", "_beyond"}, path.name
 
 
 def tolerance_names(source: str) -> list:

@@ -433,9 +433,11 @@ def test_ur4_tie_reports_plus(rng):
         zero = np.zeros((dim, dim))
         ev = ur4(zero, zero, psi)
         assert (ev.sign_branch, ev.rhs, ev.degenerate) == ("plus", 0.0, True)
-        # sd of A +- B near 1e-12, far below EPS_DEGEN, but not zero
-        tiny = 1e-12 * random_operator(rng, dim)
-        ev = ur4(tiny, 0.5 * tiny.conj().T, psi)
+        # a near-joint eigenstate at unit scale: sd of A +- B near 1e-12,
+        # far below EPS_DEGEN (|A psi| + |B psi|), but not zero
+        eye = np.eye(dim)
+        a = eye + 1e-12 * random_operator(rng, dim)
+        ev = ur4(a, 2.0 * eye + 1e-12 * random_operator(rng, dim), psi)
         assert (ev.sign_branch, ev.rhs, ev.degenerate) == ("plus", 0.0, True)
 
 
@@ -496,7 +498,7 @@ def test_global_phase_changes_nothing(problem, phi):
 
 
 @settings(max_examples=60, deadline=None)
-@given(problems(), st.floats(1e-3, 1e3))
+@given(problems(), st.floats(1e-12, 1e12))
 def test_scaling_scales_every_value_by_c_squared(problem, c):
     a, b, psi, metric, formalism, perp = problem
     base = evaluate_all(a, b, psi, metric, formalism, psi_perp=perp)
@@ -522,6 +524,22 @@ def test_verdicts_do_not_depend_on_units(c):
                                       psi_perp=perp)
                 assert [(ev.holds, ev.degenerate) for ev in scaled] == [
                     (ev.holds, ev.degenerate) for ev in base]
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-9, 1e12])
+def test_ur4_does_not_depend_on_units(c):
+    # the eigenstate rule takes its scale from |A psi|_G + |B psi|_G, so no
+    # branch turns flat as the operators shrink, and none stays flat as
+    # they grow
+    rng = np.random.default_rng(33)
+    for _ in range(100):
+        a, b = (rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
+                for _ in "ab")
+        psi = random_state(rng, identity_metric(2))
+        base, scaled = ur4(a, b, psi), ur4(c * a, c * b, psi)
+        assert scaled.degenerate == base.degenerate
+        npt.assert_allclose([scaled.rhs, scaled.gap],
+                            [c * c * base.rhs, c * c * base.gap], rtol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)

@@ -163,6 +163,24 @@ def test_av_state_rejects_eigenstate():
         av_orthogonal_state(np.array(SIGMA_Z), E0, identity_metric(2))
 
 
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_av_eigenstate_rule_does_not_depend_on_units(c):
+    # psi the eigenvector of M for lambda0 lies in the numerical null space
+    # of X = c (M - lambda0 I), where |X psi|_G is itself rounding noise;
+    # on the scale |X|_F such psi raise in any units, and random psi do not
+    rng = np.random.default_rng(11)
+    for metric in (identity_metric(2), metric_gs(0.6)):
+        g = np.asarray(metric.g)
+        for _ in range(40):
+            m = random_operator(rng, 2)
+            lam, vecs = np.linalg.eig(m)
+            x = c * (m - lam[0] * np.eye(2))
+            psi = vecs[:, 0] / np.sqrt(np.vdot(vecs[:, 0], g @ vecs[:, 0]).real)
+            with pytest.raises(DegenerateEigenstateError):
+                av_orthogonal_state(x, psi, metric)
+            av_orthogonal_state(x, random_state(rng, metric), metric)
+
+
 def test_av_state_example1_combination():
     cfg = Example1Config(theta0=math.pi / 8)
     a, b, psi, metric = build_example1(cfg)

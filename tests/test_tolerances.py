@@ -20,6 +20,7 @@ from nhur import (
     EigenSystem,
     Example2Config,
     Formalism,
+    InternalInconsistencyError,
     MetricValidationError,
     NotGoodObservableError,
     NonFiniteError,
@@ -43,7 +44,7 @@ from nhur import (
 )
 from nhur.cli import main
 from nhur.relations import relation_batch
-from nhur.states import _normalized
+from nhur.states import _normalized, _one, _overlap, _unit
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -154,7 +155,8 @@ def test_one_conditioning_rule(monkeypatch):
             if ratio > eps:
                 build()
             else:
-                with pytest.raises(SingularFrameError):
+                with pytest.raises(SingularFrameError,
+                                   match="frame( sum)? is numerically singular"):
                     build()
 
 
@@ -258,6 +260,49 @@ def test_perp_overlap_limit_is_relative():
         evaluate_all(*args, psi_perp=bad)
     assert str(caught.value) == (f"auxiliary state has metric overlap {overlap:.3e} "
                                  f"with the state (limit {limit:.3g})")
+
+
+def test_a_norm_that_is_not_finite_fails_and_names_no_limit():
+    # the truth table of the normalization rule in its excess |nsq - 1|:
+    # a finite excess fails past its limit, an inf or NaN one always,
+    # whether its limit overflowed with it (the last two states) or not
+    v = np.array([[1.0, 0.0]] * 5 + [[1e200, 0.0]] * 2, dtype=complex)
+    nsq = np.array([1.0, 1.0 + 2e-8, 4.0, math.inf, math.nan, math.inf, math.nan])
+    bad, error = nhur.metric._norm_check("state", nsq + 0j, v, v)
+    assert bad.tolist() == [False, True, True, True, True, True, True]
+    assert str(error(2)) == "state has metric norm^2 = 4 (must be 1 within 1e-08)"
+    for i, text in ((3, "inf"), (4, "nan"), (5, "inf"), (6, "nan")):
+        assert str(error(i)) == f"state has metric norm^2 = {text} (must be 1)"
+    with pytest.raises(NotNormalizedError) as caught:
+        require_normalized([1e200, 0], identity_metric(2))
+    assert str(caught.value) == "state has metric norm^2 = inf (must be 1)"
+
+
+def test_each_rule_words_its_own_failure():
+    # the overlap rule words a supplied and a constructed state alike, in
+    # the class its caller names; the real-and-nonnegative rule words a
+    # variance and a leaking norm^2 alike
+    psi = np.array([0.6, 0.8j])
+    perp = np.array([0.8, -0.6j + 1e-6])  # overlap about 8e-7
+    with pytest.raises(NotOrthogonalError) as supplied:
+        evaluate_all(SIGMA_X, SIGMA_Z, psi, psi_perp=perp)
+    with pytest.raises(InternalInconsistencyError) as constructed:
+        _overlap(perp, psi, "complement")
+    assert str(supplied.value) == ("auxiliary state has metric overlap 8.000e-07 "
+                                   "with the state (limit 1e-10)")
+    assert str(constructed.value) == str(supplied.value).replace(
+        "auxiliary state", "complement")
+    # a norm^2 with an imaginary part: G is not Hermitian on purpose
+    g = np.array([[1.0, 1e-3j], [1e-3j, 1.0]])
+    with pytest.raises(InternalInconsistencyError) as leak:
+        _one(*_unit(np.array([[1.0, 1.0]]), g, np.zeros(1, dtype=bool),
+                    "superposition"))
+    assert str(leak.value) == ("superposition norm^2 2.000e+00+2.000e-03j is not "
+                               "real and nonnegative within 2e-09")
+    with pytest.raises(InternalInconsistencyError) as variance:
+        nhur.metric._variance(np.array([1.0, 1.0]), np.array([1.0, 1e-3j]))
+    assert str(variance.value) == ("variance 1.000e+00+1.000e-03j is not real "
+                                   "and nonnegative within 1.41e-09")
 
 
 def test_an_overflowed_state_is_not_normalized():
