@@ -188,10 +188,9 @@ def _parse_complex(node, count: int, where: str) -> np.ndarray:
     odd = set(map(type, leaves)) - {int, float}  # JSON numbers; bool is odd
     if odd or arr.shape[-1:] != (2,):
         # name the first leaf that is no number, or in an irregular nesting
-        # (a leaf is a list) the first that is no pair of numbers, else the
-        # first entry that is no pair; a bare number or empty field names itself
-        got = (next(x for x in leaves if type(x) is not list or len(x) != 2
-                    or set(map(type, x)) - {int, float}) if list in odd else
+        # (a leaf is a list) `_odd_leaf`, else the first entry that is no
+        # pair; a bare number or empty field names itself
+        got = (_odd_leaf(leaves.tolist()) if list in odd else
                next(x for x in leaves if type(x) in odd) if odd else
                arr.reshape(-1, arr.shape[-1])[0].tolist() if arr.ndim and arr.size
                else node)
@@ -210,6 +209,18 @@ def _parse_complex(node, count: int, where: str) -> np.ndarray:
         raise ProblemParseError(
             f"{where}: expected {count} complex entries, got {len(flt)}")
     return flt.view(complex).ravel()
+
+
+def _odd_leaf(leaves: list):
+    """In an irregular nesting, the first leaf that is no array of number
+    pairs, else the first shaped unlike most leaves (a short row)."""
+    subs = [np.array(x, dtype=object) for x in leaves]
+    shapes = [sub.shape if sub.shape[-1:] == (2,) and not
+              set(map(type, sub.reshape(-1))) - {int, float} else None for sub in subs]
+    if None in shapes:
+        return leaves[shapes.index(None)]
+    common = max(shapes, key=shapes.count)
+    return next(x for x, shape in zip(leaves, shapes) if shape != common)
 
 
 def parse_problem(payload: dict) -> dict:

@@ -19,12 +19,14 @@ EPS_NORM of 1 and finite (`_norm_check`), a variance or norm^2 real and
 nonnegative within EPS_VAR (`_real_check`), an overlap <v|G psi> within
 EPS_ORTH (`_overlap_check`), and the good-observable gate (`_good_gate`).
 Each limit on a product <u|v> is `_limit`, eps * max(1, |u| |v|), which
-`_beyond` computes only where the absolute eps trips.  The eigenstate
-rule (`_vanishes`) takes its scale from the caller's operands.  No other
-module reads the tolerances of these rules.
+a rule computes only where its absolute eps trips; the kernel calls the
+rules only where `_screen`, all absolute bounds in one comparison, trips.
+The eigenstate rule (`_vanishes`) takes its scale from the caller's
+operands.  No other module reads the tolerances of these rules.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,8 +36,8 @@ from .errors import (
     NotGoodObservableError,
     NotNormalizedError,
 )
-from .linalg import (EigenSystem, _stable_inverse, _vdot, _well_conditioned,
-                     as_operator, as_state)
+from .linalg import (EigenSystem, _const, _scaled, _stable_inverse,
+                     _well_conditioned, as_operator, as_state)
 from .tolerances import EPS_DEGEN, EPS_GOOD, EPS_HERM, EPS_NORM, EPS_ORTH, EPS_VAR
 
 
@@ -79,12 +81,6 @@ class Metric:
         return self.provenance == "identity"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 def validate_metric(g, hamiltonian=None) -> MetricReport:
     """Check Hermiticity and positive definiteness, both relative to G's
     scale (`linalg._well_conditioned`); never raises.
@@ -114,10 +110,11 @@ def _validation(g, hamiltonian) -> tuple:
     ), herm
 
 
+@lru_cache(maxsize=8)
 def identity_metric(dim: int = 2) -> Metric:
-    """The Dirac-product metric."""
+    """The Dirac-product metric; immutable, so one instance per dim serves."""
     report = MetricReport(hermitian=True, positive_definite=True, min_eigenvalue=1.0)
-    return Metric(g=_freeze(np.eye(dim)), provenance="identity", validation=report)
+    return Metric(g=_const(np.eye(dim)), provenance="identity", validation=report)
 
 
 def metric_from_matrix(g, hamiltonian=None) -> Metric:
@@ -133,7 +130,7 @@ def _checked(g, hamiltonian, provenance: str, failure: str) -> Metric:
         raise MetricValidationError(
             f"{failure} (hermitian={report.hermitian}, "
             f"min eigenvalue={report.min_eigenvalue:.6g})", report=report)
-    return Metric(g=_freeze(herm), provenance=provenance, validation=report)
+    return Metric(g=_const(herm), provenance=provenance, validation=report)
 
 
 def _hermitian(g: np.ndarray) -> np.ndarray:
@@ -177,7 +174,8 @@ class GoodObservableCheck:
 def is_good_observable(x, metric: Metric) -> GoodObservableCheck:
     """Test whether x plays the role of a Hermitian observable under G."""
     x = as_operator(x, dim=metric.dim, name="observable")
-    residual = float(_good_residual(x, metric.g))
+    with np.errstate(over="ignore", invalid="ignore"):  # then the residual is NaN
+        residual = float(_good_residual(x, metric.g))
     return GoodObservableCheck(
         is_good=_good(residual), residual=residual, threshold=EPS_GOOD
     )
@@ -188,32 +186,30 @@ def _good(residual):
     return residual <= EPS_GOOD
 
 
-def _good_gate(a, b, g: np.ndarray, n: int) -> tuple:
-    """The kernel's gate over n points: where A or B is not `_good` under
-    G, and the error of point i."""
-    res_a, res_b = _good_residual(a, g), _good_residual(b, g)
-    bad = np.broadcast_to(~(_good(res_a) & _good(res_b)), n)
-    return bad, lambda i: NotGoodObservableError(
+def _good_gate(res: np.ndarray, n: int) -> tuple:
+    """The kernel's gate over n points from the (2, ...) `_good_residual`s
+    of A and B: where either is not `_good`, and the error of point i."""
+    res = np.broadcast_to(res.reshape(2, -1), (2, n))
+    return ~_good(res).all(0), lambda i: NotGoodObservableError(
         "good-observable formalism requires both operators to satisfy "
-        f"X^dag G = G X; residuals a={np.broadcast_to(res_a, n)[i]:.3e}, "
-        f"b={np.broadcast_to(res_b, n)[i]:.3e} (threshold {EPS_GOOD:g})")
+        f"X^dag G = G X; residuals a={res[0, i]:.3e}, "
+        f"b={res[1, i]:.3e} (threshold {EPS_GOOD:g})")
 
 
 def _good_residual(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Batched ``|X^dag G - G X|_F / (|G|_F |X|_F)`` over leading axes;
     0 where the denominator vanishes, NaN where the numerator overflows
-    (inf / inf, which would warn).  G is Hermitian, so X^dag G is
-    (G X)^dag and one product serves."""
+    (inf / inf).  G is Hermitian, so X^dag G is (G X)^dag and one product
+    serves.  The caller ignores overflow and invalid warnings."""
     gx = g @ x
     raw = _frobenius(np.conj(np.swapaxes(gx, -1, -2)) - gx)
     denom = _frobenius(g) * _frobenius(x)
-    finite = raw < np.inf  # False at NaN too
-    return np.divide(raw, denom, out=np.where(finite, 0.0, np.nan),
-                     where=finite & (denom != 0.0))
+    return np.divide(raw, denom, out=np.zeros(raw.shape), where=denom != 0.0)
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("...ij,...ij->...", m.conj(), m).real)
+    flat = m.reshape(*m.shape[:-2], -1)
+    return np.sqrt(np.vecdot(flat, flat).real)
 
 
 def require_normalized(psi, metric: Metric, name: str = "state") -> np.ndarray:
@@ -228,13 +224,17 @@ def require_normalized(psi, metric: Metric, name: str = "state") -> np.ndarray:
 
 def _norm_check(name: str, nsq, v: np.ndarray, gv: np.ndarray) -> tuple:
     """The one normalization rule, batched: where nsq = <v|G v> is off 1
-    beyond _limit(EPS_NORM, v, G v) or not finite, and the error of point i."""
+    beyond _limit(EPS_NORM, v, G v) or not finite, and the error of point
+    i.  The limit and the finiteness test run only where the absolute
+    EPS_NORM, which NaN and inf also fail, trips."""
     excess = np.abs(nsq - 1.0)
-    finite = np.isfinite(excess)
-    return _beyond(excess, EPS_NORM, v, gv) | ~finite, lambda i: NotNormalizedError(
+    bad = ~(excess <= EPS_NORM)
+    if np.count_nonzero(bad):
+        bad = ~np.isfinite(excess) | (excess > _limit(EPS_NORM, v, gv))
+    return bad, lambda i: NotNormalizedError(
         f"{name} has metric norm^2 = {nsq[i].real:.12g} (must be 1"
-        + (f" within {float(_limit(EPS_NORM, v[i], gv[i])):.3g}" if finite[i] else "")
-        + ")")
+        + (f" within {float(_limit(EPS_NORM, v[i], gv[i])):.3g}"
+           if np.isfinite(excess[i]) else "") + ")")
 
 
 def _vanishes(length, scale):
@@ -245,21 +245,30 @@ def _vanishes(length, scale):
 # The one Var_G/Cov_G kernel, unchecked: callers are responsible for
 # shape, finiteness, and normalization.
 
-def _centered(w: np.ndarray, gw: np.ndarray, psi: np.ndarray,
-              gpsi: np.ndarray) -> tuple:
-    """(d, G d, <X>_G) with d = (X - <X>_G) psi, from w = X psi and the G
-    images of w and psi; batched over leading axes, the mean keeping a
-    last axis of 1.  G d = G w - <X>_G G psi by linearity, so centering
-    costs no matrix product.  Var_G(X) = <d|G d>, Cov_G(A, B) = <d_A|G d_B>
-    and |X psi|_G^2 = Var_G(X) + |<X>_G|^2."""
-    mean = _vdot(psi, gw)[..., None]
-    return w - mean * psi, gw - mean * gpsi, mean
+def _centered(v: np.ndarray, gv: np.ndarray) -> tuple:
+    """(d and G d stacked, <X>_G) with d = (X - <X>_G) psi for each row
+    X psi of v, row 0 being psi itself, from v and its G images gv; the
+    stack is (2, *v.shape) and the mean keeps a last axis of 1.  G d = G X
+    psi - <X>_G G psi by linearity, so centering costs no matrix product;
+    row 0's mean is <psi|G psi>, and its d about 0.  Var_G(X) = <d|G d>,
+    Cov_G(A, B) = <d_A|G d_B> and |X psi|_G^2 = Var_G(X) + |<X>_G|^2."""
+    x = np.array([v, gv])
+    mean = np.vecdot(v[0], gv)[..., None]
+    return x - mean * x[:, :1], mean
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _limit(eps: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """eps * max(1, |u| |v|), the rounding allowed in <u|v>; batched.  The
-    norms multiply, not their squares, which would overflow first."""
-    return eps * np.maximum(1.0, np.sqrt(_vdot(u, u).real) * np.sqrt(_vdot(v, v).real))
+    """eps * max(1, |u| |v|), the rounding allowed in <u|v>; batched.  Only
+    the product of the norms can overflow, to inf; a vector that is not
+    finite gives an inf or NaN limit, which no excess passes."""
+    return eps * np.maximum(1.0, _norm(u) * _norm(v))
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """|v| over the last axis, from `_scaled` v, so no square overflows."""
+    unit, exp = _scaled(v)
+    return np.ldexp(np.sqrt(np.vecdot(unit, unit).real), exp)
 
 
 def _overlap_check(what: str, overlap, v: np.ndarray, gpsi: np.ndarray, error) -> tuple:
@@ -289,9 +298,30 @@ def _real_check(what: str, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple
         f"{float(_limit(EPS_VAR, u[i], v[i])):.3g}")
 
 
+# Each rule's absolute bound, which its limit never undercuts, by row of
+# `_screen`; a relation value need only be finite
+_BOUNDS = np.array([EPS_NORM] + [EPS_VAR] * 8 + [np.finfo(float).max] * 9
+                   + [EPS_NORM, EPS_ORTH])[:, None]
+
+
+def _screen(nsq, x, values, perp=None, res=None) -> bool:
+    """Whether the kernel's points clear every rule's absolute bound, so no
+    rule can fail one: |nsq - 1| of the state, |Im x| and |min(Re x, 0)| of
+    its four checked variances x, |value| of its nine relation values, for
+    an explicit perp, whose norm^2 and overlap lead `perp`, |norm^2 - 1|
+    and |overlap|, and the residuals res, if given, `_good`.  NaN clears
+    nothing."""
+    rows = [nsq[None] - 1.0, x.imag, np.minimum(x.real, 0.0), values]
+    if perp is not None:
+        rows += [perp[:1] - 1.0, perp[1:2]]
+    rows = np.abs(np.concatenate(rows))
+    return (np.count_nonzero(rows <= _BOUNDS[:len(rows)]) == rows.size
+            and (res is None or np.count_nonzero(_good(res)) == res.size))
+
+
 def _variance(d: np.ndarray, gd: np.ndarray) -> float:
     """Var_G(X) of one state from its d and G d, checked and clamped at 0."""
-    raw = _vdot(d, gd)
+    raw = np.vecdot(d, gd)
     bad, error = _real_check("variance", raw, d, gd)
     if bad:
         raise error(())
@@ -309,8 +339,8 @@ def g_variance(x, psi, metric: Metric) -> float:
     """Weighted variance; real and clamped to be nonnegative."""
     x = as_operator(x, dim=metric.dim, name="observable")
     psi = require_normalized(psi, metric)
-    w = x @ psi
-    d, gd, _ = _centered(w, metric.g @ w, psi, metric.g @ psi)
+    v = np.array([psi, x @ psi])
+    d, gd = _centered(v, np.matvec(metric.g, v))[0][:, 1]
     return _variance(d, gd)
 
 
@@ -319,7 +349,6 @@ def g_covariance(a, b, psi, metric: Metric) -> complex:
     a = as_operator(a, dim=metric.dim, name="first operator")
     b = as_operator(b, dim=metric.dim, name="second operator")
     psi = require_normalized(psi, metric)
-    g = metric.g
-    w = np.array([a @ psi, b @ psi])
-    d, gd, _ = _centered(w, w @ g.T, psi, g @ psi)
-    return complex(_vdot(d[0], gd[1]))
+    v = np.array([psi, a @ psi, b @ psi])
+    dx = _centered(v, np.matvec(metric.g, v))[0]
+    return complex(np.vecdot(dx[0, 1], dx[1, 2]))

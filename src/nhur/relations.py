@@ -29,7 +29,8 @@ stay available as tools and test oracles; the kernel does not build them.
 resolves them: holds is ``gap >= -tol``, ur3 sits at the branch asked
 for, and each point carries the first error of a check guarding the
 relations asked for, reading NaN and False where it failed.  Each check
-applies the one rule `metric` holds for it; this module reads no EPS_*.
+applies the one rule `metric` holds for it, and the table of checks is
+built only where `metric._screen` trips; this module reads no EPS_*.
 `evaluate_all` and ur1-ur4 validate one input at the boundary, make the
 N = 1 call, and raise its error or return its records; the default
 tolerance honors NHUR_TOLERANCE_UR.
@@ -37,13 +38,14 @@ tolerance honors NHUR_TOLERANCE_UR.
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, NotOrthogonalError
-from .linalg import _mv, _vdot, as_operator, as_state
-from .metric import (Metric, _centered, _good_gate, _norm_check, _overlap_check,
-                     _real_check, _vanishes)
+from .linalg import as_operator, as_state
+from .metric import (Metric, _centered, _good_gate, _good_residual, _norm_check,
+                     _overlap_check, _real_check, _screen, _vanishes, identity_metric)
 from .tolerances import ur_tolerance
 
 
@@ -57,9 +59,8 @@ class Formalism(enum.Enum):
         return cls(text.strip().lower())
 
 
-@dataclass(frozen=True)
-class UrEvaluation:
-    """One evaluated inequality instance.
+class UrEvaluation(NamedTuple):
+    """One evaluated inequality instance, an immutable named tuple.
 
     gap = lhs - rhs to rounding, not bit for bit (see the module
     docstring); holds means gap >= -tol for the tolerance in force.
@@ -83,20 +84,11 @@ class UrEvaluation:
 # Indices of ur1..ur4 in a batch's rhs rows and in relation_batch's relations.
 _ALL = frozenset(range(4))
 _BRANCH = ("plus", "minus")
-# (d_A, d_B) coefficients of u and gu: Var of A, B, A +- B, A +- iB; Cov(A, B)
-_COMBOS = np.array([[[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j], [1, 0]],
-                    [[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j], [0, 1]]])
-
-
-def _record(f: Formalism, lhs: float, rhs, gap, holds, minus,
-            degenerate: bool) -> tuple:
-    """One point's four UrEvaluation records from its column values."""
-    return (UrEvaluation("ur1", f, lhs, rhs[0], gap[0], holds[0]),
-            UrEvaluation("ur2", f, lhs, rhs[1], gap[1], holds[1]),
-            UrEvaluation("ur3", f, lhs, rhs[2], gap[2], holds[2],
-                         _BRANCH[minus[0]]),
-            UrEvaluation("ur4", f, lhs, rhs[3], gap[3], holds[3],
-                         _BRANCH[minus[1]], degenerate))
+# (d_A, d_B) coefficients of u and gu: Var of A, B, A +- B, A +- iB; Cov(A, B);
+# padded for the centered psi that `_centered` puts first, which takes none
+_COMBOS = np.pad([[[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j], [1, 0]],
+                  [[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j], [0, 1]]],
+                 [(0, 0), (0, 0), (1, 0)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,19 +113,19 @@ class RelationBatch:
 
 
 def _records(batch: RelationBatch) -> list:
-    """Per point, the four records of a batch's arrays."""
-    return [_record(batch.formalism, *row) for row in zip(
-        batch.lhs.tolist(), batch.rhs.T.tolist(), batch.gap.T.tolist(),
-        batch.holds.T.tolist(), batch.minus.T.tolist(), batch.degenerate.tolist())]
+    """Per point, the four UrEvaluation records of a batch's arrays."""
+    f = batch.formalism
+    return [(UrEvaluation("ur1", f, lhs, rhs[0], gap[0], holds[0]),
+             UrEvaluation("ur2", f, lhs, rhs[1], gap[1], holds[1]),
+             UrEvaluation("ur3", f, lhs, rhs[2], gap[2], holds[2], _BRANCH[minus[0]]),
+             UrEvaluation("ur4", f, lhs, rhs[3], gap[3], holds[3], _BRANCH[minus[1]],
+                          degenerate))
+            for lhs, rhs, gap, holds, minus, degenerate in zip(
+                batch.lhs.tolist(), batch.rhs.T.tolist(), batch.gap.T.tolist(),
+                batch.holds.T.tolist(), batch.minus.T.tolist(), batch.degenerate.tolist())]
 
 
-def _dropped(off: np.ndarray, *arrays):
-    """arrays, (N, d) or stacks of them, zeroed where off marks a state
-    that fails normalization: its point fails whatever the values, and
-    zeros keep a norm that overflowed from raising warnings later on."""
-    return np.where(off[:, None], 0.0, arrays) if np.count_nonzero(off) else arrays
-
-
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is no verdict
 def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
                    tol: float, relations=_ALL, sign: str = "max") -> RelationBatch:
     """Evaluate ur1..ur4 at N points in one vectorized pass.  Unchecked.
@@ -151,88 +143,87 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
     Var(A +- B) (guarding ur4), and last a finite lhs, rhs and gap, as
     overflow is no verdict.  Only checks guarding one of `relations`
     (indices of ur1..ur4) count; a point records the first it fails.
+    The table is built only where some point fails `metric._screen`.
     """
     n = psi.shape[0]
-    checks = []  # (guards, mask, error of point i), in the order they apply
+    res = None
     if formalism is Formalism.GOOD:
-        checks.append((_ALL, *_good_gate(a, b, g, n)))
-
-    v = np.array([psi, _mv(a, psi), _mv(b, psi)])
-    gv = _mv(g, v)  # G psi, G A psi and G B psi in one product
+        # A and B as one stack, broadcast to the batch only if their shapes differ
+        same = a.shape == b.shape and g.ndim <= a.ndim
+        pair = np.array([a, b] if same else np.broadcast_arrays(a, b, g)[:2])
+        res = _good_residual(pair, g)
+    v = np.array([psi, np.matvec(a, psi), np.matvec(b, psi)])
+    gv = np.matvec(g, v)  # G psi, G A psi and G B psi in one product
     gpsi = gv[0]
-    off, error = _norm_check("state", _vdot(psi, gpsi), psi, gpsi)
-    checks.append((_ALL, off, error))
-    v, gv = _dropped(off, v, gv)
-    psi, gpsi = v[0], gv[0]
-
-    d, gd, mean = _centered(v[1:], gv[1:], psi, gpsi)
-    u, gu = (_COMBOS @ np.array([d, gd]).reshape(2, 2, -1)).reshape(2, 7, *psi.shape)
-    stats = _vdot(u, gu)
-    raw, cov = stats[:6], stats[6]
+    dx, mean = _centered(v, gv)
+    nsq = mean[0, ..., 0]  # the state's norm^2
+    u, gu = (_COMBOS @ dx.reshape(2, 3, -1)).reshape(2, 7, *psi.shape)
+    stats = np.vecdot(u, gu)
+    raw, cov2 = stats[:6], stats[6] + stats[6]  # twice Cov(A, B), exactly
     var = np.maximum(raw.real, 0.0)
-    unreal, error = _real_check("variance", raw[:4], u[:4], gu[:4])
-    var_checks = [(guards, unreal[k], lambda i, k=k: error((k, i)))
-                  for k, guards in enumerate((_ALL, _ALL, {3}, {3}))]
-    checks += var_checks[:2]
     lhs = var[0] + var[1]
-    rhs1 = 2.0 * cov.imag
+    rhs1 = cov2.imag
+    perp = None
     if psi_perp is None:
         # tight for the optimal auxiliary state, in every branch
         rhs3, gap3, minus3 = lhs, np.zeros(n), np.full(n, sign == "minus")
     else:
-        gperp = _mv(g, psi_perp)
-        off, error = _norm_check("auxiliary state", _vdot(psi_perp, gperp),
-                                 psi_perp, gperp)
-        psi_perp, gperp = _dropped(off, psi_perp, gperp)
-        checks += [({2}, off, error),
-                   ({2}, *_overlap_check("auxiliary state",
-                                         np.abs(_vdot(psi_perp, gpsi)),
-                                         psi_perp, gpsi, NotOrthogonalError))]
         # each branch's gap is the G-norm of d_A +- i d_B less its part along
         # perp; as perp is orthogonal to psi, e is <perp|G(A +- iB)|psi>
+        gperp = np.matvec(g, psi_perp)
         w, gw = u[4:6], gu[4:6]
-        e = _vdot(psi_perp, gw)[..., None]
+        perp = np.vecdot(psi_perp, np.array([gperp, gpsi, *gw]))  # norm^2, overlap, e
+        e = perp[2:, ..., None]
         rhs3 = np.array([rhs1, -rhs1]) + np.abs(e[..., 0]) ** 2
-        gap3 = np.maximum(_vdot(w - e * psi_perp, gw - e * gperp).real, 0.0)
+        gap3 = np.maximum(np.vecdot(w - e * psi_perp, gw - e * gperp).real, 0.0)
         minus3 = rhs3[1] > rhs3[0] if sign == "max" else np.full(n, sign == "minus")
         rhs3, gap3 = np.where(minus3, [rhs3[1], gap3[1]], [rhs3[0], gap3[0]])
-    checks += var_checks[2:]
 
     # an eigenstate of A +- B on the scale |A psi|_G + |B psi|_G: that bound is 0
     sd = np.sqrt(var[:4])
-    norm = np.hypot(sd[:2], np.abs(mean[..., 0]))
+    norm = np.hypot(sd[:2], np.abs(mean[1:, ..., 0]))
     flat = _vanishes(sd[2:], norm[0] + norm[1])
     halves = np.where(flat, 0.0, 0.5 * var[2:4])
-    values = np.array([lhs, rhs1, 2.0 * cov.real, rhs3,
+    values = np.array([lhs, rhs1, cov2.real, rhs3,
                        np.maximum(halves[0], halves[1]), var[4], var[3], gap3,
                        np.minimum(halves[0], halves[1])])
     lhs, rhs, gap = values[0], values[1:5], values[5:]
     minus = np.array([minus3, halves[1] > halves[0]])
     degenerate = flat[0] | flat[1]
-    # last, so any earlier error stands: an overflow is not a verdict; the
-    # row joins the table only when a value overflowed
-    finite = np.isfinite(values)
-    if np.count_nonzero(finite) < finite.size:
-        checks.append((_ALL, ~finite.all(0), lambda i: NonFiniteError(
+    errors = (None,) * n
+    if not _screen(nsq, raw[:4], values, perp, res):
+        checks = []  # (guards, mask, error of point i), in the order they apply
+        if res is not None:
+            checks.append((_ALL, *_good_gate(res, n)))
+        checks.append((_ALL, *_norm_check("state", nsq, psi, gpsi)))
+        unreal, error = _real_check("variance", raw[:4], u[:4], gu[:4])
+        var_checks = [(guards, unreal[k], lambda i, k=k: error((k, i)))
+                      for k, guards in enumerate((_ALL, _ALL, {3}, {3}))]
+        checks += var_checks[:2]
+        if perp is not None:
+            checks += [({2}, *_norm_check("auxiliary state", perp[0], psi_perp, gperp)),
+                       ({2}, *_overlap_check("auxiliary state", np.abs(perp[1]),
+                                             psi_perp, gpsi, NotOrthogonalError))]
+        checks += var_checks[2:]
+        # last, so any earlier error stands: an overflow is not a verdict
+        checks.append((_ALL, ~np.isfinite(values).all(0), lambda i: NonFiniteError(
             f"relation values overflow double precision (lhs = {lhs[i]:.3g})")))
-    errors = [None] * n
-    guarded = [(mask, error) for guards, mask, error in checks if guards & relations]
-    bad = np.array([mask for mask, _ in guarded])
-    if np.count_nonzero(bad):
+        guarded = [(mask, error) for guards, mask, error in checks if guards & relations]
+        bad = np.array([mask for mask, _ in guarded])
         failed, first = bad.any(0), bad.argmax(0)
-        for i in np.flatnonzero(failed).tolist():
-            errors[i] = guarded[first[i]][1](i)
+        errors = tuple(guarded[k][1](i) if bad[k, i] else None
+                       for i, k in enumerate(first.tolist()))
         lhs[failed] = rhs[:, failed] = gap[:, failed] = np.nan
         minus[:, failed] = degenerate[failed] = False
     return RelationBatch(formalism, lhs, rhs, gap, gap >= -tol, minus,
-                         degenerate, tuple(errors))
+                         degenerate, errors)
 
 
 def _stats_g(g: Metric | None, formalism: Formalism, dim: int) -> np.ndarray:
     """The metric matrix of the statistics: the identity under the plain
     formalism or when no metric is given, else g's matrix."""
     if formalism is Formalism.PLAIN or g is None:
-        return np.eye(dim, dtype=complex)
+        return identity_metric(dim).g
     return g.g
 
 

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .metric import (Metric, _centered, _norm_check, _overlap_check, _real_check,
                      _vanishes, _variance, require_normalized)
-from .linalg import _mv, _vdot, as_operator, as_state
+from .linalg import _scaled, as_operator, as_state
 from .tolerances import EPS_MACH
 
 
@@ -52,8 +52,8 @@ def _unit(v: np.ndarray, g: np.ndarray, zero: np.ndarray, what: str):
     """G-normalize the (N, d) rows of v: the states and N errors, each None,
     or ZeroVectorError where zero marks the row, or the error of a norm^2
     not positive, or not real by `_real_check`; a failed row is unusable."""
-    gv = _mv(g, v)
-    nsq = _vdot(v, gv)
+    gv = np.matvec(g, v)
+    nsq = np.vecdot(v, gv)
     leak, leak_error = _real_check(f"{what} norm^2", nsq, v, gv)
     bad = zero | leak | (nsq.real <= 0.0)
     errors = [None] * len(v)
@@ -79,15 +79,13 @@ def _one(states: np.ndarray, errors: list) -> np.ndarray:
 
 def _normalized(v: np.ndarray, g: np.ndarray, what: str) -> np.ndarray:
     """v itself where `_norm_check` accepts it, so results are reproducible
-    bit for bit; else v G-normalized by `_unit`, or its error raised.  v is
-    first scaled by a power of two to a largest part in [0.5, 1), which is
-    exact and keeps a tiny or huge v's norm^2 from under- or overflowing."""
+    bit for bit; else v G-normalized by `_unit`, or its error raised, v
+    first `_scaled` so that its norm^2 neither under- nor overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # then v fails the check
         gv = g @ v
     if not _norm_check(what, np.vdot(v, gv), v, gv)[0]:
         return v
-    parts = np.ascontiguousarray(v).view(float)
-    v = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
+    v = _scaled(v)[0]
     return _one(*_unit(v[None], g, np.array([not v.any()]), what))
 
 
@@ -112,8 +110,8 @@ def _superpose(basis: np.ndarray, weights: np.ndarray, g: np.ndarray):
     """Batched, unchecked `superposition_state`: (k, d) basis rows and
     (N, k) finite weights give `_unit`'s (N, d) states and N errors."""
     out = weights @ basis
-    scale = (np.abs(weights) * np.sqrt(_vdot(basis, basis).real)).max(-1)
-    zero = (np.sqrt(_vdot(out, out).real) <= EPS_MACH * scale) | (scale == 0.0)
+    scale = (np.abs(weights) * np.sqrt(np.vecdot(basis, basis).real)).max(-1)
+    zero = (np.sqrt(np.vecdot(out, out).real) <= EPS_MACH * scale) | (scale == 0.0)
     return _unit(out, g, zero, "superposition")
 
 
@@ -172,8 +170,9 @@ def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
     x = as_operator(x, dim=metric.dim, name="operator")
     psi = require_normalized(psi, metric)
     g = metric.g
-    w, gpsi = x @ psi, g @ psi
-    d, gd, _ = _centered(w, g @ w, psi, gpsi)
+    v = np.array([psi, x @ psi])
+    gv = np.matvec(g, v)
+    d, gd = _centered(v, gv)[0][:, 1]
     sd = float(np.sqrt(_variance(d, gd)))
     if _vanishes(sd, np.linalg.norm(x)):
         raise DegenerateEigenstateError(
@@ -184,7 +183,7 @@ def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
     # discard the roundoff component along psi so orthogonality is exact
     perp = perp - complex(np.vdot(psi, g @ perp)) * psi
     return OrthogonalPair(psi=psi, psi_perp=perp, context=metric,
-                          overlap_residual=_overlap(perp, gpsi, "orthogonal-state"))
+                          overlap_residual=_overlap(perp, gv[0], "orthogonal-state"))
 
 
 def ur3_default_perp(a, b, psi, metric: Metric, sign: int) -> np.ndarray:

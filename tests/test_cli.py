@@ -217,16 +217,17 @@ BIG = 10 ** 400  # 401 digits, beyond double range
     ("A", "1", "expected [re, im] pairs, got '1'"),
     ("psi", None, "expected [re, im] pairs, got None"),
     ("psi", [[1.5, True], [0, 0]], "expected [re, im] pairs, got True"),
-    ("A", [[[0, 0], [1, 0]], [[1, 0]]],
-     "expected [re, im] pairs, got [[0, 0], [1, 0]]"),
+    ("A", [[[0, 0], [1, 0]], [[1, 0]]], "expected [re, im] pairs, got [[1, 0]]"),
+    ("A", [[[0, 0], [1, 0]], [[1, 0], [0, 0]], [[1, 0]]],
+     "expected [re, im] pairs, got [[1, 0]]"),
     ("A", [[1, 2], 5], "expected [re, im] pairs, got 5"),
     ("psi", [[1, 0, 0], [0, 0, 0]], "expected [re, im] pairs, got [1, 0, 0]"),
     ("psi", [], "expected [re, im] pairs, got []"),
     ("psi", [[1, 0]], "expected 2 complex entries, got 1"),
     ("psi", [[1, 0], [BIG, 0]], f"non-finite entry [{BIG}, 0]"),
     ("G", [[[BIG, 0], [0, 0]], [[0, 0], [1, 0]]], f"non-finite entry [{BIG}, 0]"),
-], ids=["true", "string", "null", "bool-in-pair", "ragged-row", "pair-and-number", "3-wide",
-        "empty", "count", "big-int-psi", "big-int-G"])
+], ids=["true", "string", "null", "bool-in-pair", "ragged-row", "ragged-last-row",
+        "pair-and-number", "3-wide", "empty", "count", "big-int-psi", "big-int-G"])
 def test_check_rejects_malformed_field(tmp_path, capsys, field, value, message):
     payload = dict(PROBLEM, **{field: value})
     with pytest.raises(ProblemParseError) as caught:
@@ -435,6 +436,25 @@ def test_check_rescales_a_state_whose_metric_image_overflows(tmp_path, capsys):
         for key in ("lhs", "rhs", "gap"):
             npt.assert_allclose(huge[key], unit[key], rtol=1e-14, atol=1e-15)
         assert huge["holds"] == unit["holds"]
+
+
+def test_check_of_an_overflowing_dim1_problem_is_typed(tmp_path, capsys):
+    # |psi| is about 1.6e50 and |G psi| about 6e-51: the rounding limit of a
+    # rule once formed sqrt(<u|u>) = inf for one vector and 0 for the other,
+    # inf * 0 = NaN, with a RuntimeWarning (the suite makes it an error)
+    inp = tmp_path / "problem.json"
+    _write_problem(inp, {
+        "dim": 1, "A": [[1.2798426751285566e+147, -6.1896815745332105e+146]],
+        "B": [[8.322333040231803e+157, 1.530295715967934e+158]],
+        "psi": [[-1.4618357082303964e+50, 6.990489924873795e+49]],
+        "formalism": "gmetric", "G": [[3.808605200420965e-101, 0.0]]})
+    rep = tmp_path / "report.json"
+    code = main(["check", "--input", str(inp), "--out", str(rep)])
+    assert code in (0, 2)
+    assert (capsys.readouterr().err == "") == (code == 0)
+    report = json.loads(rep.read_text())
+    assert "evaluations" in report if code == 0 else report["error"].split(":")[0] in {
+        "NotNormalizedError", "NonFiniteError"}
 
 
 def test_check_rescales_off_normalization_state(tmp_path):

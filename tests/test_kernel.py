@@ -69,13 +69,19 @@ def random_problem(rng, dim, formalism, with_perp):
     else:
         a, b = random_operator(rng, dim), random_operator(rng, dim)
     stats = identity_metric(dim) if formalism is Formalism.PLAIN else metric
+    psi, perp = random_states(rng, stats, with_perp)
+    return a, b, psi, metric, perp, stats
+
+
+def random_states(rng, stats, with_perp):
+    """A G-normalized psi and, if asked for, a perp G-orthogonal to it."""
     psi = random_state(rng, stats)
     perp = None
     if with_perp:
         v = random_state(rng, stats)
         v = v - complex(np.vdot(psi, stats.g @ v)) * psi
         perp = v / math.sqrt(complex(np.vdot(v, stats.g @ v)).real)
-    return a, b, psi, metric, perp, stats
+    return psi, perp
 
 
 def second_moments(a, b, psi, g):
@@ -136,10 +142,51 @@ def test_kernel_matches_reference(formalism, dim, with_perp):
             assert got[3].sign_branch == want[3].sign_branch
 
 
+def assert_n_invariant(batch, a, b, psi, g, formalism, psi_perp=None, **kwargs):
+    """batch, the relation_batch of N points, equals the N calls of one
+    point each, bit for bit: a stacked (N, d, d) operator or metric is cut
+    to its (1, d, d) slice, a shared (d, d) one passed as it is."""
+    for i in range(len(psi)):
+        def cut(x):
+            return x[i:i + 1] if x.ndim == 3 else x
+        one = relation_batch(cut(a), cut(b), psi[i:i + 1], cut(g), formalism,
+                             None if psi_perp is None else psi_perp[i:i + 1],
+                             **kwargs)
+        for name in ("lhs", "rhs", "gap", "holds", "minus", "degenerate"):
+            got, want = getattr(one, name)[..., 0], getattr(batch, name)[..., i]
+            assert got.tobytes() == want.tobytes(), (i, name, got, want)
+        assert repr(one.errors[0]) == repr(batch.errors[i]), i
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+@pytest.mark.parametrize("with_perp", [False, True], ids=["default-perp", "perp"])
+@pytest.mark.parametrize("formalism", FORMALISMS, ids=lambda f: f.value)
+@pytest.mark.parametrize("dim", [2, 3, 4, 6, 8, 64])
+def test_kernel_is_n_invariant(dim, formalism, with_perp, stacked):
+    # the kernel has no one-point path: each point of a batch, passing or
+    # failing (the last state is off normalization), reads as its own call
+    rng = np.random.default_rng(1000 * dim + 10 * FORMALISMS.index(formalism)
+                                + 2 * with_perp + stacked)
+    if stacked:
+        problems = [random_problem(rng, dim, formalism, with_perp) for _ in range(5)]
+        a, b, psi, _, perp, stats = (list(x) for x in zip(*problems))
+        a, b, g = np.array(a), np.array(b), np.array([m.g for m in stats])
+    else:
+        a, b, _, _, _, stats = random_problem(rng, dim, formalism, with_perp)
+        psi, perp = zip(*(random_states(rng, stats, with_perp) for _ in range(5)))
+        g = stats.g
+    psi = np.array(psi)
+    psi[-1] *= 2.0
+    perp = None if not with_perp else np.array(perp)
+    batch = relation_batch(a, b, psi, g, formalism, perp, tol=1e-9)
+    assert [e is None for e in batch.errors] == [True] * 4 + [False]
+    assert_n_invariant(batch, a, b, psi, g, formalism, perp, tol=1e-9)
+
+
 @pytest.mark.parametrize("plain", [False, True], ids=["gmetric", "plain"])
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_public_statistics_match_scalar_reference(dim, plain):
-    # the helpers run the batched einsum kernel, the reference np.vdot:
+    # the helpers run the batched gufunc kernel, the reference np.vdot:
     # only the summation order differs
     rng = np.random.default_rng(100 * dim + plain)
     for _ in range(25):
@@ -315,6 +362,26 @@ def test_sweeps_match_reference_point_by_point(cfg, formalism):
         compared += 1
     assert compared == len(points) or near_ep
     assert all(pt.ok for pt in points)
+
+
+@pytest.mark.parametrize("cfg,formalism", BENCH_SWEEPS,
+                         ids=["example1", "symmetric-good", "broken-good",
+                              "symmetric-gmetric", "near-ep"])
+def test_sweeps_are_n_invariant(monkeypatch, cfg, formalism):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((relation_batch(*args, **kwargs), args, kwargs))
+        return calls[-1][0]
+
+    monkeypatch.setattr(scenarios, "relation_batch", recording)
+    if cfg is None:
+        example1_sweep(points=181)
+    else:
+        example2_sweep(cfg, points=181, formalism=formalism)
+    ((batch, args, kwargs),) = calls
+    assert len(batch.errors) == 181
+    assert_n_invariant(batch, *args, **kwargs)
 
 
 def test_plain_example2_sweep_matches_reference():

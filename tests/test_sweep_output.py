@@ -162,7 +162,7 @@ def test_cli_sweeps_build_no_per_point_records(tmp_path, capsys, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a per-point record was built")
 
-    monkeypatch.setattr(relations, "_record", forbidden)
+    monkeypatch.setattr(relations, "UrEvaluation", forbidden)
     for argv in BENCH_COMMANDS[:2]:
         out = tmp_path / "sweep.csv"
         assert cli.main(argv + ["--points", "181", "--out", str(out)]) == 0

@@ -305,9 +305,20 @@ def test_each_rule_words_its_own_failure():
                                    "and nonnegative within 1.41e-09")
 
 
+def test_the_normalization_limit_does_not_overflow():
+    # |psi| = 1e160 and |G psi| = 1e51: squared unscaled, |psi|^2 overflowed
+    # and the limit was inf, which accepted this norm^2 of 1e211
+    metric = metric_from_matrix(np.diag([1e-109, 1e-100]))
+    with pytest.raises(NotNormalizedError, match=r"1e\+211 \(must be 1 within 1e\+203\)"):
+        require_normalized([1e160, 0], metric)
+    with pytest.raises(NotNormalizedError):
+        evaluate_all(SIGMA_X, SIGMA_Z, [1e160, 0], metric, Formalism.GMETRIC)
+
+
 def test_an_overflowed_state_is_not_normalized():
     # norm^2 = inf, whose relative limit is inf too; norm^2 = 1e160, whose
-    # limit overflowed as |v|^2 |G v|^2; and inf - inf = NaN under a metric.
+    # limit overflowed as |v|^2 |G v|^2; inf - inf under a metric, which a
+    # fused sum reads as inf and an unfused one as NaN; and 0 * inf = NaN.
     # No np.errstate: the suite's warning filter checks that none escapes
     metric = identity_metric(2)
     for psi in ([1e200, 0], [1e80, 0]):
@@ -315,9 +326,12 @@ def test_an_overflowed_state_is_not_normalized():
             require_normalized(psi, metric)
         with pytest.raises(NotNormalizedError, match="state has metric norm"):
             evaluate_all(SIGMA_X, SIGMA_Z, psi)
-    with pytest.raises(NotNormalizedError, match="norm\\^2 = nan"):
+    with pytest.raises(NotNormalizedError, match="state has metric norm"):
         evaluate_all(SIGMA_X, SIGMA_Z, [1e200, 0.5e200],
                      metric_from_matrix([[2, -1.9], [-1.9, 2]]), Formalism.GMETRIC)
+    with pytest.raises(NotNormalizedError, match="norm\\^2 = nan \\(must be 1\\)"):
+        evaluate_all(SIGMA_X, SIGMA_Z, [1e308, 0],
+                     metric_from_matrix([[1.5, 2], [2, 3]]), Formalism.GMETRIC)
     with pytest.raises(NotNormalizedError, match="auxiliary state"):
         evaluate_all(SIGMA_X, SIGMA_Z, E0, psi_perp=[0, 1e200])
     # in a batch only that point fails, and the other keeps its values
