@@ -190,7 +190,7 @@ def _parse_complex(node, count: int, where: str) -> np.ndarray:
         # name the first leaf that is no number, or in an irregular nesting
         # (a leaf is a list) `_odd_leaf`, else the first entry that is no
         # pair; a bare number or empty field names itself
-        got = (_odd_leaf(leaves.tolist()) if list in odd else
+        got = (_odd_leaf(leaves.tolist(), count) if list in odd else
                next(x for x in leaves if type(x) in odd) if odd else
                arr.reshape(-1, arr.shape[-1])[0].tolist() if arr.ndim and arr.size
                else node)
@@ -211,16 +211,17 @@ def _parse_complex(node, count: int, where: str) -> np.ndarray:
     return flt.view(complex).ravel()
 
 
-def _odd_leaf(leaves: list):
+def _odd_leaf(leaves: list, count: int):
     """In an irregular nesting, the first leaf that is no array of number
-    pairs, else the first shaped unlike most leaves (a short row)."""
+    pairs, else the first unlike a row of len(leaves) equal rows that hold
+    `count` pairs in all (a short or a long row)."""
     subs = [np.array(x, dtype=object) for x in leaves]
-    shapes = [sub.shape if sub.shape[-1:] == (2,) and not
-              set(map(type, sub.reshape(-1))) - {int, float} else None for sub in subs]
-    if None in shapes:
-        return leaves[shapes.index(None)]
-    common = max(shapes, key=shapes.count)
-    return next(x for x, shape in zip(leaves, shapes) if shape != common)
+    odd = [sub.shape[-1:] != (2,) or bool(set(map(type, sub.reshape(-1))) - {int, float})
+           for sub in subs]
+    per = count // len(leaves)
+    row = (per, 2) if per > 1 else (2,)
+    return leaves[odd.index(True)] if any(odd) else next(
+        (x for x, sub in zip(leaves, subs) if sub.shape != row), leaves[0])
 
 
 def parse_problem(payload: dict) -> dict:

@@ -13,26 +13,29 @@ states.av_orthogonal_state, and for a whole grid in
 relations.relation_batch; centering first makes the rounding scale with
 the variance rather than with <X^dag G X>.
 
-Each rule that can fail a point is one function returning (mask, error
-of point i), and only it words that failure: a norm^2 <v|G v> within
-EPS_NORM of 1 and finite (`_norm_check`), a variance or norm^2 real and
-nonnegative within EPS_VAR (`_real_check`), an overlap <v|G psi> within
-EPS_ORTH (`_overlap_check`), and the good-observable gate (`_good_gate`).
-Each limit on a product <u|v> is `_limit`, eps * max(1, |u| |v|), which
-a rule computes only where its absolute eps trips; the kernel calls the
-rules only where `_screen`, all absolute bounds in one comparison, trips.
-The eigenstate rule (`_vanishes`) takes its scale from the caller's
+Each rule that can fail a point is one function returning a `_Rule`,
+and only it words that failure: a norm^2 <v|G v> within EPS_NORM of 1
+and finite (`_norm_check`), a variance or norm^2 real and nonnegative
+within EPS_VAR (`_real_check`), an overlap <v|G psi> within EPS_ORTH
+(`_overlap_check`), and the good-observable gate (`_good_gate`).  Each
+limit on a product <u|v> is `_limit`, eps * max(1, |u| |v|), never below
+the rule's absolute eps: a rule that no point trips by that eps is clear
+of the batch, and its mask forms the limit only where eps trips.  The
+eigenstate rule (`_vanishes`) takes its scale from the caller's
 operands.  No other module reads the tolerances of these rules.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     InternalInconsistencyError,
     MetricValidationError,
+    NonFiniteError,
     NotGoodObservableError,
     NotNormalizedError,
 )
@@ -186,14 +189,31 @@ def _good(residual):
     return residual <= EPS_GOOD
 
 
-def _good_gate(res: np.ndarray, n: int) -> tuple:
-    """The kernel's gate over n points from the (2, ...) `_good_residual`s
-    of A and B: where either is not `_good`, and the error of point i."""
-    res = np.broadcast_to(res.reshape(2, -1), (2, n))
-    return ~_good(res).all(0), lambda i: NotGoodObservableError(
-        "good-observable formalism requires both operators to satisfy "
-        f"X^dag G = G X; residuals a={res[0, i]:.3e}, "
-        f"b={res[1, i]:.3e} (threshold {EPS_GOOD:g})")
+class _Rule(NamedTuple):
+    """One rule over a batch: whether it fails no point, known from its
+    absolute eps alone, and, called, where it fails and the error of
+    point i."""
+
+    clear: bool
+    bad: Callable
+    error: Callable
+
+
+def _within(excess, eps: float) -> bool:
+    """Whether every excess is within eps, which NaN is not."""
+    return excess.size == 0 or bool(excess.max() <= eps)
+
+
+def _good_gate(res: np.ndarray, n: int) -> _Rule:
+    """The kernel's gate over n points on the (2, ...) `_good_residual`s of
+    A and B: it fails a point where either is not `_good`."""
+    def error(i):
+        a, b = np.broadcast_to(res.reshape(2, -1), (2, n))[:, i]
+        return NotGoodObservableError(
+            "good-observable formalism requires both operators to satisfy "
+            f"X^dag G = G X; residuals a={a:.3e}, b={b:.3e} (threshold {EPS_GOOD:g})")
+    return _Rule(np.count_nonzero(_good(res)) == res.size,
+                 lambda: np.broadcast_to(~_good(res).all(0), n), error)
 
 
 def _good_residual(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -216,25 +236,23 @@ def require_normalized(psi, metric: Metric, name: str = "state") -> np.ndarray:
     """Validate that psi is unit-norm under the metric; returns the array."""
     psi = as_state(psi, dim=metric.dim, name=name)
     gpsi = metric.g @ psi
-    bad, error = _norm_check(name, np.vdot(psi, gpsi), psi, gpsi)
-    if bad:
-        raise error(())
+    rule = _norm_check(name, np.vdot(psi, gpsi), psi, gpsi)
+    if rule.bad():
+        raise rule.error(())
     return psi
 
 
-def _norm_check(name: str, nsq, v: np.ndarray, gv: np.ndarray) -> tuple:
-    """The one normalization rule, batched: where nsq = <v|G v> is off 1
-    beyond _limit(EPS_NORM, v, G v) or not finite, and the error of point
-    i.  The limit and the finiteness test run only where the absolute
-    EPS_NORM, which NaN and inf also fail, trips."""
+def _norm_check(name: str, nsq, v: np.ndarray, gv: np.ndarray) -> _Rule:
+    """The one normalization rule, batched: it fails where nsq = <v|G v> is
+    off 1 beyond _limit(EPS_NORM, v, G v) or not finite."""
     excess = np.abs(nsq - 1.0)
-    bad = ~(excess <= EPS_NORM)
-    if np.count_nonzero(bad):
-        bad = ~np.isfinite(excess) | (excess > _limit(EPS_NORM, v, gv))
-    return bad, lambda i: NotNormalizedError(
-        f"{name} has metric norm^2 = {nsq[i].real:.12g} (must be 1"
-        + (f" within {float(_limit(EPS_NORM, v[i], gv[i])):.3g}"
-           if np.isfinite(excess[i]) else "") + ")")
+    return _Rule(
+        _within(excess, EPS_NORM),
+        lambda: _beyond(excess, EPS_NORM, v, gv) | ~np.isfinite(excess),
+        lambda i: NotNormalizedError(
+            f"{name} has metric norm^2 = {nsq[i].real:.12g} (must be 1"
+            + (f" within {float(_limit(EPS_NORM, v[i], gv[i])):.3g}"
+               if np.isfinite(excess[i]) else "") + ")"))
 
 
 def _vanishes(length, scale):
@@ -246,15 +264,15 @@ def _vanishes(length, scale):
 # shape, finiteness, and normalization.
 
 def _centered(v: np.ndarray, gv: np.ndarray) -> tuple:
-    """(d and G d stacked, <X>_G) with d = (X - <X>_G) psi for each row
-    X psi of v, row 0 being psi itself, from v and its G images gv; the
-    stack is (2, *v.shape) and the mean keeps a last axis of 1.  G d = G X
-    psi - <X>_G G psi by linearity, so centering costs no matrix product;
-    row 0's mean is <psi|G psi>, and its d about 0.  Var_G(X) = <d|G d>,
-    Cov_G(A, B) = <d_A|G d_B> and |X psi|_G^2 = Var_G(X) + |<X>_G|^2."""
+    """(d and G d, <X>_G) with d = (X - <X>_G) psi for each row X psi of v
+    after the first, psi, from v and its G images gv; d and G d are one
+    (2, rows, ...) stack, and the mean keeps a last axis of 1.  G d = G X
+    psi - <X>_G G psi by linearity, so centering costs no matrix product.
+    Var_G(X) = <d|G d>, Cov_G(A, B) = <d_A|G d_B> and |X psi|_G^2 =
+    Var_G(X) + |<X>_G|^2."""
     x = np.array([v, gv])
-    mean = np.vecdot(v[0], gv)[..., None]
-    return x - mean * x[:, :1], mean
+    mean = np.vecdot(v[0], gv[1:])[..., None]
+    return x[:, 1:] - mean * x[:, :1], mean
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -271,12 +289,13 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(np.vecdot(unit, unit).real), exp)
 
 
-def _overlap_check(what: str, overlap, v: np.ndarray, gpsi: np.ndarray, error) -> tuple:
-    """The one orthogonality rule, batched: where overlap = |<v|G psi>|
-    passes _limit(EPS_ORTH, v, G psi), and the `error` (a class) of point i."""
-    return _beyond(overlap, EPS_ORTH, v, gpsi), lambda i: error(
-        f"{what} has metric overlap {overlap[i]:.3e} with the state "
-        f"(limit {_limit(EPS_ORTH, v[i], gpsi[i]):.3g})")
+def _overlap_check(what: str, overlap, v: np.ndarray, gpsi: np.ndarray,
+                   error) -> _Rule:
+    """The one orthogonality rule, batched: it fails where overlap =
+    |<v|G psi>| passes _limit(EPS_ORTH, v, G psi), in `error`, a class."""
+    return _Rule(_within(overlap, EPS_ORTH), lambda: _beyond(overlap, EPS_ORTH, v, gpsi),
+                 lambda i: error(f"{what} has metric overlap {overlap[i]:.3e} with the "
+                                 f"state (limit {_limit(EPS_ORTH, v[i], gpsi[i]):.3g})"))
 
 
 def _beyond(excess, eps: float, u: np.ndarray, v: np.ndarray):
@@ -288,43 +307,31 @@ def _beyond(excess, eps: float, u: np.ndarray, v: np.ndarray):
     return bad
 
 
-def _real_check(what: str, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple:
+def _real_check(what: str, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> _Rule:
     """The one rule for x = <u|v>, real and nonnegative by construction (a
-    variance or a norm^2), batched: where its excess max(|Im x|, -Re x)
-    passes _limit(EPS_VAR, u, v), and the error of point i."""
+    variance or a norm^2), batched: it fails where the excess max(|Im x|,
+    -Re x) passes _limit(EPS_VAR, u, v)."""
     excess = np.maximum(np.abs(x.imag), -x.real)
-    return _beyond(excess, EPS_VAR, u, v), lambda i: InternalInconsistencyError(
-        f"{what} {complex(x[i]):.3e} is not real and nonnegative within "
-        f"{float(_limit(EPS_VAR, u[i], v[i])):.3g}")
+    return _Rule(_within(excess, EPS_VAR), lambda: _beyond(excess, EPS_VAR, u, v),
+                 lambda i: InternalInconsistencyError(
+                     f"{what} {complex(x[i]):.3e} is not real and nonnegative within "
+                     f"{float(_limit(EPS_VAR, u[i], v[i])):.3g}"))
 
 
-# Each rule's absolute bound, which its limit never undercuts, by row of
-# `_screen`; a relation value need only be finite
-_BOUNDS = np.array([EPS_NORM] + [EPS_VAR] * 8 + [np.finfo(float).max] * 9
-                   + [EPS_NORM, EPS_ORTH])[:, None]
-
-
-def _screen(nsq, x, values, perp=None, res=None) -> bool:
-    """Whether the kernel's points clear every rule's absolute bound, so no
-    rule can fail one: |nsq - 1| of the state, |Im x| and |min(Re x, 0)| of
-    its four checked variances x, |value| of its nine relation values, for
-    an explicit perp, whose norm^2 and overlap lead `perp`, |norm^2 - 1|
-    and |overlap|, and the residuals res, if given, `_good`.  NaN clears
-    nothing."""
-    rows = [nsq[None] - 1.0, x.imag, np.minimum(x.real, 0.0), values]
-    if perp is not None:
-        rows += [perp[:1] - 1.0, perp[1:2]]
-    rows = np.abs(np.concatenate(rows))
-    return (np.count_nonzero(rows <= _BOUNDS[:len(rows)]) == rows.size
-            and (res is None or np.count_nonzero(_good(res)) == res.size))
+def _finite(what: str, x):
+    """x, or NonFiniteError if it overflowed."""
+    if not np.isfinite(x):
+        raise NonFiniteError(f"{what} overflows double precision ({x:.3g})")
+    return x
 
 
 def _variance(d: np.ndarray, gd: np.ndarray) -> float:
-    """Var_G(X) of one state from its d and G d, checked and clamped at 0."""
-    raw = np.vecdot(d, gd)
-    bad, error = _real_check("variance", raw, d, gd)
-    if bad:
-        raise error(())
+    """Var_G(X) of one state from its d and G d, checked and clamped at 0;
+    the caller ignores overflow warnings."""
+    raw = _finite("variance", np.vecdot(d, gd))
+    rule = _real_check("variance", raw, d, gd)
+    if rule.bad():
+        raise rule.error(())
     return max(float(raw.real), 0.0)
 
 
@@ -335,20 +342,22 @@ def g_expectation(x, psi, metric: Metric) -> complex:
     return complex(np.vdot(psi, metric.g @ (x @ psi)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NonFiniteError
 def g_variance(x, psi, metric: Metric) -> float:
     """Weighted variance; real and clamped to be nonnegative."""
     x = as_operator(x, dim=metric.dim, name="observable")
     psi = require_normalized(psi, metric)
     v = np.array([psi, x @ psi])
-    d, gd = _centered(v, np.matvec(metric.g, v))[0][:, 1]
+    (d,), (gd,) = _centered(v, np.matvec(metric.g, v))[0]
     return _variance(d, gd)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NonFiniteError
 def g_covariance(a, b, psi, metric: Metric) -> complex:
     """Weighted covariance of an operator pair; complex in general."""
     a = as_operator(a, dim=metric.dim, name="first operator")
     b = as_operator(b, dim=metric.dim, name="second operator")
     psi = require_normalized(psi, metric)
     v = np.array([psi, a @ psi, b @ psi])
-    dx = _centered(v, np.matvec(metric.g, v))[0]
-    return complex(np.vecdot(dx[0, 1], dx[1, 2]))
+    (d_a, _), (_, gd_b) = _centered(v, np.matvec(metric.g, v))[0]
+    return complex(_finite("covariance", np.vecdot(d_a, gd_b)))

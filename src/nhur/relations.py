@@ -30,7 +30,8 @@ resolves them: holds is ``gap >= -tol``, ur3 sits at the branch asked
 for, and each point carries the first error of a check guarding the
 relations asked for, reading NaN and False where it failed.  Each check
 applies the one rule `metric` holds for it, and the table of checks is
-built only where `metric._screen` trips; this module reads no EPS_*.
+built only where some rule is not clear of the batch by its absolute
+eps; this module reads no EPS_*.
 `evaluate_all` and ur1-ur4 validate one input at the boundary, make the
 N = 1 call, and raise its error or return its records; the default
 tolerance honors NHUR_TOLERANCE_UR.
@@ -44,8 +45,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, NotOrthogonalError
 from .linalg import as_operator, as_state
-from .metric import (Metric, _centered, _good_gate, _good_residual, _norm_check,
-                     _overlap_check, _real_check, _screen, _vanishes, identity_metric)
+from .metric import (Metric, _Rule, _centered, _good_gate, _good_residual,
+                     _norm_check, _overlap_check, _real_check, _vanishes, identity_metric)
 from .tolerances import ur_tolerance
 
 
@@ -84,11 +85,9 @@ class UrEvaluation(NamedTuple):
 # Indices of ur1..ur4 in a batch's rhs rows and in relation_batch's relations.
 _ALL = frozenset(range(4))
 _BRANCH = ("plus", "minus")
-# (d_A, d_B) coefficients of u and gu: Var of A, B, A +- B, A +- iB; Cov(A, B);
-# padded for the centered psi that `_centered` puts first, which takes none
-_COMBOS = np.pad([[[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j], [1, 0]],
-                  [[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j], [0, 1]]],
-                 [(0, 0), (0, 0), (1, 0)])
+# (d_A, d_B) coefficients of u and gu: Var of A, B, A +- B, A +- iB; Cov(A, B)
+_COMBOS = np.array([[[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j], [1, 0]],
+                    [[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j], [0, 1]]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +142,7 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
     Var(A +- B) (guarding ur4), and last a finite lhs, rhs and gap, as
     overflow is no verdict.  Only checks guarding one of `relations`
     (indices of ur1..ur4) count; a point records the first it fails.
-    The table is built only where some point fails `metric._screen`.
+    The table is built only where some check's rule is not clear.
     """
     n = psi.shape[0]
     res = None
@@ -155,15 +154,15 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
     v = np.array([psi, np.matvec(a, psi), np.matvec(b, psi)])
     gv = np.matvec(g, v)  # G psi, G A psi and G B psi in one product
     gpsi = gv[0]
+    nsq = np.vecdot(psi, gpsi)
     dx, mean = _centered(v, gv)
-    nsq = mean[0, ..., 0]  # the state's norm^2
-    u, gu = (_COMBOS @ dx.reshape(2, 3, -1)).reshape(2, 7, *psi.shape)
+    u, gu = (_COMBOS @ dx.reshape(2, 2, -1)).reshape(2, 7, *psi.shape)
     stats = np.vecdot(u, gu)
     raw, cov2 = stats[:6], stats[6] + stats[6]  # twice Cov(A, B), exactly
     var = np.maximum(raw.real, 0.0)
     lhs = var[0] + var[1]
     rhs1 = cov2.imag
-    perp = None
+    aux = []  # the rules of an explicit psi_perp
     if psi_perp is None:
         # tight for the optimal auxiliary state, in every branch
         rhs3, gap3, minus3 = lhs, np.zeros(n), np.full(n, sign == "minus")
@@ -173,6 +172,9 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
         gperp = np.matvec(g, psi_perp)
         w, gw = u[4:6], gu[4:6]
         perp = np.vecdot(psi_perp, np.array([gperp, gpsi, *gw]))  # norm^2, overlap, e
+        aux = [_norm_check("auxiliary state", perp[0], psi_perp, gperp),
+               _overlap_check("auxiliary state", np.abs(perp[1]), psi_perp, gpsi,
+                              NotOrthogonalError)]
         e = perp[2:, ..., None]
         rhs3 = np.array([rhs1, -rhs1]) + np.abs(e[..., 0]) ** 2
         gap3 = np.maximum(np.vecdot(w - e * psi_perp, gw - e * gperp).real, 0.0)
@@ -181,7 +183,7 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
 
     # an eigenstate of A +- B on the scale |A psi|_G + |B psi|_G: that bound is 0
     sd = np.sqrt(var[:4])
-    norm = np.hypot(sd[:2], np.abs(mean[1:, ..., 0]))
+    norm = np.hypot(sd[:2], np.abs(mean[..., 0]))
     flat = _vanishes(sd[2:], norm[0] + norm[1])
     halves = np.where(flat, 0.0, 0.5 * var[2:4])
     values = np.array([lhs, rhs1, cov2.real, rhs3,
@@ -190,24 +192,23 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
     lhs, rhs, gap = values[0], values[1:5], values[5:]
     minus = np.array([minus3, halves[1] > halves[0]])
     degenerate = flat[0] | flat[1]
+    gate = [] if res is None else [_good_gate(res, n)]
+    state = _norm_check("state", nsq, psi, gpsi)
+    real = _real_check("variance", raw[:4], u[:4], gu[:4])
+    held = np.isfinite(values)  # an overflow is not a verdict
+    finite = _Rule(np.count_nonzero(held) == held.size, lambda: ~held.all(0),
+                   lambda i: NonFiniteError("relation values overflow double "
+                                            f"precision (lhs = {lhs[i]:.3g})"))
     errors = (None,) * n
-    if not _screen(nsq, raw[:4], values, perp, res):
-        checks = []  # (guards, mask, error of point i), in the order they apply
-        if res is not None:
-            checks.append((_ALL, *_good_gate(res, n)))
-        checks.append((_ALL, *_norm_check("state", nsq, psi, gpsi)))
-        unreal, error = _real_check("variance", raw[:4], u[:4], gu[:4])
-        var_checks = [(guards, unreal[k], lambda i, k=k: error((k, i)))
+    if not all(rule.clear for rule in (*gate, state, real, *aux, finite)):
+        unreal = real.bad()
+        var_checks = [(guards, unreal[k], lambda i, k=k: real.error((k, i)))
                       for k, guards in enumerate((_ALL, _ALL, {3}, {3}))]
-        checks += var_checks[:2]
-        if perp is not None:
-            checks += [({2}, *_norm_check("auxiliary state", perp[0], psi_perp, gperp)),
-                       ({2}, *_overlap_check("auxiliary state", np.abs(perp[1]),
-                                             psi_perp, gpsi, NotOrthogonalError))]
-        checks += var_checks[2:]
-        # last, so any earlier error stands: an overflow is not a verdict
-        checks.append((_ALL, ~np.isfinite(values).all(0), lambda i: NonFiniteError(
-            f"relation values overflow double precision (lhs = {lhs[i]:.3g})")))
+        # (guards, mask, error of point i), in the order they apply; the
+        # finite check last, so that any earlier error stands
+        checks = [(_ALL, rule.bad(), rule.error) for rule in (*gate, state)]
+        checks += var_checks[:2] + [({2}, rule.bad(), rule.error) for rule in aux]
+        checks += var_checks[2:] + [(_ALL, finite.bad(), finite.error)]
         guarded = [(mask, error) for guards, mask, error in checks if guards & relations]
         bad = np.array([mask for mask, _ in guarded])
         failed, first = bad.any(0), bad.argmax(0)

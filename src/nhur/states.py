@@ -18,10 +18,11 @@ from .errors import (
     DimensionMismatchError,
     InternalInconsistencyError,
     NegativeNormError,
+    NonFiniteError,
     ZeroVectorError,
 )
-from .metric import (Metric, _centered, _norm_check, _overlap_check, _real_check,
-                     _vanishes, _variance, require_normalized)
+from .metric import (Metric, _centered, _norm, _norm_check, _overlap_check,
+                     _real_check, _vanishes, _variance, require_normalized)
 from .linalg import _scaled, as_operator, as_state
 from .tolerances import EPS_MACH
 
@@ -48,20 +49,26 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v if mag[k] == 0.0 else v * (v[k].conjugate() / mag[k])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # then the row fails
 def _unit(v: np.ndarray, g: np.ndarray, zero: np.ndarray, what: str):
     """G-normalize the (N, d) rows of v: the states and N errors, each None,
-    or ZeroVectorError where zero marks the row, or the error of a norm^2
-    not positive, or not real by `_real_check`; a failed row is unusable."""
+    or NonFiniteError where a norm^2 overflowed, ZeroVectorError where zero
+    marks the row, or the error of a norm^2 not positive, or not real by
+    `_real_check`; a failed row is unusable."""
     gv = np.matvec(g, v)
     nsq = np.vecdot(v, gv)
-    leak, leak_error = _real_check(f"{what} norm^2", nsq, v, gv)
-    bad = zero | leak | (nsq.real <= 0.0)
+    leak = _real_check(f"{what} norm^2", nsq, v, gv)
+    finite = np.isfinite(nsq)
+    bad = ~finite | zero | leak.bad() | (nsq.real <= 0.0)
     errors = [None] * len(v)
     for i in np.flatnonzero(bad) if bad.any() else ():
-        if zero[i]:
+        if not finite[i]:
+            errors[i] = NonFiniteError(
+                f"{what} norm^2 overflows double precision ({nsq[i]:.3g})")
+        elif zero[i]:
             errors[i] = ZeroVectorError(f"{what} cancels to the zero vector")
         elif nsq[i].real > 0.0:
-            errors[i] = leak_error(i)
+            errors[i] = leak.error(i)
         else:
             errors[i] = NegativeNormError(
                 f"{what} has non-positive metric norm^2 = {nsq[i].real:.6g}; "
@@ -83,7 +90,7 @@ def _normalized(v: np.ndarray, g: np.ndarray, what: str) -> np.ndarray:
     first `_scaled` so that its norm^2 neither under- nor overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # then v fails the check
         gv = g @ v
-    if not _norm_check(what, np.vdot(v, gv), v, gv)[0]:
+    if not _norm_check(what, np.vdot(v, gv), v, gv).bad():
         return v
     v = _scaled(v)[0]
     return _one(*_unit(v[None], g, np.array([not v.any()]), what))
@@ -106,21 +113,22 @@ def superposition_state(basis, weights, metric: Metric) -> np.ndarray:
     return _one(*_superpose(np.array(vecs), w[None], metric.g))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # then `_unit` fails the row
 def _superpose(basis: np.ndarray, weights: np.ndarray, g: np.ndarray):
     """Batched, unchecked `superposition_state`: (k, d) basis rows and
     (N, k) finite weights give `_unit`'s (N, d) states and N errors."""
     out = weights @ basis
-    scale = (np.abs(weights) * np.sqrt(np.vecdot(basis, basis).real)).max(-1)
-    zero = (np.sqrt(np.vecdot(out, out).real) <= EPS_MACH * scale) | (scale == 0.0)
+    scale = (np.abs(weights) * _norm(basis)).max(-1)
+    zero = (_norm(out) <= EPS_MACH * scale) | (scale == 0.0)
     return _unit(out, g, zero, "superposition")
 
 
 def _overlap(v: np.ndarray, gpsi: np.ndarray, what: str) -> float:
     """|<v|G psi>|, checked by `_overlap_check`."""
     residual = np.abs(np.vdot(v, gpsi))
-    bad, error = _overlap_check(what, residual, v, gpsi, InternalInconsistencyError)
-    if bad:
-        raise error(())
+    rule = _overlap_check(what, residual, v, gpsi, InternalInconsistencyError)
+    if rule.bad():
+        raise rule.error(())
     return float(residual)
 
 
@@ -159,6 +167,7 @@ def g_complement_projection(vec, psi, metric: Metric) -> np.ndarray:
                                   "projected complement")))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NonFiniteError
 def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
     """Normalized orthogonal state of the identity ``X|psi> = <X>|psi> + DX |perp>``.
 
@@ -172,7 +181,7 @@ def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
     g = metric.g
     v = np.array([psi, x @ psi])
     gv = np.matvec(g, v)
-    d, gd = _centered(v, gv)[0][:, 1]
+    (d,), (gd,) = _centered(v, gv)[0]
     sd = float(np.sqrt(_variance(d, gd)))
     if _vanishes(sd, np.linalg.norm(x)):
         raise DegenerateEigenstateError(

@@ -218,15 +218,14 @@ BIG = 10 ** 400  # 401 digits, beyond double range
     ("psi", None, "expected [re, im] pairs, got None"),
     ("psi", [[1.5, True], [0, 0]], "expected [re, im] pairs, got True"),
     ("A", [[[0, 0], [1, 0]], [[1, 0]]], "expected [re, im] pairs, got [[1, 0]]"),
-    ("A", [[[0, 0], [1, 0]], [[1, 0], [0, 0]], [[1, 0]]],
-     "expected [re, im] pairs, got [[1, 0]]"),
+    ("A", [[[1, 0]], [[0, 0], [1, 0]]], "expected [re, im] pairs, got [[1, 0]]"),
     ("A", [[1, 2], 5], "expected [re, im] pairs, got 5"),
     ("psi", [[1, 0, 0], [0, 0, 0]], "expected [re, im] pairs, got [1, 0, 0]"),
     ("psi", [], "expected [re, im] pairs, got []"),
     ("psi", [[1, 0]], "expected 2 complex entries, got 1"),
     ("psi", [[1, 0], [BIG, 0]], f"non-finite entry [{BIG}, 0]"),
     ("G", [[[BIG, 0], [0, 0]], [[0, 0], [1, 0]]], f"non-finite entry [{BIG}, 0]"),
-], ids=["true", "string", "null", "bool-in-pair", "ragged-row", "ragged-last-row",
+], ids=["true", "string", "null", "bool-in-pair", "ragged-row", "ragged-first-row",
         "pair-and-number", "3-wide", "empty", "count", "big-int-psi", "big-int-G"])
 def test_check_rejects_malformed_field(tmp_path, capsys, field, value, message):
     payload = dict(PROBLEM, **{field: value})

@@ -34,11 +34,14 @@ from nhur import (
     evaluate_all,
     example2_sweep,
     g_complement_projection,
+    g_covariance,
+    g_variance,
     identity_metric,
     is_good_observable,
     metric_from_matrix,
     metric_from_right_eigenvectors,
     require_normalized,
+    superposition_state,
     symmetric_eigensystem,
     validate_metric,
 )
@@ -268,11 +271,11 @@ def test_a_norm_that_is_not_finite_fails_and_names_no_limit():
     # whether its limit overflowed with it (the last two states) or not
     v = np.array([[1.0, 0.0]] * 5 + [[1e200, 0.0]] * 2, dtype=complex)
     nsq = np.array([1.0, 1.0 + 2e-8, 4.0, math.inf, math.nan, math.inf, math.nan])
-    bad, error = nhur.metric._norm_check("state", nsq + 0j, v, v)
-    assert bad.tolist() == [False, True, True, True, True, True, True]
-    assert str(error(2)) == "state has metric norm^2 = 4 (must be 1 within 1e-08)"
+    rule = nhur.metric._norm_check("state", nsq + 0j, v, v)
+    assert rule.bad().tolist() == [False, True, True, True, True, True, True]
+    assert str(rule.error(2)) == "state has metric norm^2 = 4 (must be 1 within 1e-08)"
     for i, text in ((3, "inf"), (4, "nan"), (5, "inf"), (6, "nan")):
-        assert str(error(i)) == f"state has metric norm^2 = {text} (must be 1)"
+        assert str(rule.error(i)) == f"state has metric norm^2 = {text} (must be 1)"
     with pytest.raises(NotNormalizedError) as caught:
         require_normalized([1e200, 0], identity_metric(2))
     assert str(caught.value) == "state has metric norm^2 = inf (must be 1)"
@@ -305,6 +308,20 @@ def test_each_rule_words_its_own_failure():
                                    "and nonnegative within 1.41e-09")
 
 
+def test_an_overflowed_statistic_is_typed():
+    # a variance, covariance or superposition norm^2 beyond double range
+    # raises NonFiniteError; no np.errstate, so the suite's warning filter
+    # checks that no RuntimeWarning escapes on the way
+    metric, psi = identity_metric(2), [0.6, 0.8]
+    for call in (lambda: g_variance(1e200 * SIGMA_X, psi, metric),
+                 lambda: g_covariance(1e200 * SIGMA_X, 1e200 * SIGMA_Z, psi, metric),
+                 lambda: av_orthogonal_state(1e200 * SIGMA_X, psi, metric)):
+        with pytest.raises(NonFiniteError, match="variance|covariance"):
+            call()
+    with pytest.raises(NonFiniteError, match="superposition norm\\^2 overflows"):
+        superposition_state([[1, 0], [0, 1]], [1e200, 1e200], metric)
+
+
 def test_the_normalization_limit_does_not_overflow():
     # |psi| = 1e160 and |G psi| = 1e51: squared unscaled, |psi|^2 overflowed
     # and the limit was inf, which accepted this norm^2 of 1e211
@@ -317,8 +334,9 @@ def test_the_normalization_limit_does_not_overflow():
 
 def test_an_overflowed_state_is_not_normalized():
     # norm^2 = inf, whose relative limit is inf too; norm^2 = 1e160, whose
-    # limit overflowed as |v|^2 |G v|^2; inf - inf under a metric, which a
-    # fused sum reads as inf and an unfused one as NaN; and 0 * inf = NaN.
+    # limit overflowed as |v|^2 |G v|^2; inf - inf under a metric, which the
+    # BLAS dot kernel behind np.vecdot may read as inf or NaN; and 0 * inf,
+    # NaN under any summation.
     # No np.errstate: the suite's warning filter checks that none escapes
     metric = identity_metric(2)
     for psi in ([1e200, 0], [1e80, 0]):
@@ -326,7 +344,7 @@ def test_an_overflowed_state_is_not_normalized():
             require_normalized(psi, metric)
         with pytest.raises(NotNormalizedError, match="state has metric norm"):
             evaluate_all(SIGMA_X, SIGMA_Z, psi)
-    with pytest.raises(NotNormalizedError, match="state has metric norm"):
+    with pytest.raises(NotNormalizedError, match=r"norm\^2 = (inf|nan) \(must be 1\)"):
         evaluate_all(SIGMA_X, SIGMA_Z, [1e200, 0.5e200],
                      metric_from_matrix([[2, -1.9], [-1.9, 2]]), Formalism.GMETRIC)
     with pytest.raises(NotNormalizedError, match="norm\\^2 = nan \\(must be 1\\)"):
