@@ -9,13 +9,13 @@ weighted superposition of them, normalized in the metric of the
 statistics: G under the good and gmetric formalisms, the Dirac product
 under plain.
 
-Sweeps evaluate all four relations on a uniform inclusive grid and never
-abort on a bad point; a failure is recorded as that point's typed error.
-Each sweep validates its configuration and builds its metric once, stacks
-the grid's operators and states, and evaluates them in one
-`relation_batch` call.  It returns a `Sweep`, the kernel's RelationBatch
-plus the grid `param`, which builds per-point ScenarioPoints only when
-indexed.
+Each family is one function of a stacked grid, and its single-point
+builder is the one-point slice of it: a sweep's row is `evaluate_all` on
+that point's builder output, bit for bit.  A sweep never aborts on a bad
+point but records its typed error.  It builds its metric once, and
+`_collect` evaluates the stacks in one `relation_batch` call per group
+into a `Sweep`, the kernel's RelationBatch plus the grid `param`, which
+builds per-point ScenarioPoints only when indexed.
 """
 
 import math
@@ -43,7 +43,7 @@ from .relations import (
     _validated,
     relation_batch,
 )
-from .states import _superpose, superposition_state
+from .states import _one, _superpose
 from .tolerances import EPS_EP
 
 SYMMETRIC = "symmetric"
@@ -198,29 +198,31 @@ def _example2_frame(cfg: Example2Config):
     return a, np.array(SIGMA_Y), sys, g
 
 
-def _example2_weights(p: float, alpha):
-    """Superposition weights (1, p e^{i alpha}), stacked over alpha."""
-    phase = p * np.exp(1j * np.asarray(alpha, dtype=float))
-    weights = np.ones(phase.shape + (2,), dtype=complex)
-    weights[..., 1] = phase
-    return weights
+def _example2_arrays(cfg: Example2Config, alpha, formalism: Formalism):
+    """A, B, the metric, and over an array of alpha the (N, 2) states and
+    their N errors, of a validated PT config: each state superposes the two
+    right eigenvectors with weights (1, p e^{i alpha}) and is normalized in
+    the metric of the statistics (`_stats_g`)."""
+    a, b, sys, metric = _example2_frame(cfg)
+    alpha = np.asarray(alpha, dtype=float)
+    weights = np.ones(alpha.shape + (2,), dtype=complex)
+    weights[..., 1] = cfg.p * np.exp(1j * alpha)
+    psi, errors = _superpose(sys.right.T, weights, _stats_g(metric, formalism, 2))
+    return a, b, psi, metric, errors
 
 
-def build_example2(cfg: Example2Config):
+def build_example2(cfg: Example2Config, formalism: Formalism = Formalism.GOOD):
     """Operators, state, and eigenframe metric for the PT scenario.
 
     In the symmetric phase the observable pair is (H(gamma), sigma_y); in
     the broken phase H(gamma) stops being a good observable for the
-    broken-phase metric and the pair is (H(1/gamma), sigma_y).  The state
-    superposes the two right eigenvectors with weights (1, p e^{i alpha}),
-    G-normalized; `example2_sweep` under plain normalizes it in the Dirac
-    product instead.
+    broken-phase metric and the pair is (H(1/gamma), sigma_y).  The state,
+    normalized in the metric of the statistics (G, or the Dirac product
+    under plain), is `example2_sweep`'s at alpha, or raises its error.
     """
     cfg = cfg.validated()
-    a, b, sys, g = _example2_frame(cfg)
-    psi = superposition_state([sys.right_vector(0), sys.right_vector(1)],
-                              _example2_weights(cfg.p, cfg.alpha), g)
-    return a, b, psi, g
+    a, b, psi, metric, errors = _example2_arrays(cfg, [cfg.alpha], formalism)
+    return a, b, _one(psi, errors), metric
 
 
 @dataclass(frozen=True)
@@ -266,13 +268,16 @@ class Sweep(RelationBatch, Sequence):
         return self._scenario_points[i]
 
 
-def _collect(grid: np.ndarray, formalism: Formalism, errors, parts=()) -> Sweep:
+def _collect(grid: np.ndarray, formalism: Formalism, tol: float, errors,
+             groups=()) -> Sweep:
     """A Sweep from the per-point errors met before the kernel and the
-    (point indices, RelationBatch) parts that evaluated the other points."""
+    groups of stacks (point indices, a, b, psi, g), each evaluated in one
+    `relation_batch` call and placed at its points."""
     n, errors = len(grid), list(errors)
     cols = [np.full(n, np.nan), np.full((4, n), np.nan), np.full((4, n), np.nan),
             np.zeros((4, n), bool), np.zeros((2, n), bool), np.zeros(n, bool)]
-    for index, batch in parts:
+    for index, *stacks in groups:
+        batch = relation_batch(*stacks, formalism, tol=tol)
         for col, part in zip(cols, (batch.lhs, batch.rhs, batch.gap, batch.holds,
                                     batch.minus, batch.degenerate)):
             col[..., index] = part
@@ -307,13 +312,9 @@ def sweep(builder, param_range, points: int,
             errors[i] = exc
             continue
         by_dim.setdefault(a.shape[0], []).append((i, a, b, psi, g))
-    tol = _resolve_tol(ur_tol)
-    parts = []
-    for rows in by_dim.values():
-        index, *arrays = zip(*rows)
-        parts.append((np.array(index),
-                      relation_batch(*map(np.stack, arrays), formalism, tol=tol)))
-    return _collect(grid, formalism, errors, parts)
+    groups = [(np.array(index), *map(np.stack, stacks))
+              for index, *stacks in (zip(*rows) for rows in by_dim.values())]
+    return _collect(grid, formalism, _resolve_tol(ur_tol), errors, groups)
 
 
 def example1_sweep(cfg: Example1Config | None = None, points: int = 721,
@@ -322,9 +323,8 @@ def example1_sweep(cfg: Example1Config | None = None, points: int = 721,
     base = (cfg or Example1Config()).validated()
     grid = _grid((0.0, math.pi), points)
     a, b, psi = _example1_arrays(base, grid)
-    batch = relation_batch(a, b, psi, identity_metric(2).g, Formalism.PLAIN,
-                           tol=_resolve_tol(ur_tol))
-    return Sweep(**vars(batch), param=grid)
+    return _collect(grid, Formalism.PLAIN, _resolve_tol(ur_tol), [None] * len(grid),
+                    [(np.arange(len(grid)), a, b, psi, identity_metric(2).g)])
 
 
 def example2_sweep(cfg: Example2Config, points: int = 721,
@@ -335,11 +335,9 @@ def example2_sweep(cfg: Example2Config, points: int = 721,
     grid = _grid((0.0, 2.0 * math.pi), points)
     tol = _resolve_tol(ur_tol)
     try:
-        a, b, sys, metric = _example2_frame(base)
+        a, b, psi, metric, errors = _example2_arrays(base, grid, formalism)
     except NhurError as exc:
-        return _collect(grid, formalism, [exc] * len(grid))
-    g = _stats_g(metric, formalism, 2)
-    psi, errors = _superpose(sys.right.T, _example2_weights(base.p, grid), g)
+        return _collect(grid, formalism, tol, [exc] * len(grid))
     ok = np.array([e is None for e in errors])
-    batch = relation_batch(a, b, psi[ok], g, formalism, tol=tol)
-    return _collect(grid, formalism, errors, [(np.flatnonzero(ok), batch)])
+    return _collect(grid, formalism, tol, errors, [
+        (np.flatnonzero(ok), a, b, psi[ok], _stats_g(metric, formalism, 2))])

@@ -117,7 +117,7 @@ def superposition_state(basis, weights, metric: Metric) -> np.ndarray:
 def _superpose(basis: np.ndarray, weights: np.ndarray, g: np.ndarray):
     """Batched, unchecked `superposition_state`: (k, d) basis rows and
     (N, k) finite weights give `_unit`'s (N, d) states and N errors."""
-    out = weights @ basis
+    out = np.matvec(basis.T, weights)  # row by row: a batch of one rounds as row i
     scale = (np.abs(weights) * _norm(basis)).max(-1)
     zero = (_norm(out) <= EPS_MACH * scale) | (scale == 0.0)
     return _unit(out, g, zero, "superposition")
@@ -150,6 +150,7 @@ def g_orthogonal_complement_2d(psi, metric: Metric) -> np.ndarray:
     return v
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NonFiniteError
 def g_complement_projection(vec, psi, metric: Metric) -> np.ndarray:
     """Metric-normalized projection of vec onto the complement of psi.
 

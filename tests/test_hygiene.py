@@ -1,7 +1,8 @@
 """Source hygiene no installed linter checks: every imported name is used,
 the per-point reference imports none of the package's private helpers and
 the CLI none of the metric's, each tolerance is read by one module, which
-owns its rule, and importing the package does none of the command line's
+owns its rule, the kernel is reached by one route for a single problem and
+one for a sweep, and importing the package does none of the command line's
 work.
 
 The package's `__init__.py` is exempt from the import check, since its
@@ -115,12 +116,31 @@ def test_only_metric_applies_the_variance_tolerance():
     assert readers == ["metric.py"]
 
 
+def calls(node, name: str) -> bool:
+    """Whether the node is a call of `name`, bare or as an attribute."""
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                   getattr(node.func, "attr", None))
+
+
 def constructs(source: str, name: str) -> bool:
     """Whether the module calls `name`, bare or as an attribute."""
-    return any(isinstance(node, ast.Call)
-               and (getattr(node.func, "id", None) == name
-                    or getattr(node.func, "attr", None) == name)
-               for node in ast.walk(ast.parse(source)))
+    return any(calls(node, name) for node in ast.walk(ast.parse(source)))
+
+
+def callers(source: str, name: str) -> list:
+    """The innermost function around each call of `name` in the module, by
+    its name, or "<module>" for a call outside every function."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if calls(child, name):
+                found.append(scope)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
 
 
 @pytest.mark.parametrize("error, home", [("NotOrthogonalError", "metric.py"),
@@ -135,6 +155,21 @@ def test_each_rule_error_is_worded_in_its_rules_module(error, home):
     builders = sorted(p.name for p in (ROOT / "src" / "nhur").glob("*.py")
                       if constructs(p.read_text(encoding="utf-8"), error))
     assert set(builders) <= {home}
+
+
+def test_one_route_into_the_kernel():
+    # a single problem reaches relation_batch through relations._single and
+    # every sweep through scenarios._collect, the one place a Sweep is
+    # built; a third caller would be a route whose rows could drift
+    source = ("def f():\n    def g():\n        k.relation_batch(1)\n"
+              "    relation_batch(2)\nrelation_batch(3)\n")
+    assert callers(source, "relation_batch") == ["<module>", "f", "g"]
+    found = {name: sorted(f"{p.stem}.{scope}"
+                          for p in (ROOT / "src" / "nhur").glob("*.py")
+                          for scope in callers(p.read_text(encoding="utf-8"), name))
+             for name in ("relation_batch", "Sweep")}
+    assert found == {"relation_batch": ["relations._single", "scenarios._collect"],
+                     "Sweep": ["scenarios._collect"]}
 
 
 def test_only_metric_applies_a_limit():

@@ -29,7 +29,6 @@ from nhur import (
     NotOrthogonalError,
     build_example1,
     av_orthogonal_state,
-    broken_eigensystem,
     build_example2,
     evaluate_all,
     example1_sweep,
@@ -40,9 +39,7 @@ from nhur import (
     identity_metric,
     metric_from_matrix,
     pt_hamiltonian,
-    superposition_state,
     sweep,
-    symmetric_eigensystem,
     ur1,
     ur2,
     ur3,
@@ -387,28 +384,39 @@ def test_sweeps_are_n_invariant(monkeypatch, cfg, formalism):
 def test_plain_example2_sweep_matches_reference():
     # under plain the superposition is normalized in the Dirac product
     for cfg, _ in BENCH_SWEEPS[1:3]:
-        system = (broken_eigensystem if cfg.phase == BROKEN
-                  else symmetric_eigensystem)(cfg.gamma)
-        basis = [system.right_vector(0), system.right_vector(1)]
         for pt in example2_sweep(cfg, points=181, formalism=Formalism.PLAIN):
-            a, b, _, metric = build_example2(replace(cfg, alpha=pt.param))
-            psi = superposition_state(basis, [1.0, cfg.p * np.exp(1j * pt.param)],
-                                      identity_metric(2))
+            a, b, psi, metric = build_example2(replace(cfg, alpha=pt.param),
+                                               Formalism.PLAIN)
             want = reference.evaluate_all(a, b, psi, metric, Formalism.PLAIN)
             assert pt.ok, pt.error
             tol = 256 * EPS * second_moments(a, b, psi, np.eye(2))
             assert_matches(pt.evaluations, want, tol)
 
 
-def test_generic_sweep_matches_closed_form_sweep():
-    def builder(theta0):
-        return build_example1(Example1Config(theta0=theta0))
+SCENARIOS = [(None, Formalism.PLAIN)] + [
+    (cfg, formalism) for cfg in (Example2Config.symmetric_default(),
+                                 Example2Config.broken_default())
+    for formalism in FORMALISMS]
 
-    stacked = sweep(builder, (0.0, math.pi), 61)
-    closed = example1_sweep(points=61)
-    for p, q in zip(stacked, closed):
+
+@pytest.mark.parametrize("cfg,formalism", SCENARIOS, ids=["example1"] + [
+    f"{cfg.phase}-{formalism.value}" for cfg, formalism in SCENARIOS[1:]])
+def test_generic_sweep_matches_closed_form_sweep(cfg, formalism):
+    # each scenario's single point is the one-point slice of its sweep, so
+    # every row of the closed-form and the generic sweep is evaluate_all on
+    # that point's builder output, bit for bit
+    if cfg is None:
+        grid, closed = (0.0, math.pi), example1_sweep(points=721)
+        build = lambda x: build_example1(Example1Config(theta0=x))  # noqa: E731
+    else:
+        grid = (0.0, 2 * math.pi)
+        closed = example2_sweep(cfg, points=721, formalism=formalism)
+        build = lambda x: build_example2(replace(cfg, alpha=x), formalism)  # noqa: E731
+    stacked = sweep(build, grid, 721, formalism)
+    for p, q in zip(stacked, closed, strict=True):
+        assert p.ok and q.ok, (p.error, q.error)
         assert p.param == q.param
-        assert p.evaluations == q.evaluations
+        assert p.evaluations == q.evaluations == evaluate_all(*build(p.param), formalism)
 
 
 def test_generic_sweep_groups_dimensions():

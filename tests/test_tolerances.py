@@ -309,9 +309,9 @@ def test_each_rule_words_its_own_failure():
 
 
 def test_an_overflowed_statistic_is_typed():
-    # a variance, covariance or superposition norm^2 beyond double range
-    # raises NonFiniteError; no np.errstate, so the suite's warning filter
-    # checks that no RuntimeWarning escapes on the way
+    # a variance, covariance, superposition or complement norm^2 beyond
+    # double range raises NonFiniteError; no np.errstate, so the suite's
+    # warning filter checks that no RuntimeWarning escapes on the way
     metric, psi = identity_metric(2), [0.6, 0.8]
     for call in (lambda: g_variance(1e200 * SIGMA_X, psi, metric),
                  lambda: g_covariance(1e200 * SIGMA_X, 1e200 * SIGMA_Z, psi, metric),
@@ -320,6 +320,8 @@ def test_an_overflowed_statistic_is_typed():
             call()
     with pytest.raises(NonFiniteError, match="superposition norm\\^2 overflows"):
         superposition_state([[1, 0], [0, 1]], [1e200, 1e200], metric)
+    with pytest.raises(NonFiniteError, match="complement norm\\^2 overflows"):
+        g_complement_projection([1e200, 1e200], [1, 0], metric)
 
 
 def test_the_normalization_limit_does_not_overflow():
