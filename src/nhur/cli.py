@@ -10,10 +10,11 @@ Four subcommands:
 `example2` normalizes its states in the metric of the statistics (the
 Dirac product under --formalism plain), and `check` rescales an off-norm
 state the same way, through `states`; this module applies no tolerance
-rule of its own.
+rule of its own, and EPS_UR, the slack it prints, has no override.
 
-Exit codes: 0 when every evaluated inequality holds, 1 when at least one
-is violated beyond tolerance, 2 for usage, parse, or validation errors.
+Exit codes: 0 when every evaluated inequality holds, 1 when one is
+violated, lhs - rhs < -EPS_UR * S (`relations`), 2 for usage, parse, or
+validation errors.
 `main(argv)` may be called repeatedly in one process: it builds the
 argument parser on its first call and reuses it after that.
 
@@ -50,7 +51,7 @@ from .scenarios import (
     pt_hamiltonian,
 )
 from .states import _normalized
-from .tolerances import ur_tolerance
+from .tolerances import EPS_UR
 
 _RELATIONS = ("ur1", "ur2", "ur3", "ur4")
 
@@ -136,15 +137,14 @@ def _summarize_sweep(sweep: Sweep, param_name: str, tol: float) -> int:
 
 
 def _run_sweep(args, param_name: str, run) -> int:
-    """Check --points, call run(points, tol), write the CSV and summarize."""
+    """Check --points, call run(points), write the CSV and summarize."""
     if args.points < 2:
         print("error: --points must be at least 2", file=sys.stderr)
         return 2
-    tol = ur_tolerance()
-    result = run(args.points, tol)
+    result = run(args.points)
     written = write_sweep_csv(args.out, param_name, result)
     print(f"wrote {args.out} ({written} rows)")
-    return _summarize_sweep(result, param_name, tol)
+    return _summarize_sweep(result, param_name, EPS_UR)
 
 
 def cmd_example1(args) -> int:
@@ -152,8 +152,7 @@ def cmd_example1(args) -> int:
         theta1=args.theta1, theta3=args.theta3,
         theta5=args.theta5, theta7=args.theta7,
     )
-    return _run_sweep(args, "theta0", lambda points, tol: example1_sweep(
-        cfg, points=points, ur_tol=tol))
+    return _run_sweep(args, "theta0", lambda points: example1_sweep(cfg, points=points))
 
 
 def cmd_example2(args) -> int:
@@ -168,8 +167,8 @@ def cmd_example2(args) -> int:
         phase=args.phase,
     )
     formalism = Formalism.parse(args.formalism)
-    return _run_sweep(args, "alpha", lambda points, tol: example2_sweep(
-        cfg, points=points, formalism=formalism, ur_tol=tol))
+    return _run_sweep(args, "alpha", lambda points: example2_sweep(
+        cfg, points=points, formalism=formalism))
 
 
 class ProblemParseError(NhurError):
@@ -311,8 +310,7 @@ def cmd_check(args) -> int:
     problem = parse_problem(payload)
     report: dict = {"dim": problem["dim"],
                     "formalism": problem["formalism"].value}
-    tol = ur_tolerance()
-    report["tolerance_ur"] = tol
+    report["tolerance_ur"] = EPS_UR
     try:
         metric = (identity_metric(problem["dim"]) if problem["g"] is None
                   else metric_from_matrix(problem["g"]))
@@ -348,8 +346,7 @@ def cmd_check(args) -> int:
         if psi_perp is not None:
             psi_perp = _normalized(psi_perp, stats_g, "psi_perp")
         evaluations = evaluate_all(problem["a"], problem["b"], psi, metric,
-                                   problem["formalism"], psi_perp=psi_perp,
-                                   ur_tol=tol)
+                                   problem["formalism"], psi_perp=psi_perp)
     except NhurError as exc:
         # as above; the report so far, residuals included, explains the failure
         print(f"error: {exc}", file=sys.stderr)
@@ -372,9 +369,9 @@ def cmd_check(args) -> int:
         print(f"{ev.relation}: lhs={ev.lhs:.12g} rhs={ev.rhs:.12g} "
               f"gap={ev.gap:.12g} holds={_bool(ev.holds)}{branch}{degen}")
     if all_hold:
-        print(f"all inequalities hold (tolerance {tol:g})")
+        print(f"all inequalities hold (tolerance {EPS_UR:g})")
         return 0
-    print(f"inequality violation beyond tolerance {tol:g}")
+    print(f"inequality violation beyond tolerance {EPS_UR:g}")
     return 1
 
 

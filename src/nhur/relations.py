@@ -26,15 +26,16 @@ explicit constructions (states.ur3_default_perp, av_orthogonal_state)
 stay available as tools and test oracles; the kernel does not build them.
 
 `relation_batch` evaluates many points in one vectorized pass, then
-resolves them: holds is ``gap >= -tol``, ur3 sits at the branch asked
-for, and each point carries the first error of a check guarding the
-relations asked for, reading NaN and False where it failed.  Each check
-applies the one rule `metric` holds for it, and the table of checks is
-built only where some rule is not clear of the batch by its absolute
-eps; this module reads no EPS_*.
+resolves them: ur3 sits at the branch asked for, and each point carries
+the first error of a check guarding the relations asked for, reading NaN
+and False where it failed.  Each check applies the one rule `metric`
+holds for it, and the table of checks is built only where some rule is
+not clear of the batch by its absolute eps; this module reads no EPS_*.
+holds is the paper's inequality, lhs - rhs >= -EPS_UR * S with S =
+|A psi|_G^2 + |B psi|_G^2 (`tolerances.ur_holds`), not the gap's sign: a
+fault in lhs or a bound fails it, in any units.
 `evaluate_all` and ur1-ur4 validate one input at the boundary, make the
-N = 1 call, and raise its error or return its records; the default
-tolerance honors NHUR_TOLERANCE_UR.
+N = 1 call, and raise its error or return its records.
 """
 
 import enum
@@ -47,7 +48,7 @@ from .errors import DimensionMismatchError, NonFiniteError, NotOrthogonalError
 from .linalg import as_operator, as_state
 from .metric import (Metric, _Rule, _centered, _good_gate, _good_residual,
                      _norm_check, _overlap_check, _real_check, _vanishes, identity_metric)
-from .tolerances import ur_tolerance
+from .tolerances import ur_holds
 
 
 class Formalism(enum.Enum):
@@ -64,7 +65,7 @@ class UrEvaluation(NamedTuple):
     """One evaluated inequality instance, an immutable named tuple.
 
     gap = lhs - rhs to rounding, not bit for bit (see the module
-    docstring); holds means gap >= -tol for the tolerance in force.
+    docstring); holds means lhs - rhs >= -EPS_UR (|A psi|_G^2 + |B psi|_G^2).
     sign_branch records which branch achieved the reported bound for the
     relations that have one; a tie goes to "plus", so ur3 with the
     default auxiliary state, where both branches equal lhs, reports
@@ -126,14 +127,15 @@ def _records(batch: RelationBatch) -> list:
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is no verdict
 def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
-                   tol: float, relations=_ALL, sign: str = "max") -> RelationBatch:
+                   relations=_ALL, sign: str = "max") -> RelationBatch:
     """Evaluate ur1..ur4 at N points in one vectorized pass.  Unchecked.
 
     a, b and g are (N, d, d) stacks or single (d, d) matrices that
     broadcast; psi and psi_perp are (N, d).  g is the metric of the
     statistics (`_stats_g`).  Inputs must be finite complex arrays of
-    consistent shape; `_validated` makes them so.  holds is gap >= -tol;
-    ur3 reports its best branch, or the "plus" or "minus" one by sign.
+    consistent shape; `_validated` makes them so.  holds is `ur_holds`
+    with S from the norms the eigenstate rule forms; ur3 reports its best
+    branch, or the "plus" or "minus" one by sign.
 
     It computes every value, then resolves one ordered table of checks,
     each a mask, the relations it guards and its error: the good-observable
@@ -216,8 +218,8 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
                        for i, k in enumerate(first.tolist()))
         lhs[failed] = rhs[:, failed] = gap[:, failed] = np.nan
         minus[:, failed] = degenerate[failed] = False
-    return RelationBatch(formalism, lhs, rhs, gap, gap >= -tol, minus,
-                         degenerate, errors)
+    holds = ur_holds(lhs, rhs, np.vecdot(norm, norm, axis=0))  # S
+    return RelationBatch(formalism, lhs, rhs, gap, holds, minus, degenerate, errors)
 
 
 def _stats_g(g: Metric | None, formalism: Formalism, dim: int) -> np.ndarray:
@@ -245,15 +247,14 @@ def _validated(a, b, psi, g: Metric | None, formalism: Formalism,
     return a, b, psi, garr, psi_perp
 
 
-def _single(a, b, psi, g, formalism, ur_tol, relations=_ALL, psi_perp=None,
+def _single(a, b, psi, g, formalism, relations=_ALL, psi_perp=None,
             sign="max") -> tuple:
     """One problem's four records: validated, evaluated as a batch of
     one, and raising the first error of a check guarding `relations`."""
     a, b, psi, garr, psi_perp = _validated(a, b, psi, g, formalism, psi_perp)
     batch = relation_batch(a, b, psi[None], garr, formalism,
                            None if psi_perp is None else psi_perp[None],
-                           tol=_resolve_tol(ur_tol), relations=relations,
-                           sign=sign)
+                           relations=relations, sign=sign)
     (error,) = batch.errors
     if error is not None:
         raise error
@@ -261,25 +262,20 @@ def _single(a, b, psi, g, formalism, ur_tol, relations=_ALL, psi_perp=None,
     return records
 
 
-def _resolve_tol(ur_tol: float | None) -> float:
-    return ur_tolerance() if ur_tol is None else float(ur_tol)
-
-
-def ur1(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLAIN,
-        *, ur_tol: float | None = None) -> UrEvaluation:
+def ur1(a, b, psi, g: Metric | None = None,
+        formalism: Formalism = Formalism.PLAIN) -> UrEvaluation:
     """Variance sum against twice the imaginary part of the covariance."""
-    return _single(a, b, psi, g, formalism, ur_tol, {0})[0]
+    return _single(a, b, psi, g, formalism, {0})[0]
 
 
-def ur2(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLAIN,
-        *, ur_tol: float | None = None) -> UrEvaluation:
+def ur2(a, b, psi, g: Metric | None = None,
+        formalism: Formalism = Formalism.PLAIN) -> UrEvaluation:
     """Variance sum against twice the real part of the covariance."""
-    return _single(a, b, psi, g, formalism, ur_tol, {1})[1]
+    return _single(a, b, psi, g, formalism, {1})[1]
 
 
 def ur3(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLAIN,
-        *, psi_perp=None, sign: str = "max",
-        ur_tol: float | None = None) -> UrEvaluation:
+        *, psi_perp=None, sign: str = "max") -> UrEvaluation:
     """Variance sum against the auxiliary-state-strengthened bound.
 
     For each sign branch the bound adds the squared matrix element of
@@ -291,11 +287,11 @@ def ur3(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLA
     """
     if sign not in ("plus", "minus", "max"):
         raise ValueError(f"sign must be plus, minus, or max, got {sign!r}")
-    return _single(a, b, psi, g, formalism, ur_tol, {2}, psi_perp, sign)[2]
+    return _single(a, b, psi, g, formalism, {2}, psi_perp, sign)[2]
 
 
-def ur4(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLAIN,
-        *, ur_tol: float | None = None) -> UrEvaluation:
+def ur4(a, b, psi, g: Metric | None = None,
+        formalism: Formalism = Formalism.PLAIN) -> UrEvaluation:
     """Variance sum against the stronger of the two combination bounds.
 
     Each branch bound is half Var_G(A +- B), the value the normalized
@@ -303,12 +299,11 @@ def ur4(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLA
     combination has psi as an eigenstate contributes zero and sets the
     degenerate flag instead of failing.  A tie goes to "plus".
     """
-    return _single(a, b, psi, g, formalism, ur_tol, {3})[3]
+    return _single(a, b, psi, g, formalism, {3})[3]
 
 
 def evaluate_all(a, b, psi, g: Metric | None = None,
                  formalism: Formalism = Formalism.PLAIN,
-                 *, psi_perp=None,
-                 ur_tol: float | None = None) -> tuple[UrEvaluation, ...]:
+                 *, psi_perp=None) -> tuple[UrEvaluation, ...]:
     """All four relations over one input, from one kernel call."""
-    return _single(a, b, psi, g, formalism, ur_tol, psi_perp=psi_perp)
+    return _single(a, b, psi, g, formalism, psi_perp=psi_perp)

@@ -38,7 +38,6 @@ from .relations import (
     RelationBatch,
     UrEvaluation,
     _records,
-    _resolve_tol,
     _stats_g,
     _validated,
     relation_batch,
@@ -268,8 +267,7 @@ class Sweep(RelationBatch, Sequence):
         return self._scenario_points[i]
 
 
-def _collect(grid: np.ndarray, formalism: Formalism, tol: float, errors,
-             groups=()) -> Sweep:
+def _collect(grid: np.ndarray, formalism: Formalism, errors, groups=()) -> Sweep:
     """A Sweep from the per-point errors met before the kernel and the
     groups of stacks (point indices, a, b, psi, g), each evaluated in one
     `relation_batch` call and placed at its points."""
@@ -277,7 +275,7 @@ def _collect(grid: np.ndarray, formalism: Formalism, tol: float, errors,
     cols = [np.full(n, np.nan), np.full((4, n), np.nan), np.full((4, n), np.nan),
             np.zeros((4, n), bool), np.zeros((2, n), bool), np.zeros(n, bool)]
     for index, *stacks in groups:
-        batch = relation_batch(*stacks, formalism, tol=tol)
+        batch = relation_batch(*stacks, formalism)
         for col, part in zip(cols, (batch.lhs, batch.rhs, batch.gap, batch.holds,
                                     batch.minus, batch.degenerate)):
             col[..., index] = part
@@ -293,8 +291,7 @@ def _grid(param_range, points: int) -> np.ndarray:
 
 
 def sweep(builder, param_range, points: int,
-          formalism: Formalism = Formalism.PLAIN,
-          *, ur_tol: float | None = None) -> Sweep:
+          formalism: Formalism = Formalism.PLAIN) -> Sweep:
     """Evaluate all relations on a uniform inclusive grid.
 
     builder maps a parameter value to (A, B, psi, metric).  A point whose
@@ -314,30 +311,27 @@ def sweep(builder, param_range, points: int,
         by_dim.setdefault(a.shape[0], []).append((i, a, b, psi, g))
     groups = [(np.array(index), *map(np.stack, stacks))
               for index, *stacks in (zip(*rows) for rows in by_dim.values())]
-    return _collect(grid, formalism, _resolve_tol(ur_tol), errors, groups)
+    return _collect(grid, formalism, errors, groups)
 
 
-def example1_sweep(cfg: Example1Config | None = None, points: int = 721,
-                   *, ur_tol: float | None = None) -> Sweep:
+def example1_sweep(cfg: Example1Config | None = None, points: int = 721) -> Sweep:
     """Sweep theta0 over [0, pi] under the Dirac product."""
     base = (cfg or Example1Config()).validated()
     grid = _grid((0.0, math.pi), points)
     a, b, psi = _example1_arrays(base, grid)
-    return _collect(grid, Formalism.PLAIN, _resolve_tol(ur_tol), [None] * len(grid),
+    return _collect(grid, Formalism.PLAIN, [None] * len(grid),
                     [(np.arange(len(grid)), a, b, psi, identity_metric(2).g)])
 
 
 def example2_sweep(cfg: Example2Config, points: int = 721,
-                   formalism: Formalism = Formalism.GOOD,
-                   *, ur_tol: float | None = None) -> Sweep:
+                   formalism: Formalism = Formalism.GOOD) -> Sweep:
     """Sweep alpha over [0, 2 pi] at fixed gamma and p."""
     base = cfg.validated()
     grid = _grid((0.0, 2.0 * math.pi), points)
-    tol = _resolve_tol(ur_tol)
     try:
         a, b, psi, metric, errors = _example2_arrays(base, grid, formalism)
     except NhurError as exc:
-        return _collect(grid, formalism, tol, [exc] * len(grid))
+        return _collect(grid, formalism, [exc] * len(grid))
     ok = np.array([e is None for e in errors])
-    return _collect(grid, formalism, tol, errors, [
+    return _collect(grid, formalism, errors, [
         (np.flatnonzero(ok), a, b, psi[ok], _stats_g(metric, formalism, 2))])

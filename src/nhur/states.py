@@ -155,15 +155,16 @@ def g_complement_projection(vec, psi, metric: Metric) -> np.ndarray:
     """Metric-normalized projection of vec onto the complement of psi.
 
     Projects with ``1 - |psi><psi|G`` (psi metric-normalized), then
-    normalizes.  Raises ZeroVectorError when vec is metric-parallel to psi
-    and no direction survives.
+    normalizes; vec is first `_scaled`, exactly, so the result does not
+    depend on its units.  Raises ZeroVectorError when vec is
+    metric-parallel to psi and no direction survives.
     """
     psi = require_normalized(psi, metric)
-    vec = as_state(vec, dim=metric.dim, name="vector")
+    vec = _scaled(as_state(vec, dim=metric.dim, name="vector"))[0]
     out = vec - complex(np.vdot(psi, metric.g @ vec)) * psi
     # second pass removes normalization roundoff from the projector
     out = out - complex(np.vdot(psi, metric.g @ out)) * psi
-    zero = _vanishes(np.linalg.norm(out), np.linalg.norm(vec))
+    zero = _vanishes(_norm(out), _norm(vec))
     return _fix_phase(_one(*_unit(out[None], metric.g, np.array([zero]),
                                   "projected complement")))
 

@@ -3,10 +3,9 @@
 All comparison thresholds live here so that tests and library code agree
 on a single set of numbers.  Each is applied by one rule, named beside
 it, in the one package module that reads it; a relative limit on a
-product <u|v> is eps * max(1, |u| |v|) (`metric._limit`).
+product <u|v> is eps * max(1, |u| |v|) (`metric._limit`).  The verdict's
+rule, `ur_holds`, lives here beside EPS_UR, which has no override.
 """
-
-import os
 
 # Noise floor relative to the largest entry or term: states._fix_phase, _superpose.
 EPS_MACH = 1e-12
@@ -42,26 +41,12 @@ EPS_ORTH = 1e-10
 # projected vector's length for a projection.
 EPS_DEGEN = 1e-9
 
-# Slack granted when deciding whether an uncertainty bound holds:
-# the inequality passes when gap >= -EPS_UR; read by ur_tolerance.
+# Slack of the verdict lhs - rhs >= -EPS_UR * S, relative to the scale
+# S = |A psi|_G^2 + |B psi|_G^2, so that units do not move it: ur_holds.
 EPS_UR = 1e-9
 
-_ENV_UR = "NHUR_TOLERANCE_UR"
 
-
-def ur_tolerance() -> float:
-    """Inequality slack, honoring the NHUR_TOLERANCE_UR override.
-
-    Falls back to EPS_UR when the variable is unset or unparsable; a
-    parsable but non-positive value is also rejected.
-    """
-    raw = os.environ.get(_ENV_UR)
-    if raw is None:
-        return EPS_UR
-    try:
-        val = float(raw)
-    except ValueError:
-        return EPS_UR
-    if not val > 0.0:
-        return EPS_UR
-    return val
+def ur_holds(lhs, rhs, scale):
+    """The one verdict rule, batched: lhs - rhs >= -EPS_UR * scale.  A
+    NaN, as at a failed point, does not hold."""
+    return lhs - rhs >= -EPS_UR * scale

@@ -1,9 +1,9 @@
 """Source hygiene no installed linter checks: every imported name is used,
 the per-point reference imports none of the package's private helpers and
 the CLI none of the metric's, each tolerance is read by one module, which
-owns its rule, the kernel is reached by one route for a single problem and
-one for a sweep, and importing the package does none of the command line's
-work.
+owns its rule, no module reads the environment, the kernel is reached by
+one route for a single problem and one for a sweep, and importing the
+package does none of the command line's work.
 
 The package's `__init__.py` is exempt from the import check, since its
 imports are the public re-exports listed in `__all__`.
@@ -114,6 +114,23 @@ def test_only_metric_applies_the_variance_tolerance():
     readers = sorted(p.name for p in (ROOT / "src" / "nhur").glob("*.py")
                      if reads_name(p.read_text(encoding="utf-8"), "EPS_VAR"))
     assert readers == ["metric.py"]
+
+
+def reads_environment(source: str) -> bool:
+    """Whether the module reads os.environ or os.getenv, as an attribute or
+    by import."""
+    return any(reads_name(source, name) for name in ("environ", "getenv"))
+
+
+def test_no_module_reads_the_environment():
+    # a setting taken from the environment is a knob that no signature
+    # shows and that every caller's results silently depend on
+    assert reads_environment("import os\nraw = os.environ.get('X')\n")
+    assert reads_environment("from os import getenv\nraw = getenv('X')\n")
+    assert not reads_environment("import os\npath = os.path.join('a', 'b')\n")
+    readers = sorted(p.name for p in (ROOT / "src" / "nhur").glob("*.py")
+                     if reads_environment(p.read_text(encoding="utf-8")))
+    assert readers == []
 
 
 def calls(node, name: str) -> bool:

@@ -175,9 +175,9 @@ def test_kernel_is_n_invariant(dim, formalism, with_perp, stacked):
     psi = np.array(psi)
     psi[-1] *= 2.0
     perp = None if not with_perp else np.array(perp)
-    batch = relation_batch(a, b, psi, g, formalism, perp, tol=1e-9)
+    batch = relation_batch(a, b, psi, g, formalism, perp)
     assert [e is None for e in batch.errors] == [True] * 4 + [False]
-    assert_n_invariant(batch, a, b, psi, g, formalism, perp, tol=1e-9)
+    assert_n_invariant(batch, a, b, psi, g, formalism, perp)
 
 
 @pytest.mark.parametrize("plain", [False, True], ids=["gmetric", "plain"])
@@ -275,12 +275,12 @@ def test_checks_fail_only_the_relations_they_guard():
     bad = (E0 + E1) / math.sqrt(2.0)
     args = (SX, SY, E0[None], np.eye(2), Formalism.PLAIN, bad[None])
     for relations in ({2}, {0, 1, 2, 3}):
-        batch = relation_batch(*args, tol=1e-9, relations=relations)
+        batch = relation_batch(*args, relations=relations)
         (err,) = batch.errors
         assert isinstance(err, NotOrthogonalError)
         assert np.isnan(batch.gap).all() and not batch.holds.any()
     for k in (0, 1, 3):
-        batch = relation_batch(*args, tol=1e-9, relations={k})
+        batch = relation_batch(*args, relations={k})
         assert batch.errors == (None,)
         assert batch.holds[k, 0]
     with pytest.raises(NotOrthogonalError):

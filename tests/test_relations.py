@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +18,8 @@ from nhur import (
     build_example1,
     build_example2,
     evaluate_all,
+    example1_sweep,
+    example2_sweep,
     g_covariance,
     g_variance,
     identity_metric,
@@ -25,7 +29,8 @@ from nhur import (
     ur3,
     ur4,
 )
-from nhur.tolerances import ur_tolerance
+from nhur import relations
+from nhur.cli import main, problem_payload
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -54,12 +59,14 @@ def test_ur2_pauli_pair():
 
 
 def test_shared_eigenstate_collapses_everything():
+    # a joint eigenstate, and A = B = 0, where S = |A psi|^2 + |B psi|^2 is 0
     cfg = Example1Config(theta0=math.pi / 4)
     a, b, psi, metric = build_example1(cfg)
-    for ev in evaluate_all(a, b, psi, metric):
-        npt.assert_allclose(ev.lhs, 0.0, atol=1e-12)
-        npt.assert_allclose(ev.rhs, 0.0, atol=1e-12)
-        assert ev.holds
+    for a, b in ((a, b), (np.zeros((2, 2)), np.zeros((2, 2)))):
+        for ev in evaluate_all(a, b, psi, metric):
+            npt.assert_allclose(ev.lhs, 0.0, atol=1e-12)
+            npt.assert_allclose(ev.rhs, 0.0, atol=1e-12)
+            assert ev.holds
 
 
 def test_ur2_identical_hermitian_operators_saturate(rng):
@@ -221,24 +228,54 @@ def test_plain_formalism_ignores_supplied_metric(rng):
         assert x.rhs == y.rhs
 
 
-def test_tolerance_env_override(monkeypatch):
-    monkeypatch.delenv("NHUR_TOLERANCE_UR", raising=False)
-    base = ur_tolerance()
-    monkeypatch.setenv("NHUR_TOLERANCE_UR", "0.125")
-    assert ur_tolerance() == 0.125
-    monkeypatch.setenv("NHUR_TOLERANCE_UR", "abc")
-    assert ur_tolerance() == base
-    monkeypatch.setenv("NHUR_TOLERANCE_UR", "-3")
-    assert ur_tolerance() == base
+
+@pytest.fixture
+def faulty_ur3(monkeypatch):
+    """A kernel fault in one bound: ur3's rhs, which equals lhs for the
+    default auxiliary state, reaches the verdict inflated by 1 + 1e-6."""
+    rule = relations.ur_holds
+    inflate = np.array([[1.0], [1.0], [1.0 + 1e-6], [1.0]])
+    monkeypatch.setattr(relations, "ur_holds",
+                        lambda lhs, rhs, scale: rule(lhs, rhs * inflate, scale))
 
 
-def test_holds_respects_explicit_tolerance():
-    a, b, psi, metric = build_example1(Example1Config(theta0=0.3))
-    strict = ur2(a, b, psi, metric, ur_tol=1e-300)
-    loose = ur2(a, b, psi, metric, ur_tol=1e6)
-    assert loose.holds
-    # gap here is strictly positive so both verdicts agree; flip the pair to
-    # force a negative gap and check the huge tolerance still accepts it
-    swapped = ur2(b, a, psi, metric, ur_tol=1e6)
-    assert swapped.holds
-    assert strict.gap == loose.gap
+def _scale(a, b, psi, g) -> float:
+    """S = |A psi|_G^2 + |B psi|_G^2, formed directly."""
+    return sum(np.vdot(x @ psi, g @ (x @ psi)).real for x in (a, b))
+
+
+@pytest.mark.parametrize("scenario, exempt", [
+    (None, 10), (Example2Config.symmetric_default(), 0),
+    (Example2Config.broken_default(), 0)], ids=["example1", "symmetric", "broken"])
+def test_a_fault_in_a_bound_fails_the_verdict(faulty_ur3, scenario, exempt):
+    # ur3 with the default auxiliary state is tight, so its inflated bound
+    # passes lhs by 1e-6 lhs: beyond EPS_UR S wherever lhs >= 1e-3 S, which
+    # misses only example1's near joint eigenstates
+    if scenario is None:
+        sw = example1_sweep(points=721)
+        points = [build_example1(Example1Config(theta0=x)) for x in sw.param.tolist()]
+    else:
+        sw = example2_sweep(scenario, 721)
+        points = [build_example2(replace(scenario, alpha=x)) for x in sw.param.tolist()]
+    assert sw.ok.all() and sw.holds[[0, 1, 3]].all()
+    scale = np.array([_scale(a, b, psi, g.g) for a, b, psi, g in points])
+    faulted = sw.lhs >= 1e-3 * scale
+    assert not sw.holds[2, faulted].any()
+    assert np.count_nonzero(~faulted) == exempt
+
+
+def test_a_fault_in_a_bound_fails_the_cli(faulty_ur3, tmp_path, capsys):
+    a, b, psi, g = build_example2(Example2Config.symmetric_default(alpha=1.0))
+    inp, rep = tmp_path / "problem.json", tmp_path / "report.json"
+    inp.write_text(json.dumps(problem_payload(a, b, psi, g, "good")))
+    assert main(["check", "--input", str(inp), "--out", str(rep)]) == 1
+    report = json.loads(rep.read_text())
+    assert report["all_hold"] is False
+    assert [ev["holds"] for ev in report["evaluations"]] == [True, True, False, True]
+    assert "inequality violation beyond tolerance 1e-09" in capsys.readouterr().out
+    out = tmp_path / "sweep.csv"
+    argv = ["example2", "--phase", "symmetric", "--points", "181", "--out", str(out)]
+    assert main(argv) == 1
+    stdout = capsys.readouterr().out
+    assert stdout.count("VIOLATION: ur3 ") == stdout.count("VIOLATION") == 181
+    assert "181 inequality violations beyond tolerance 1e-09" in stdout

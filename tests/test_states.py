@@ -150,6 +150,12 @@ def test_complement_projection_does_not_depend_on_units(rng):
     want = g_complement_projection((a + 1j * b) @ psi, psi, metric)
     npt.assert_allclose(ur3_default_perp(1e-10 * a, 1e-10 * b, psi, metric, 1),
                         want, rtol=0, atol=1e-14)
+    # and (A + iB) e0 = e2 stays e2 where its norm^2 underflows or
+    # overflows, neither the basis fallback e1 nor a NonFiniteError
+    a = np.zeros((3, 3))
+    a[0, 2] = a[2, 0] = 1.0
+    for c in (1.0, 1e-150, 1e-170, 1e170):
+        npt.assert_array_equal(ur3_default_perp(c * a, 0 * a, e0, metric, 1), [0, 0, 1])
 
 
 def test_av_state_ladder_case():

@@ -9,6 +9,7 @@ the CSV bytes, stdout, stderr and exit code must match it exactly.
 import math
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 import reference
@@ -27,6 +28,7 @@ from nhur import (
 from nhur import cli, relations, scenarios
 from nhur.relations import relation_batch
 from nhur.scenarios import Sweep
+from nhur.tolerances import EPS_UR, ur_holds
 
 def _run_cli(argv, out, capsys):
     code = cli.main(argv + ["--out", str(out)])
@@ -216,24 +218,31 @@ def test_example2_sweep_with_no_usable_state(monkeypatch):
     assert [pt.error for pt in result] == ["ZeroVectorError: superposition cancels"] * 5
 
 
-def test_columns_are_the_one_gap_and_holds_formula():
-    # holds means gap >= -tol, the boundary included: a tol of minus each
-    # computed gap holds there, and one a step past it fails there
+def test_columns_are_the_one_gap_and_holds_formula(monkeypatch):
+    # holds is the one rule on the kernel's own lhs and rhs, against the
+    # scale S = |A psi|^2 + |B psi|^2, the boundary included: a margin of
+    # exactly -EPS_UR * S holds, and one an ulp below it fails
     points = [build_example1(Example1Config(theta0=x)) for x in (0.3, 0.7, 2.0)]
     a, b, psi = (np.stack(arrays) for arrays in list(zip(*points))[:3])
-    args = (a, b, psi, np.eye(2), Formalism.PLAIN)
-    gap = relation_batch(*args, tol=0.0).gap
-    assert (gap[2] == 0.0).all() and (gap[[0, 1, 3]] > 0.0).all()
-    for x in gap.ravel().tolist():
-        at = relation_batch(*args, tol=-x)
-        past = relation_batch(*args, tol=-np.nextafter(x, np.inf))
-        assert at.gap.tolist() == past.gap.tolist() == gap.tolist()
-        assert at.holds.tolist() == (gap >= x).tolist()
-        assert past.holds.tolist() == (gap > x).tolist()
-    # the N = 1 records carry the same gap and holds
-    for (a1, b1, psi1, g1), x in zip(points, gap[3].tolist()):
-        evs = evaluate_all(a1, b1, psi1, g1, ur_tol=-x)
-        at = relation_batch(a1, b1, psi1[None], np.eye(2), Formalism.PLAIN, tol=-x)
-        assert [ev.gap for ev in evs] == at.gap[:, 0].tolist()
-        assert [ev.holds for ev in evs] == at.holds[:, 0].tolist()
-        assert evs[3].holds
+    seen = []
+
+    def recording(lhs, rhs, scale):
+        seen.append((lhs, rhs, scale))
+        return ur_holds(lhs, rhs, scale)
+
+    monkeypatch.setattr(relations, "ur_holds", recording)
+    batch = relation_batch(a, b, psi, np.eye(2), Formalism.PLAIN)
+    ((lhs, rhs, scale),) = seen
+    assert lhs.tolist() == batch.lhs.tolist() and rhs.tolist() == batch.rhs.tolist()
+    want = (np.abs(np.matvec(a, psi)) ** 2 + np.abs(np.matvec(b, psi)) ** 2).sum(-1)
+    npt.assert_allclose(scale, want, rtol=1e-14)
+    assert batch.holds.tolist() == ur_holds(lhs, rhs, scale).tolist()
+    assert (batch.gap[2] == 0.0).all() and (batch.gap[[0, 1, 3]] > 0.0).all()
+    for s in scale.tolist():
+        at = -EPS_UR * s
+        assert ur_holds(at, 0.0, s) and not ur_holds(np.nextafter(at, -np.inf), 0.0, s)
+    # the N = 1 records carry the batch's gap and holds
+    for i, (a1, b1, psi1, g1) in enumerate(points):
+        evs = evaluate_all(a1, b1, psi1, g1)
+        assert [ev.gap for ev in evs] == batch.gap[:, i].tolist()
+        assert [ev.holds for ev in evs] == batch.holds[:, i].tolist()
