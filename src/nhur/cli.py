@@ -484,10 +484,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except NhurError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NhurError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

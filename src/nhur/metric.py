@@ -16,13 +16,14 @@ the variance rather than with <X^dag G X>.
 Each rule that can fail a point is one function returning a `_Rule`,
 and only it words that failure: a norm^2 <v|G v> within EPS_NORM of 1
 and finite (`_norm_check`), a variance or norm^2 real and nonnegative
-within EPS_VAR (`_real_check`), an overlap <v|G psi> within EPS_ORTH
-(`_overlap_check`), and the good-observable gate (`_good_gate`).  Each
-limit on a product <u|v> is `_limit`, eps * max(1, |u| |v|), never below
-the rule's absolute eps: a rule that no point trips by that eps is clear
-of the batch, and its mask forms the limit only where eps trips.  The
-eigenstate rule (`_vanishes`) takes its scale from the caller's
-operands.  No other module reads the tolerances of these rules.
+within EPS_VAR (`_real_check`), and an overlap <v|G psi> within EPS_ORTH
+(`_overlap_check`).  The good-observable gate, a condition on (A, B, G)
+alone, checks one problem (`_require_good`).  Each limit on a product
+<u|v> is `_limit`, eps * max(1, |u| |v|), never below the rule's absolute
+eps: a rule that no point trips by that eps is clear of the batch, and its
+mask forms the limit only where eps trips.  The eigenstate rule
+(`_vanishes`) takes its scale from the caller's operands.  No other module
+reads the tolerances of these rules.
 """
 
 from collections.abc import Callable
@@ -177,8 +178,7 @@ class GoodObservableCheck:
 def is_good_observable(x, metric: Metric) -> GoodObservableCheck:
     """Test whether x plays the role of a Hermitian observable under G."""
     x = as_operator(x, dim=metric.dim, name="observable")
-    with np.errstate(over="ignore", invalid="ignore"):  # then the residual is NaN
-        residual = float(_good_residual(x, metric.g))
+    residual = float(_good_residual(x, metric.g))
     return GoodObservableCheck(
         is_good=_good(residual), residual=residual, threshold=EPS_GOOD
     )
@@ -187,6 +187,16 @@ def is_good_observable(x, metric: Metric) -> GoodObservableCheck:
 def _good(residual):
     """The one good-observable comparison, residual <= EPS_GOOD; batched."""
     return residual <= EPS_GOOD
+
+
+def _require_good(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> None:
+    """The good-observable gate of one problem, a condition on (A, B, G)
+    alone: NotGoodObservableError unless both operators are `_good`."""
+    res = _good_residual(np.array([a, b]), g)
+    if not _good(res).all():
+        raise NotGoodObservableError(
+            "good-observable formalism requires both operators to satisfy X^dag G = "
+            f"G X; residuals a={res[0]:.3e}, b={res[1]:.3e} (threshold {EPS_GOOD:g})")
 
 
 class _Rule(NamedTuple):
@@ -204,23 +214,12 @@ def _within(excess, eps: float) -> bool:
     return excess.size == 0 or bool(excess.max() <= eps)
 
 
-def _good_gate(res: np.ndarray, n: int) -> _Rule:
-    """The kernel's gate over n points on the (2, ...) `_good_residual`s of
-    A and B: it fails a point where either is not `_good`."""
-    def error(i):
-        a, b = np.broadcast_to(res.reshape(2, -1), (2, n))[:, i]
-        return NotGoodObservableError(
-            "good-observable formalism requires both operators to satisfy "
-            f"X^dag G = G X; residuals a={a:.3e}, b={b:.3e} (threshold {EPS_GOOD:g})")
-    return _Rule(np.count_nonzero(_good(res)) == res.size,
-                 lambda: np.broadcast_to(~_good(res).all(0), n), error)
-
-
+@np.errstate(over="ignore", invalid="ignore")  # then the residual is NaN
 def _good_residual(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Batched ``|X^dag G - G X|_F / (|G|_F |X|_F)`` over leading axes;
-    0 where the denominator vanishes, NaN where the numerator overflows
-    (inf / inf).  G is Hermitian, so X^dag G is (G X)^dag and one product
-    serves.  The caller ignores overflow and invalid warnings."""
+    0 where the denominator vanishes, NaN, without a warning, where the
+    numerator overflows (inf / inf).  G is Hermitian, so X^dag G is
+    (G X)^dag and one product serves."""
     gx = g @ x
     raw = _frobenius(np.conj(np.swapaxes(gx, -1, -2)) - gx)
     denom = _frobenius(g) * _frobenius(x)

@@ -17,7 +17,8 @@ All statistics are taken in the formalism's inner product:
   gmetric  metric-weighted statistics, arbitrary operators
   good     gmetric behind the gate X^dag G = G X on both operators, under
            which the commutator and anticommutator forms of ur1/ur2 equal
-           2 Im Cov_G and 2 Re Cov_G exactly
+           2 Im Cov_G and 2 Re Cov_G exactly; the gate is checked once per
+           problem at the boundary, before the kernel
 
 The default perp of ur3 is the optimal one, for which the bound is tight
 (Maccone & Pati, PRL 113, 260401, 2014): each branch equals lhs and the
@@ -34,8 +35,9 @@ not clear of the batch by its absolute eps; this module reads no EPS_*.
 holds is the paper's inequality, lhs - rhs >= -EPS_UR * S with S =
 |A psi|_G^2 + |B psi|_G^2 (`tolerances.ur_holds`), not the gap's sign: a
 fault in lhs or a bound fails it, in any units.
-`evaluate_all` and ur1-ur4 validate one input at the boundary, make the
-N = 1 call, and raise its error or return its records.
+The kernel takes no formalism and computes in whatever G it is given.
+`evaluate_all` and ur1-ur4 validate one input at the boundary, the gate
+included, make the N = 1 call, and raise its error or return its records.
 """
 
 import enum
@@ -46,8 +48,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, NotOrthogonalError
 from .linalg import as_operator, as_state
-from .metric import (Metric, _Rule, _centered, _good_gate, _good_residual,
-                     _norm_check, _overlap_check, _real_check, _vanishes, identity_metric)
+from .metric import (Metric, _Rule, _centered, _norm_check, _overlap_check, _real_check,
+                     _require_good, _vanishes, identity_metric)
 from .tolerances import ur_holds
 
 
@@ -67,10 +69,11 @@ class UrEvaluation(NamedTuple):
     gap = lhs - rhs to rounding, not bit for bit (see the module
     docstring); holds means lhs - rhs >= -EPS_UR (|A psi|_G^2 + |B psi|_G^2).
     sign_branch records which branch achieved the reported bound for the
-    relations that have one; a tie goes to "plus", so ur3 with the
-    default auxiliary state, where both branches equal lhs, reports
-    "plus".  degenerate marks ur4 evaluations where a branch hit an eigenstate
-    of A+-B, sd <= EPS_DEGEN (|A psi|_G + |B psi|_G), and contributed 0.
+    relations that have one, the larger as computed: an exact tie (the same
+    bits, as for ur3 with the default auxiliary state or ur4 with B = 0)
+    goes to "plus", an analytic tie to whichever branch rounds larger.
+    degenerate marks ur4 evaluations where a branch hit an eigenstate of
+    A+-B, sd <= EPS_DEGEN (|A psi|_G + |B psi|_G), and contributed 0.
     """
 
     relation: str
@@ -102,7 +105,6 @@ class RelationBatch:
     False.
     """
 
-    formalism: Formalism
     lhs: np.ndarray
     rhs: np.ndarray
     gap: np.ndarray
@@ -112,9 +114,8 @@ class RelationBatch:
     errors: tuple
 
 
-def _records(batch: RelationBatch) -> list:
-    """Per point, the four UrEvaluation records of a batch's arrays."""
-    f = batch.formalism
+def _records(batch: RelationBatch, f: Formalism) -> list:
+    """Per point, the four UrEvaluation records of a batch, in formalism f."""
     return [(UrEvaluation("ur1", f, lhs, rhs[0], gap[0], holds[0]),
              UrEvaluation("ur2", f, lhs, rhs[1], gap[1], holds[1]),
              UrEvaluation("ur3", f, lhs, rhs[2], gap[2], holds[2], _BRANCH[minus[0]]),
@@ -126,33 +127,28 @@ def _records(batch: RelationBatch) -> list:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is no verdict
-def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
-                   relations=_ALL, sign: str = "max") -> RelationBatch:
+def relation_batch(a, b, psi, g, psi_perp=None, *, relations=_ALL,
+                   sign: str = "max") -> RelationBatch:
     """Evaluate ur1..ur4 at N points in one vectorized pass.  Unchecked.
 
     a, b and g are (N, d, d) stacks or single (d, d) matrices that
     broadcast; psi and psi_perp are (N, d).  g is the metric of the
     statistics (`_stats_g`).  Inputs must be finite complex arrays of
-    consistent shape; `_validated` makes them so.  holds is `ur_holds`
-    with S from the norms the eigenstate rule forms; ur3 reports its best
-    branch, or the "plus" or "minus" one by sign.
+    consistent shape, good observables where the formalism asks it;
+    `_validated` makes them so.  holds is `ur_holds` with S from the norms
+    the eigenstate rule forms; ur3 reports its best branch, or the "plus"
+    or "minus" one by sign.
 
     It computes every value, then resolves one ordered table of checks,
-    each a mask, the relations it guards and its error: the good-observable
-    gate, state normalization, Var(A) and Var(B) real and nonnegative, an
-    explicit psi_perp's normalization and orthogonality (guarding ur3),
-    Var(A +- B) (guarding ur4), and last a finite lhs, rhs and gap, as
-    overflow is no verdict.  Only checks guarding one of `relations`
-    (indices of ur1..ur4) count; a point records the first it fails.
-    The table is built only where some check's rule is not clear.
+    each a mask, the relations it guards and its error: state normalization,
+    Var(A) and Var(B) real and nonnegative, an explicit psi_perp's
+    normalization and orthogonality (guarding ur3), Var(A +- B) (guarding
+    ur4), and last a finite lhs, rhs and gap, as overflow is no verdict.
+    Only checks guarding one of `relations` (indices of ur1..ur4) count; a
+    point records the first it fails.  The table is built only where some
+    check's rule is not clear.
     """
     n = psi.shape[0]
-    res = None
-    if formalism is Formalism.GOOD:
-        # A and B as one stack, broadcast to the batch only if their shapes differ
-        same = a.shape == b.shape and g.ndim <= a.ndim
-        pair = np.array([a, b] if same else np.broadcast_arrays(a, b, g)[:2])
-        res = _good_residual(pair, g)
     v = np.array([psi, np.matvec(a, psi), np.matvec(b, psi)])
     gv = np.matvec(g, v)  # G psi, G A psi and G B psi in one product
     gpsi = gv[0]
@@ -194,7 +190,6 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
     lhs, rhs, gap = values[0], values[1:5], values[5:]
     minus = np.array([minus3, halves[1] > halves[0]])
     degenerate = flat[0] | flat[1]
-    gate = [] if res is None else [_good_gate(res, n)]
     state = _norm_check("state", nsq, psi, gpsi)
     real = _real_check("variance", raw[:4], u[:4], gu[:4])
     held = np.isfinite(values)  # an overflow is not a verdict
@@ -202,13 +197,13 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
                    lambda i: NonFiniteError("relation values overflow double "
                                             f"precision (lhs = {lhs[i]:.3g})"))
     errors = (None,) * n
-    if not all(rule.clear for rule in (*gate, state, real, *aux, finite)):
+    if not all(rule.clear for rule in (state, real, *aux, finite)):
         unreal = real.bad()
         var_checks = [(guards, unreal[k], lambda i, k=k: real.error((k, i)))
                       for k, guards in enumerate((_ALL, _ALL, {3}, {3}))]
         # (guards, mask, error of point i), in the order they apply; the
         # finite check last, so that any earlier error stands
-        checks = [(_ALL, rule.bad(), rule.error) for rule in (*gate, state)]
+        checks = [(_ALL, state.bad(), state.error)]
         checks += var_checks[:2] + [({2}, rule.bad(), rule.error) for rule in aux]
         checks += var_checks[2:] + [(_ALL, finite.bad(), finite.error)]
         guarded = [(mask, error) for guards, mask, error in checks if guards & relations]
@@ -219,7 +214,7 @@ def relation_batch(a, b, psi, g, formalism: Formalism, psi_perp=None, *,
         lhs[failed] = rhs[:, failed] = gap[:, failed] = np.nan
         minus[:, failed] = degenerate[failed] = False
     holds = ur_holds(lhs, rhs, np.vecdot(norm, norm, axis=0))  # S
-    return RelationBatch(formalism, lhs, rhs, gap, holds, minus, degenerate, errors)
+    return RelationBatch(lhs, rhs, gap, holds, minus, degenerate, errors)
 
 
 def _stats_g(g: Metric | None, formalism: Formalism, dim: int) -> np.ndarray:
@@ -232,8 +227,8 @@ def _stats_g(g: Metric | None, formalism: Formalism, dim: int) -> np.ndarray:
 
 def _validated(a, b, psi, g: Metric | None, formalism: Formalism,
                psi_perp=None):
-    """Boundary checks of one problem: (a, b, psi, G array, psi_perp)
-    ready for `relation_batch`, with G the statistics metric."""
+    """Boundary checks of one problem, the good-observable gate last: (a, b,
+    psi, G, psi_perp) ready for `relation_batch`, G the statistics metric."""
     a = as_operator(a, name="first operator")
     dim = a.shape[0]
     b = as_operator(b, dim=dim, name="second operator")
@@ -244,6 +239,8 @@ def _validated(a, b, psi, g: Metric | None, formalism: Formalism,
     if garr.shape[0] != dim:
         raise DimensionMismatchError(
             f"metric is {g.dim}x{g.dim} but the operators are {dim}x{dim}")
+    if formalism is Formalism.GOOD:
+        _require_good(a, b, garr)
     return a, b, psi, garr, psi_perp
 
 
@@ -252,13 +249,13 @@ def _single(a, b, psi, g, formalism, relations=_ALL, psi_perp=None,
     """One problem's four records: validated, evaluated as a batch of
     one, and raising the first error of a check guarding `relations`."""
     a, b, psi, garr, psi_perp = _validated(a, b, psi, g, formalism, psi_perp)
-    batch = relation_batch(a, b, psi[None], garr, formalism,
+    batch = relation_batch(a, b, psi[None], garr,
                            None if psi_perp is None else psi_perp[None],
                            relations=relations, sign=sign)
     (error,) = batch.errors
     if error is not None:
         raise error
-    (records,) = _records(batch)
+    (records,) = _records(batch, formalism)
     return records
 
 
@@ -295,9 +292,9 @@ def ur4(a, b, psi, g: Metric | None = None,
     """Variance sum against the stronger of the two combination bounds.
 
     Each branch bound is half Var_G(A +- B), the value the normalized
-    orthogonal state of that combination gives; a branch whose
-    combination has psi as an eigenstate contributes zero and sets the
-    degenerate flag instead of failing.  A tie goes to "plus".
+    orthogonal state of that combination gives; a branch at an eigenstate of
+    its combination contributes zero and sets the degenerate flag, with no
+    error.  A tie goes to the branch that computes larger, else to "plus".
     """
     return _single(a, b, psi, g, formalism, {3})[3]
 

@@ -12,10 +12,10 @@ under plain.
 Each family is one function of a stacked grid, and its single-point
 builder is the one-point slice of it: a sweep's row is `evaluate_all` on
 that point's builder output, bit for bit.  A sweep never aborts on a bad
-point but records its typed error.  It builds its metric once, and
-`_collect` evaluates the stacks in one `relation_batch` call per group
-into a `Sweep`, the kernel's RelationBatch plus the grid `param`, which
-builds per-point ScenarioPoints only when indexed.
+point but records its typed error.  It builds its metric once, checks a
+good sweep's gate once, and `_collect` evaluates the stacks in one
+`relation_batch` call per group into a `Sweep`, the kernel's arrays plus
+the grid `param` and formalism, building ScenarioPoints only when indexed.
 """
 
 import math
@@ -32,7 +32,7 @@ from .errors import (
     PhaseMismatchError,
 )
 from .linalg import SIGMA_Y, EigenSystem
-from .metric import identity_metric, metric_from_right_eigenvectors
+from .metric import _require_good, identity_metric, metric_from_right_eigenvectors
 from .relations import (
     Formalism,
     RelationBatch,
@@ -243,12 +243,13 @@ def _error_text(exc: NhurError) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Sweep(RelationBatch, Sequence):
-    """A sweep's RelationBatch over its N grid points `param`.
+    """A sweep's RelationBatch over its N grid points `param`, in `formalism`.
 
     As a sequence a Sweep is its ScenarioPoints, built on first access.
     """
 
     param: np.ndarray
+    formalism: Formalism
 
     @property
     def ok(self) -> np.ndarray:
@@ -258,7 +259,8 @@ class Sweep(RelationBatch, Sequence):
     def _scenario_points(self) -> tuple:
         return tuple(
             ScenarioPoint(x, r) if e is None else ScenarioPoint(x, (), _error_text(e))
-            for x, r, e in zip(self.param.tolist(), _records(self), self.errors))
+            for x, r, e in zip(self.param.tolist(), _records(self, self.formalism),
+                               self.errors))
 
     def __len__(self) -> int:
         return len(self.errors)
@@ -275,13 +277,13 @@ def _collect(grid: np.ndarray, formalism: Formalism, errors, groups=()) -> Sweep
     cols = [np.full(n, np.nan), np.full((4, n), np.nan), np.full((4, n), np.nan),
             np.zeros((4, n), bool), np.zeros((2, n), bool), np.zeros(n, bool)]
     for index, *stacks in groups:
-        batch = relation_batch(*stacks, formalism)
+        batch = relation_batch(*stacks)
         for col, part in zip(cols, (batch.lhs, batch.rhs, batch.gap, batch.holds,
                                     batch.minus, batch.degenerate)):
             col[..., index] = part
         for i, error in zip(index.tolist(), batch.errors):
             errors[i] = error
-    return Sweep(formalism, *cols, tuple(errors), param=grid)
+    return Sweep(*cols, tuple(errors), param=grid, formalism=formalism)
 
 
 def _grid(param_range, points: int) -> np.ndarray:
@@ -328,10 +330,13 @@ def example2_sweep(cfg: Example2Config, points: int = 721,
     """Sweep alpha over [0, 2 pi] at fixed gamma and p."""
     base = cfg.validated()
     grid = _grid((0.0, 2.0 * math.pi), points)
+    errors = [None] * len(grid)
     try:
         a, b, psi, metric, errors = _example2_arrays(base, grid, formalism)
-    except NhurError as exc:
-        return _collect(grid, formalism, [exc] * len(grid))
+        g = _stats_g(metric, formalism, 2)
+        if formalism is Formalism.GOOD:  # the gate, once for every point
+            _require_good(a, b, g)
+    except NhurError as exc:  # a point whose state failed keeps its error
+        return _collect(grid, formalism, [e or exc for e in errors])
     ok = np.array([e is None for e in errors])
-    return _collect(grid, formalism, errors, [
-        (np.flatnonzero(ok), a, b, psi[ok], _stats_g(metric, formalism, 2))])
+    return _collect(grid, formalism, errors, [(np.flatnonzero(ok), a, b, psi[ok], g)])

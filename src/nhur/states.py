@@ -103,13 +103,7 @@ def superposition_state(basis, weights, metric: Metric) -> np.ndarray:
     NegativeNormError when the metric fails to assign it a positive norm.
     """
     vecs = [as_state(b, dim=metric.dim, name=f"basis[{i}]") for i, b in enumerate(basis)]
-    w = np.asarray(weights, dtype=complex)
-    if w.ndim != 1 or w.shape[0] != len(vecs):
-        raise DimensionMismatchError(
-            f"got {len(vecs)} basis vectors but {w.shape} weights"
-        )
-    if not np.isfinite(w).all():
-        raise ZeroVectorError("weights contain non-finite entries")
+    w = as_state(weights, dim=len(vecs), name="weights")
     return _one(*_superpose(np.array(vecs), w[None], metric.g))
 
 

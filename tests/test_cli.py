@@ -189,6 +189,22 @@ def test_check_rejects_non_integer_dim(tmp_path, capsys, dim):
     assert capsys.readouterr().err == "error: 'dim' must be an integer\n"
 
 
+@pytest.mark.parametrize("payload, message", [
+    ([{"dim": 2}], "problem file must be a JSON object"),
+    ({"dim": 0}, "'dim' must be positive, got 0"),
+    ({"dim": -3}, "'dim' must be positive, got -3"),
+], ids=["array", "dim-0", "dim-negative"])
+def test_check_rejects_a_non_object_or_a_dim_below_one(tmp_path, capsys, payload,
+                                                      message):
+    # both fail before any field is read
+    with pytest.raises(ProblemParseError, match=f"^{message}$"):
+        parse_problem(payload)
+    inp = tmp_path / "problem.json"
+    _write_problem(inp, payload)
+    assert main(["check", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_check_rejects_infinity_token(tmp_path, capsys):
     inp = tmp_path / "problem.json"
     inp.write_text(

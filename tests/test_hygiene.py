@@ -2,8 +2,8 @@
 the per-point reference imports none of the package's private helpers and
 the CLI none of the metric's, each tolerance is read by one module, which
 owns its rule, no module reads the environment, the kernel is reached by
-one route for a single problem and one for a sweep, and importing the
-package does none of the command line's work.
+one route for a single problem and one for a sweep and takes no
+formalism, and importing the package does none of the command line's work.
 
 The package's `__init__.py` is exempt from the import check, since its
 imports are the public re-exports listed in `__all__`.
@@ -187,6 +187,35 @@ def test_one_route_into_the_kernel():
              for name in ("relation_batch", "Sweep")}
     assert found == {"relation_batch": ["relations._single", "scenarios._collect"],
                      "Sweep": ["scenarios._collect"]}
+
+
+def formalism_in(source: str, function: str):
+    """In the module's top-level function `function`, each parameter named
+    formalism and each Formalism name, bare or as an attribute, in its
+    signature or body; None if the module has no such function."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            params = [arg.arg for arg in ast.walk(node.args)
+                      if isinstance(arg, ast.arg) and arg.arg == "formalism"]
+            names = [sub for sub in ast.walk(node)
+                     if "Formalism" in (getattr(sub, "id", None), getattr(sub, "attr", None))]
+            return params + ["Formalism"] * len(names)
+    return None
+
+
+def test_kernel_takes_no_formalism():
+    # the good-observable gate is a condition on (A, B, G) checked at the
+    # boundary; a formalism back in the kernel would be a second home for
+    # it, and would split batches that could share one kernel call
+    source = ("def relation_batch(a, g, formalism: Formalism, *, sign=1):\n"
+              "    return relations.Formalism.GOOD if formalism else a\n"
+              "def other(formalism):\n    return Formalism.PLAIN\n")
+    assert formalism_in(source, "relation_batch") == ["formalism"] + ["Formalism"] * 2
+    assert formalism_in("def relation_batch(a, g):\n    return a\n",
+                        "relation_batch") == []
+    assert formalism_in(source, "missing") is None
+    relations = (ROOT / "src" / "nhur" / "relations.py").read_text(encoding="utf-8")
+    assert formalism_in(relations, "relation_batch") == []
 
 
 def test_only_metric_applies_a_limit():

@@ -27,6 +27,7 @@ from nhur import (
     NotGoodObservableError,
     NotNormalizedError,
     NotOrthogonalError,
+    ZeroVectorError,
     build_example1,
     av_orthogonal_state,
     build_example2,
@@ -139,14 +140,14 @@ def test_kernel_matches_reference(formalism, dim, with_perp):
             assert got[3].sign_branch == want[3].sign_branch
 
 
-def assert_n_invariant(batch, a, b, psi, g, formalism, psi_perp=None, **kwargs):
+def assert_n_invariant(batch, a, b, psi, g, psi_perp=None, **kwargs):
     """batch, the relation_batch of N points, equals the N calls of one
     point each, bit for bit: a stacked (N, d, d) operator or metric is cut
     to its (1, d, d) slice, a shared (d, d) one passed as it is."""
     for i in range(len(psi)):
         def cut(x):
             return x[i:i + 1] if x.ndim == 3 else x
-        one = relation_batch(cut(a), cut(b), psi[i:i + 1], cut(g), formalism,
+        one = relation_batch(cut(a), cut(b), psi[i:i + 1], cut(g),
                              None if psi_perp is None else psi_perp[i:i + 1],
                              **kwargs)
         for name in ("lhs", "rhs", "gap", "holds", "minus", "degenerate"):
@@ -175,9 +176,9 @@ def test_kernel_is_n_invariant(dim, formalism, with_perp, stacked):
     psi = np.array(psi)
     psi[-1] *= 2.0
     perp = None if not with_perp else np.array(perp)
-    batch = relation_batch(a, b, psi, g, formalism, perp)
+    batch = relation_batch(a, b, psi, g, perp)
     assert [e is None for e in batch.errors] == [True] * 4 + [False]
-    assert_n_invariant(batch, a, b, psi, g, formalism, perp)
+    assert_n_invariant(batch, a, b, psi, g, perp)
 
 
 @pytest.mark.parametrize("plain", [False, True], ids=["gmetric", "plain"])
@@ -273,7 +274,7 @@ def test_kernel_raises_the_reference_errors(case, error):
 def test_checks_fail_only_the_relations_they_guard():
     # a non-orthogonal override breaks ur3 and nothing else
     bad = (E0 + E1) / math.sqrt(2.0)
-    args = (SX, SY, E0[None], np.eye(2), Formalism.PLAIN, bad[None])
+    args = (SX, SY, E0[None], np.eye(2), bad[None])
     for relations in ({2}, {0, 1, 2, 3}):
         batch = relation_batch(*args, relations=relations)
         (err,) = batch.errors
@@ -447,6 +448,50 @@ def test_example2_sweep_builds_its_metric_once(monkeypatch):
     points = example2_sweep(Example2Config.symmetric_default(), points=181)
     assert all(p.ok for p in points)
     assert len(calls) == 1
+
+
+def test_good_example2_sweep_checks_the_gate_once(monkeypatch):
+    # the gate is a condition on (A, B, G) alone: a good sweep forms its
+    # residual once, for A and B together, and a gmetric sweep not at all
+    calls = []
+    residual = nhur.metric._good_residual
+
+    def counting(x, g):
+        calls.append(x.shape)
+        return residual(x, g)
+
+    monkeypatch.setattr(nhur.metric, "_good_residual", counting)
+    points = example2_sweep(Example2Config.symmetric_default(), points=181)
+    assert all(p.ok for p in points)
+    assert calls == [(2, 2, 2)]
+    example2_sweep(Example2Config.symmetric_default(), points=181,
+                   formalism=Formalism.GMETRIC)
+    assert calls == [(2, 2, 2)]
+
+
+def test_a_failed_gate_fails_every_point_whose_state_built(monkeypatch):
+    # a point whose state failed keeps that error, every other point
+    # records the gate's, and the kernel is not called
+    superpose = scenarios._superpose
+
+    def one_failed(*args):
+        psi, errors = superpose(*args)
+        errors[3] = ZeroVectorError("superposition cancels")
+        return psi, errors
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the kernel ran behind a failed gate")
+
+    monkeypatch.setattr(scenarios, "_superpose", one_failed)
+    monkeypatch.setattr(nhur.metric, "_good_residual",
+                        lambda x, g: np.full(len(x), 2e-9))
+    monkeypatch.setattr(scenarios, "relation_batch", forbidden)
+    points = example2_sweep(Example2Config.symmetric_default(), points=7)
+    gate = ("NotGoodObservableError: good-observable formalism requires both "
+            "operators to satisfy X^dag G = G X; residuals a=2.000e-09, "
+            "b=2.000e-09 (threshold 1e-09)")
+    state = "ZeroVectorError: superposition cancels"
+    assert [p.error for p in points] == [gate] * 3 + [state] + [gate] * 3
 
 
 def test_metric_failure_is_recorded_on_every_point(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import good_observable_for, metric_gb, metric_gs, random_operator, random_state
 from nhur import (
+    DimensionMismatchError,
     Example1Config,
     Example2Config,
     Formalism,
@@ -15,6 +16,7 @@ from nhur import (
     NotOrthogonalError,
     SIGMA_X,
     SIGMA_Y,
+    SIGMA_Z,
     build_example1,
     build_example2,
     evaluate_all,
@@ -279,3 +281,9 @@ def test_a_fault_in_a_bound_fails_the_cli(faulty_ur3, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert stdout.count("VIOLATION: ur3 ") == stdout.count("VIOLATION") == 181
     assert "181 inequality violations beyond tolerance 1e-09" in stdout
+
+
+def test_metric_of_another_size_is_rejected_at_the_boundary():
+    with pytest.raises(DimensionMismatchError,
+                       match="^metric is 3x3 but the operators are 2x2$"):
+        evaluate_all(SIGMA_X, SIGMA_Z, E0, identity_metric(3), Formalism.GMETRIC)

@@ -13,11 +13,13 @@ from nhur import (
     ExceptionalPointError,
     Formalism,
     NonFiniteError,
+    NotGoodObservableError,
     PhaseMismatchError,
     broken_eigensystem,
     build_example1,
     build_example2,
     commutator,
+    evaluate_all,
     example1_sweep,
     example2_sweep,
     is_good_observable,
@@ -201,6 +203,26 @@ def test_sweep_records_per_point_failures():
     for p in bad:
         assert p.evaluations == ()
         assert "NotNormalized" in p.error
+
+
+def test_generic_good_sweep_records_the_gate_at_its_point():
+    # the builder's A is not good at one grid point: the gate fails that
+    # point alone, and every other row is evaluate_all on its builder output
+    grid = np.linspace(0.0, 1.0, 5)
+
+    def builder(alpha):
+        a, b, psi, g = build_example2(Example2Config.symmetric_default(alpha))
+        return (1j * a if alpha == grid[2] else a), b, psi, g
+
+    pts = sweep(builder, (0.0, 1.0), 5, Formalism.GOOD)
+    assert pts.formalism is Formalism.GOOD
+    with pytest.raises(NotGoodObservableError) as caught:
+        evaluate_all(*builder(grid[2]), Formalism.GOOD)
+    assert [p.error for p in pts] == [None, None, f"NotGoodObservableError: "
+                                      f"{caught.value}", None, None]
+    for p in pts:
+        if p.ok:
+            assert p.evaluations == evaluate_all(*builder(p.param), Formalism.GOOD)
 
 
 def test_example_sweeps_hold_everywhere():

@@ -18,6 +18,7 @@ from nhur import (
     Metric,
     MetricReport,
     NegativeNormError,
+    NonFiniteError,
     SIGMA_X,
     SIGMA_Z,
     ZeroVectorError,
@@ -79,6 +80,12 @@ def test_superposition_rejects_cancellation():
 def test_superposition_rejects_length_mismatch():
     with pytest.raises(DimensionMismatchError):
         superposition_state([E0, E1], [1.0], identity_metric(2))
+
+
+def test_superposition_rejects_non_finite_weights():
+    # a NaN weight is non-finite input, not a cancelled combination
+    with pytest.raises(NonFiniteError, match="^weights contains non-finite entries$"):
+        superposition_state([E0, E1], [np.nan, 1.0], identity_metric(2))
 
 
 def test_superposition_negative_norm_flags_invalid_metric():

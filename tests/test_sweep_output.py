@@ -122,9 +122,9 @@ def _hand_built(tol, keep=slice(None)):
     degenerate = np.array([False, True, False, False, False])
     errors = np.array([None, None, None, NotNormalizedError("state norm^2 is 4"),
                        None], dtype=object)
-    return Sweep(Formalism.GMETRIC, lhs[keep], rhs[:, keep], gap[:, keep],
+    return Sweep(lhs[keep], rhs[:, keep], gap[:, keep],
                  (gap >= -tol)[:, keep], minus[:, keep], degenerate[keep],
-                 tuple(errors[keep]), param=param[keep])
+                 tuple(errors[keep]), param=param[keep], formalism=Formalism.GMETRIC)
 
 
 def test_hand_built_sweep_with_violations_matches_per_point_output(
@@ -154,9 +154,9 @@ def test_random_sweeps_match_per_point_output(seed, tmp_path, capsys):
     failed = rng.random(n) < 0.25
     errors = tuple(NotNormalizedError(f"point {i}") if bad else None
                    for i, bad in enumerate(failed))
-    result = Sweep(Formalism.GOOD, lhs, lhs - gap, gap, gap >= -1e-9,
+    result = Sweep(lhs, lhs - gap, gap, gap >= -1e-9,
                    rng.random((2, n)) < 0.5, rng.random(n) < 0.5, errors,
-                   param=np.linspace(0.0, 1.0, n))
+                   param=np.linspace(0.0, 1.0, n), formalism=Formalism.GOOD)
     _assert_matches_reference(result, tmp_path, capsys)
 
 
@@ -231,7 +231,7 @@ def test_columns_are_the_one_gap_and_holds_formula(monkeypatch):
         return ur_holds(lhs, rhs, scale)
 
     monkeypatch.setattr(relations, "ur_holds", recording)
-    batch = relation_batch(a, b, psi, np.eye(2), Formalism.PLAIN)
+    batch = relation_batch(a, b, psi, np.eye(2))
     ((lhs, rhs, scale),) = seen
     assert lhs.tolist() == batch.lhs.tolist() and rhs.tolist() == batch.rhs.tolist()
     want = (np.abs(np.matvec(a, psi)) ** 2 + np.abs(np.matvec(b, psi)) ** 2).sum(-1)

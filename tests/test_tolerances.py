@@ -243,7 +243,7 @@ def test_overflow_is_no_verdict():
         evaluate_all(TALL, SIGMA_Z, 2.0 * E1)
     # in a batch only the point that overflowed fails
     batch = relation_batch(np.array([TALL, SIGMA_X]), SIGMA_Z, np.array([E1, E1]),
-                           np.eye(2), Formalism.PLAIN)
+                           np.eye(2))
     assert isinstance(batch.errors[0], NonFiniteError) and batch.errors[1] is None
     assert np.isnan(batch.gap[:, 0]).all() and batch.holds[:, 1].all()
 
@@ -356,7 +356,7 @@ def test_an_overflowed_state_is_not_normalized():
         evaluate_all(SIGMA_X, SIGMA_Z, E0, psi_perp=[0, 1e200])
     # in a batch only that point fails, and the other keeps its values
     batch = relation_batch(SIGMA_X, SIGMA_Z, np.array([[1e200, 0], E0]),
-                           np.eye(2), Formalism.PLAIN)
+                           np.eye(2))
     assert isinstance(batch.errors[0], NotNormalizedError) and batch.errors[1] is None
     ev = evaluate_all(SIGMA_X, SIGMA_Z, E0)
     assert batch.gap[:, 1].tolist() == [e.gap for e in ev]
