@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from .errors import MetricValidationError, NhurError
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, as_operator
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .metric import Metric, identity_metric, is_good_observable, metric_from_matrix
 from .relations import Formalism, _stats_g, evaluate_all
 from .scenarios import (
@@ -406,15 +406,15 @@ def cmd_metric(args) -> int:
     table = [
         ("H(gamma)", h),
         ("H(1/gamma)", pt_hamiltonian(1.0 / gamma) if gamma != 0 else None),
-        ("sigma_x", np.array(SIGMA_X)),
-        ("sigma_y", np.array(SIGMA_Y)),
-        ("sigma_z", np.array(SIGMA_Z)),
+        ("sigma_x", SIGMA_X),
+        ("sigma_y", SIGMA_Y),
+        ("sigma_z", SIGMA_Z),
     ]
     print("good observables:")
     for name, op in table:
         if op is None:
             continue
-        check = is_good_observable(as_operator(op), metric)
+        check = is_good_observable(op, metric)
         print(f"  {name:<12} residual={check.residual:.6g} "
               f"-> {_bool(check.is_good)}")
     return 0

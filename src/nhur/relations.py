@@ -6,7 +6,7 @@ one vector, so its rounding scales with the gap rather than with lhs:
 
   ur1  rhs = 2 Im Cov(A, B);  gap = Var(A + iB) = |d_A + i d_B|^2
   ur2  rhs = 2 Re Cov(A, B);  gap = Var(A - B) = |d_A - d_B|^2
-  ur3  rhs = +-2 Im Cov + |<perp|G(A +- iB)|psi>|^2, best sign branch;
+  ur3  rhs = +-2 Im Cov + |<perp|G(A +- iB)|psi>|^2, larger sign branch;
        gap = |d_A +- i d_B|^2 less its part along perp
   ur4  rhs = half the larger of Var(A +- B), each the squared element of
        the combination with its orthogonal state;  gap = half the smaller
@@ -27,7 +27,7 @@ explicit constructions (states.ur3_default_perp, av_orthogonal_state)
 stay available as tools and test oracles; the kernel does not build them.
 
 `relation_batch` evaluates many points in one vectorized pass, then
-resolves them: ur3 sits at the branch asked for, and each point carries
+resolves them: ur3 sits at its larger branch, and each point carries
 the first error of a check guarding the relations asked for, reading NaN
 and False where it failed.  Each check applies the one rule `metric`
 holds for it, and the table of checks is built only where some rule is
@@ -127,8 +127,7 @@ def _records(batch: RelationBatch, f: Formalism) -> list:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is no verdict
-def relation_batch(a, b, psi, g, psi_perp=None, *, relations=_ALL,
-                   sign: str = "max") -> RelationBatch:
+def relation_batch(a, b, psi, g, psi_perp=None, *, relations=_ALL) -> RelationBatch:
     """Evaluate ur1..ur4 at N points in one vectorized pass.  Unchecked.
 
     a, b and g are (N, d, d) stacks or single (d, d) matrices that
@@ -136,8 +135,7 @@ def relation_batch(a, b, psi, g, psi_perp=None, *, relations=_ALL,
     statistics (`_stats_g`).  Inputs must be finite complex arrays of
     consistent shape, good observables where the formalism asks it;
     `_validated` makes them so.  holds is `ur_holds` with S from the norms
-    the eigenstate rule forms; ur3 reports its best branch, or the "plus"
-    or "minus" one by sign.
+    the eigenstate rule forms; ur3 reports its larger branch, as ur4 does.
 
     It computes every value, then resolves one ordered table of checks,
     each a mask, the relations it guards and its error: state normalization,
@@ -163,7 +161,7 @@ def relation_batch(a, b, psi, g, psi_perp=None, *, relations=_ALL,
     aux = []  # the rules of an explicit psi_perp
     if psi_perp is None:
         # tight for the optimal auxiliary state, in every branch
-        rhs3, gap3, minus3 = lhs, np.zeros(n), np.full(n, sign == "minus")
+        rhs3, gap3, minus3 = lhs, np.zeros(n), np.zeros(n, bool)
     else:
         # each branch's gap is the G-norm of d_A +- i d_B less its part along
         # perp; as perp is orthogonal to psi, e is <perp|G(A +- iB)|psi>
@@ -176,7 +174,7 @@ def relation_batch(a, b, psi, g, psi_perp=None, *, relations=_ALL,
         e = perp[2:, ..., None]
         rhs3 = np.array([rhs1, -rhs1]) + np.abs(e[..., 0]) ** 2
         gap3 = np.maximum(np.vecdot(w - e * psi_perp, gw - e * gperp).real, 0.0)
-        minus3 = rhs3[1] > rhs3[0] if sign == "max" else np.full(n, sign == "minus")
+        minus3 = rhs3[1] > rhs3[0]
         rhs3, gap3 = np.where(minus3, [rhs3[1], gap3[1]], [rhs3[0], gap3[0]])
 
     # an eigenstate of A +- B on the scale |A psi|_G + |B psi|_G: that bound is 0
@@ -244,14 +242,13 @@ def _validated(a, b, psi, g: Metric | None, formalism: Formalism,
     return a, b, psi, garr, psi_perp
 
 
-def _single(a, b, psi, g, formalism, relations=_ALL, psi_perp=None,
-            sign="max") -> tuple:
+def _single(a, b, psi, g, formalism, relations=_ALL, psi_perp=None) -> tuple:
     """One problem's four records: validated, evaluated as a batch of
     one, and raising the first error of a check guarding `relations`."""
     a, b, psi, garr, psi_perp = _validated(a, b, psi, g, formalism, psi_perp)
     batch = relation_batch(a, b, psi[None], garr,
                            None if psi_perp is None else psi_perp[None],
-                           relations=relations, sign=sign)
+                           relations=relations)
     (error,) = batch.errors
     if error is not None:
         raise error
@@ -272,19 +269,16 @@ def ur2(a, b, psi, g: Metric | None = None,
 
 
 def ur3(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLAIN,
-        *, psi_perp=None, sign: str = "max") -> UrEvaluation:
+        *, psi_perp=None) -> UrEvaluation:
     """Variance sum against the auxiliary-state-strengthened bound.
 
     For each sign branch the bound adds the squared matrix element of
-    A + sign*iB between psi and a unit vector metric-orthogonal to psi.
-    With sign="max" both branches are evaluated and the larger bound is
-    reported.  psi_perp overrides the canonical auxiliary state; it must
-    be metric-normalized and metric-orthogonal to psi.  With the canonical
-    state the bound is tight and every branch equals lhs.
+    A +- iB between psi and a unit vector metric-orthogonal to psi, and
+    the larger branch is reported.  psi_perp, metric-normalized and
+    metric-orthogonal to psi, overrides the canonical auxiliary state,
+    for which the bound is tight and both branches equal lhs ("plus").
     """
-    if sign not in ("plus", "minus", "max"):
-        raise ValueError(f"sign must be plus, minus, or max, got {sign!r}")
-    return _single(a, b, psi, g, formalism, {2}, psi_perp, sign)[2]
+    return _single(a, b, psi, g, formalism, {2}, psi_perp)[2]
 
 
 def ur4(a, b, psi, g: Metric | None = None,

@@ -194,12 +194,15 @@ def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
 def ur3_default_perp(a, b, psi, metric: Metric, sign: int) -> np.ndarray:
     """Canonical auxiliary state for the third relation's sign branch.
 
-    In dimension 2 this is the unique complement of psi.  In higher
-    dimensions it is the normalized complement projection of
-    ``(A + sign*iB)|psi>``, the direction that maximizes the bound; when
-    that projection vanishes the bound is zero for every choice, and a
-    deterministic basis complement is returned instead.
+    Dimension 1 has none (DimensionMismatchError); in dimension 2 it is
+    the unique complement of psi.  In higher dimensions it is the
+    normalized complement projection of ``(A + sign*iB)|psi>``, the
+    direction that maximizes the bound; when that projection vanishes the
+    bound is zero for every choice, and a deterministic basis complement
+    is returned instead.
     """
+    if metric.dim == 1:
+        raise DimensionMismatchError("no state is metric-orthogonal to psi in dimension 1")
     if metric.dim == 2:
         return g_orthogonal_complement_2d(psi, metric)
     a = as_operator(a, dim=metric.dim, name="first operator")

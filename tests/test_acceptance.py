@@ -283,16 +283,15 @@ def test_criterion_7_hermitian_limit(announce, rng):
         dev = max(dev, abs(evs[0].lhs - lhs), abs(evs[0].rhs - 2 * cov.imag))
         dev = max(dev, abs(evs[1].rhs - 2 * cov.real))
 
-        # third relation, both sign branches, against a direct transcription
+        # third relation, both sign branches, against a direct transcription:
+        # with the default auxiliary state each branch equals lhs in d = 2,
+        # so the reported bound must match each one
         perp = g_orthogonal_complement_2d(psi, metric)
         direct3 = []
         for s in (1.0, -1.0):
             elem = complex(np.vdot(perp, (a + s * 1j * b) @ psi))
             direct3.append(s * 2 * cov.imag + abs(elem) ** 2)
-        ours3 = (ur3(a, b, psi, sign="plus"), ur3(a, b, psi, sign="minus"))
-        dev = max(dev, abs(ours3[0].rhs - direct3[0]),
-                  abs(ours3[1].rhs - direct3[1]))
-        dev = max(dev, abs(evs[2].rhs - max(direct3)))
+        dev = max(dev, abs(evs[2].rhs - direct3[0]), abs(evs[2].rhs - direct3[1]))
 
         # fourth relation from an independently built auxiliary state
         direct4 = []

@@ -586,6 +586,15 @@ def test_metric_broken_diagnostics(capsys):
     assert table["sigma_y"] == "true"
 
 
+def test_metric_at_gamma_zero_skips_the_inverse_hamiltonian(capsys):
+    # H(1/gamma) has no value at gamma = 0, and G is the identity there (to
+    # rounding), so every operator left in the table is good
+    rc = main(["metric", "--gamma", "0"])
+    assert rc == 0
+    table = _good_observable_table(capsys.readouterr().out)
+    assert table == {name: "true" for name in ("H(gamma)", "sigma_x", "sigma_y", "sigma_z")}
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "nhur.cli", "metric", "--gamma", "0.6"],

@@ -3,19 +3,23 @@ the per-point reference imports none of the package's private helpers and
 the CLI none of the metric's, each tolerance is read by one module, which
 owns its rule, no module reads the environment, the kernel is reached by
 one route for a single problem and one for a sweep and takes no
-formalism, and importing the package does none of the command line's work.
+formalism, neither the kernel nor ur3 takes a sign option, and importing
+the package does none of the command line's work.
 
 The package's `__init__.py` is exempt from the import check, since its
 imports are the public re-exports listed in `__all__`.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from nhur.relations import relation_batch, ur3
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(
@@ -216,6 +220,23 @@ def test_kernel_takes_no_formalism():
     assert formalism_in(source, "missing") is None
     relations = (ROOT / "src" / "nhur" / "relations.py").read_text(encoding="utf-8")
     assert formalism_in(relations, "relation_batch") == []
+
+
+def keyword_only(function) -> tuple:
+    """The names of the function's keyword-only parameters, in order."""
+    return tuple(name for name, param in inspect.signature(function).parameters.items()
+                 if param.kind is inspect.Parameter.KEYWORD_ONLY)
+
+
+def test_kernel_and_ur3_take_no_sign_option():
+    # ur3 reports its larger branch, as ur4 does; a sign option back in the
+    # kernel or in ur3 would be a second way to ask for a branch
+    def toy(a, psi_perp=None, *, relations=None, sign="max"):
+        return a
+
+    assert keyword_only(toy) == ("relations", "sign")
+    assert keyword_only(relation_batch) == ("relations",)
+    assert keyword_only(ur3) == ("psi_perp",)
 
 
 def test_only_metric_applies_a_limit():

@@ -81,14 +81,10 @@ def test_ur2_identical_hermitian_operators_saturate(rng):
 
 def test_ur3_pauli_pair_branch_values():
     # A + iB annihilates the state here, so the plus branch bound is pure
-    # covariance while the minus branch trades sign for the matrix element
-    for sign, expected in (("plus", 2.0), ("minus", 2.0)):
-        ev = ur3(SX, SY, E0, psi_perp=E1, sign=sign)
-        assert ev.sign_branch == sign
-        npt.assert_allclose(ev.rhs, expected, atol=1e-14)
-        npt.assert_allclose(ev.gap, 0.0, atol=1e-14)
-    ev = ur3(SX, SY, E0, psi_perp=E1, sign="max")
-    npt.assert_allclose(ev.rhs, 2.0, atol=1e-14)
+    # covariance while the minus branch trades sign for the matrix element;
+    # both are exactly 2, a tie that goes to plus
+    ev = ur3(SX, SY, E0, psi_perp=E1)
+    assert (ev.rhs, ev.gap, ev.sign_branch) == (2.0, 0.0, "plus")
 
 
 def test_ur3_saturates_in_two_dimensions(rng):
@@ -109,11 +105,6 @@ def test_ur3_saturates_in_two_dimensions(rng):
 def test_ur3_rejects_non_orthogonal_override():
     with pytest.raises(NotOrthogonalError):
         ur3(SX, SY, E0, psi_perp=np.array([1.0, 1.0]) / math.sqrt(2.0))
-
-
-def test_ur3_rejects_unknown_sign():
-    with pytest.raises(ValueError):
-        ur3(SX, SY, E0, sign="bogus")
 
 
 def test_ur4_degenerate_branches_report_zero():

@@ -276,6 +276,13 @@ def test_ur3_default_perp_is_the_unique_complement(rng):
         npt.assert_array_equal(ur3_default_perp(a, b, psi, metric, sign), perp)
 
 
+def test_ur3_default_perp_has_no_state_in_dimension_one():
+    # no state is metric-orthogonal to psi in d = 1: a typed dimension
+    # error, not an internal inconsistency
+    with pytest.raises(DimensionMismatchError, match="dimension 1"):
+        ur3_default_perp([[2.0]], [[1.0]], [1.0], identity_metric(1), 1)
+
+
 def test_package_states_pass_ur3_near_the_exceptional_point():
     # the kernel's psi_perp check applies the same relative overlap limit
     # as the constructions, so their own output is never rejected there
