@@ -5,25 +5,28 @@ product ``<u|G|v>``; a Metric stores the Hermitian part of the matrix it
 validated, bit for bit when that matrix is exactly Hermitian.  With G =
 identity this is the Dirac product, which is how the plain formalism is
 realized downstream: the identity metric recovers every unweighted value.
+Every function that computes with a Metric's matrix first holds it to the
+contract the factories meet (`_require_valid`).
 
 With the centered vector d_X = (X - <X>_G) psi, where <X>_G = <psi|G X|psi>,
 Var_G(X) = <d_X|G d_X> and Cov_G(A,B) = <d_A|G d_B>.  One batched helper,
 `_centered`, builds d and G d for g_variance and g_covariance here, for
 states.av_orthogonal_state, and for a whole grid in
 relations.relation_batch; centering first makes the rounding scale with
-the variance rather than with <X^dag G X>.
+the variance rather than with <X^dag G X>.  Under a G that meets the
+contract a variance or a norm^2 is real and nonnegative by construction,
+so its imaginary part and any negative real part are rounding: each is
+read as its real part, clamped at 0, and no rule checks it.
 
 Each rule that can fail a point is one function returning a `_Rule`,
 and only it words that failure: a norm^2 <v|G v> within EPS_NORM of 1
-and finite (`_norm_check`), a variance or norm^2 real and nonnegative
-within EPS_VAR (`_real_check`), and an overlap <v|G psi> within EPS_ORTH
+and finite (`_norm_check`), and an overlap <v|G psi> within EPS_ORTH
 (`_overlap_check`).  The good-observable gate, a condition on (A, B, G)
 alone, checks one problem (`_require_good`).  Each limit on a product
 <u|v> is `_limit`, eps * max(1, |u| |v|), never below the rule's absolute
-eps: a rule that no point trips by that eps is clear of the batch, and its
-mask forms the limit only where eps trips.  The eigenstate rule
-(`_vanishes`) takes its scale from the caller's operands.  No other module
-reads the tolerances of these rules.
+eps, and a rule's mask forms the limit only where that eps trips.  The
+eigenstate rule (`_vanishes`) takes its scale from the caller's operands.
+No other module reads the tolerances of these rules.
 """
 
 from collections.abc import Callable
@@ -34,7 +37,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    InternalInconsistencyError,
     MetricValidationError,
     NonFiniteError,
     NotGoodObservableError,
@@ -42,7 +44,7 @@ from .errors import (
 )
 from .linalg import (EigenSystem, _const, _scaled, _stable_inverse,
                      _well_conditioned, as_operator, as_state)
-from .tolerances import EPS_DEGEN, EPS_GOOD, EPS_HERM, EPS_NORM, EPS_ORTH, EPS_VAR
+from .tolerances import EPS_DEGEN, EPS_GOOD, EPS_HERM, EPS_NORM, EPS_ORTH
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,10 @@ class Metric:
 
     provenance is one of "identity", "explicit", "eigenframe".  The matrix
     is stored exactly Hermitian and read-only; instances are safe to share.
+    Build one with the factories: a hand-built report that the matrix does
+    not meet is outside the contract, and a Metric whose report is not ok,
+    or whose matrix is not exactly Hermitian, raises MetricValidationError
+    wherever its matrix is used.
     """
 
     g: np.ndarray
@@ -137,6 +143,19 @@ def _checked(g, hamiltonian, provenance: str, failure: str) -> Metric:
     return Metric(g=_const(herm), provenance=provenance, validation=report)
 
 
+def _require_valid(metric: Metric) -> np.ndarray:
+    """The Metric contract: metric's matrix if a factory could have returned
+    it, its report ok and the matrix exactly Hermitian (O(d^2)), else
+    MetricValidationError with its report."""
+    g, report = metric.g, metric.validation
+    hermitian = np.array_equal(g, g.conj().T)
+    if not (report.ok and hermitian):
+        raise MetricValidationError(
+            f"metric breaks the Metric contract (report ok={report.ok}, "
+            f"matrix exactly Hermitian={hermitian})", report=report)
+    return g
+
+
 def _hermitian(g: np.ndarray) -> np.ndarray:
     """(g + g^dag) / 2, or g itself, bit for bit, if it is exactly Hermitian."""
     herm = (g + g.conj().T) / 2.0
@@ -178,7 +197,7 @@ class GoodObservableCheck:
 def is_good_observable(x, metric: Metric) -> GoodObservableCheck:
     """Test whether x plays the role of a Hermitian observable under G."""
     x = as_operator(x, dim=metric.dim, name="observable")
-    residual = float(_good_residual(x, metric.g))
+    residual = float(_good_residual(x, _require_valid(metric)))
     return GoodObservableCheck(
         is_good=_good(residual), residual=residual, threshold=EPS_GOOD
     )
@@ -200,18 +219,16 @@ def _require_good(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> None:
 
 
 class _Rule(NamedTuple):
-    """One rule over a batch: whether it fails no point, known from its
-    absolute eps alone, and, called, where it fails and the error of
+    """One rule over a batch, called: where it fails, and the error of
     point i."""
 
-    clear: bool
     bad: Callable
     error: Callable
 
-
-def _within(excess, eps: float) -> bool:
-    """Whether every excess is within eps, which NaN is not."""
-    return excess.size == 0 or bool(excess.max() <= eps)
+    def require(self) -> None:
+        """Raise the error of one unbatched value where the rule fails it."""
+        if self.bad():
+            raise self.error(())
 
 
 @np.errstate(over="ignore", invalid="ignore")  # then the residual is NaN
@@ -234,10 +251,8 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
 def require_normalized(psi, metric: Metric, name: str = "state") -> np.ndarray:
     """Validate that psi is unit-norm under the metric; returns the array."""
     psi = as_state(psi, dim=metric.dim, name=name)
-    gpsi = metric.g @ psi
-    rule = _norm_check(name, np.vdot(psi, gpsi), psi, gpsi)
-    if rule.bad():
-        raise rule.error(())
+    gpsi = _require_valid(metric) @ psi
+    _norm_check(name, np.vdot(psi, gpsi), psi, gpsi).require()
     return psi
 
 
@@ -246,7 +261,6 @@ def _norm_check(name: str, nsq, v: np.ndarray, gv: np.ndarray) -> _Rule:
     off 1 beyond _limit(EPS_NORM, v, G v) or not finite."""
     excess = np.abs(nsq - 1.0)
     return _Rule(
-        _within(excess, EPS_NORM),
         lambda: _beyond(excess, EPS_NORM, v, gv) | ~np.isfinite(excess),
         lambda i: NotNormalizedError(
             f"{name} has metric norm^2 = {nsq[i].real:.12g} (must be 1"
@@ -292,7 +306,7 @@ def _overlap_check(what: str, overlap, v: np.ndarray, gpsi: np.ndarray,
                    error) -> _Rule:
     """The one orthogonality rule, batched: it fails where overlap =
     |<v|G psi>| passes _limit(EPS_ORTH, v, G psi), in `error`, a class."""
-    return _Rule(_within(overlap, EPS_ORTH), lambda: _beyond(overlap, EPS_ORTH, v, gpsi),
+    return _Rule(lambda: _beyond(overlap, EPS_ORTH, v, gpsi),
                  lambda i: error(f"{what} has metric overlap {overlap[i]:.3e} with the "
                                  f"state (limit {_limit(EPS_ORTH, v[i], gpsi[i]):.3g})"))
 
@@ -306,17 +320,6 @@ def _beyond(excess, eps: float, u: np.ndarray, v: np.ndarray):
     return bad
 
 
-def _real_check(what: str, x: np.ndarray, u: np.ndarray, v: np.ndarray) -> _Rule:
-    """The one rule for x = <u|v>, real and nonnegative by construction (a
-    variance or a norm^2), batched: it fails where the excess max(|Im x|,
-    -Re x) passes _limit(EPS_VAR, u, v)."""
-    excess = np.maximum(np.abs(x.imag), -x.real)
-    return _Rule(_within(excess, EPS_VAR), lambda: _beyond(excess, EPS_VAR, u, v),
-                 lambda i: InternalInconsistencyError(
-                     f"{what} {complex(x[i]):.3e} is not real and nonnegative within "
-                     f"{float(_limit(EPS_VAR, u[i], v[i])):.3g}"))
-
-
 def _finite(what: str, x):
     """x, or NonFiniteError if it overflowed."""
     if not np.isfinite(x):
@@ -325,13 +328,9 @@ def _finite(what: str, x):
 
 
 def _variance(d: np.ndarray, gd: np.ndarray) -> float:
-    """Var_G(X) of one state from its d and G d, checked and clamped at 0;
-    the caller ignores overflow warnings."""
-    raw = _finite("variance", np.vecdot(d, gd))
-    rule = _real_check("variance", raw, d, gd)
-    if rule.bad():
-        raise rule.error(())
-    return max(float(raw.real), 0.0)
+    """Var_G(X) of one state from its d and G d, the real part of the finite
+    product clamped at 0; the caller ignores overflow warnings."""
+    return max(float(_finite("variance", np.vecdot(d, gd)).real), 0.0)
 
 
 def g_expectation(x, psi, metric: Metric) -> complex:

@@ -26,18 +26,17 @@ gap is 0.  Only a caller-supplied perp needs a matrix element.  The
 explicit constructions (states.ur3_default_perp, av_orthogonal_state)
 stay available as tools and test oracles; the kernel does not build them.
 
-`relation_batch` evaluates many points in one vectorized pass, then
-resolves them: ur3 sits at its larger branch, and each point carries
-the first error of a check guarding the relations asked for, reading NaN
-and False where it failed.  Each check applies the one rule `metric`
-holds for it, and the table of checks is built only where some rule is
-not clear of the batch by its absolute eps; this module reads no EPS_*.
-holds is the paper's inequality, lhs - rhs >= -EPS_UR * S with S =
+`relation_batch` evaluates many points in one vectorized pass, unchecked:
+ur3 sits at its larger branch, and a point whose values overflow carries
+NonFiniteError and reads NaN and False, the one error it records.  holds
+is the paper's inequality, lhs - rhs >= -EPS_UR * S with S =
 |A psi|_G^2 + |B psi|_G^2 (`tolerances.ur_holds`), not the gap's sign: a
-fault in lhs or a bound fails it, in any units.
-The kernel takes no formalism and computes in whatever G it is given.
-`evaluate_all` and ur1-ur4 validate one input at the boundary, the gate
-included, make the N = 1 call, and raise its error or return its records.
+fault in lhs or a bound fails it, in any units.  The kernel takes no
+formalism and computes in whatever G it is given.
+Every rule about the caller's input lives at the boundary, `_validated`,
+which applies the one rule `metric` holds for each; this module reads no
+EPS_*.  `evaluate_all` and ur1-ur4 validate one problem there, make the
+N = 1 call, and raise its error or return its records.
 """
 
 import enum
@@ -48,8 +47,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, NotOrthogonalError
 from .linalg import as_operator, as_state
-from .metric import (Metric, _Rule, _centered, _norm_check, _overlap_check, _real_check,
-                     _require_good, _vanishes, identity_metric)
+from .metric import (Metric, _centered, _norm_check, _overlap_check, _require_good,
+                     _require_valid, _vanishes, identity_metric)
 from .tolerances import ur_holds
 
 
@@ -86,8 +85,6 @@ class UrEvaluation(NamedTuple):
     degenerate: bool = False
 
 
-# Indices of ur1..ur4 in a batch's rhs rows and in relation_batch's relations.
-_ALL = frozenset(range(4))
 _BRANCH = ("plus", "minus")
 # (d_A, d_B) coefficients of u and gu: Var of A, B, A +- B, A +- iB; Cov(A, B)
 _COMBOS = np.array([[[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j], [1, 0]],
@@ -127,30 +124,22 @@ def _records(batch: RelationBatch, f: Formalism) -> list:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is no verdict
-def relation_batch(a, b, psi, g, psi_perp=None, *, relations=_ALL) -> RelationBatch:
+def relation_batch(a, b, psi, g, psi_perp=None) -> RelationBatch:
     """Evaluate ur1..ur4 at N points in one vectorized pass.  Unchecked.
 
     a, b and g are (N, d, d) stacks or single (d, d) matrices that
     broadcast; psi and psi_perp are (N, d).  g is the metric of the
     statistics (`_stats_g`).  Inputs must be finite complex arrays of
-    consistent shape, good observables where the formalism asks it;
-    `_validated` makes them so.  holds is `ur_holds` with S from the norms
-    the eigenstate rule forms; ur3 reports its larger branch, as ur4 does.
-
-    It computes every value, then resolves one ordered table of checks,
-    each a mask, the relations it guards and its error: state normalization,
-    Var(A) and Var(B) real and nonnegative, an explicit psi_perp's
-    normalization and orthogonality (guarding ur3), Var(A +- B) (guarding
-    ur4), and last a finite lhs, rhs and gap, as overflow is no verdict.
-    Only checks guarding one of `relations` (indices of ur1..ur4) count; a
-    point records the first it fails.  The table is built only where some
-    check's rule is not clear.
+    consistent shape, G-normalized states, a psi_perp G-orthogonal to psi,
+    and good observables where the formalism asks it; `_validated` makes
+    them so.  holds is `ur_holds` with S from the norms the eigenstate rule
+    forms; ur3 reports its larger branch, as ur4 does.  The one error a
+    point can record is NonFiniteError, where its lhs, rhs or gap
+    overflows, as overflow is no verdict.
     """
     n = psi.shape[0]
     v = np.array([psi, np.matvec(a, psi), np.matvec(b, psi)])
     gv = np.matvec(g, v)  # G psi, G A psi and G B psi in one product
-    gpsi = gv[0]
-    nsq = np.vecdot(psi, gpsi)
     dx, mean = _centered(v, gv)
     u, gu = (_COMBOS @ dx.reshape(2, 2, -1)).reshape(2, 7, *psi.shape)
     stats = np.vecdot(u, gu)
@@ -158,7 +147,6 @@ def relation_batch(a, b, psi, g, psi_perp=None, *, relations=_ALL) -> RelationBa
     var = np.maximum(raw.real, 0.0)
     lhs = var[0] + var[1]
     rhs1 = cov2.imag
-    aux = []  # the rules of an explicit psi_perp
     if psi_perp is None:
         # tight for the optimal auxiliary state, in every branch
         rhs3, gap3, minus3 = lhs, np.zeros(n), np.zeros(n, bool)
@@ -167,11 +155,7 @@ def relation_batch(a, b, psi, g, psi_perp=None, *, relations=_ALL) -> RelationBa
         # perp; as perp is orthogonal to psi, e is <perp|G(A +- iB)|psi>
         gperp = np.matvec(g, psi_perp)
         w, gw = u[4:6], gu[4:6]
-        perp = np.vecdot(psi_perp, np.array([gperp, gpsi, *gw]))  # norm^2, overlap, e
-        aux = [_norm_check("auxiliary state", perp[0], psi_perp, gperp),
-               _overlap_check("auxiliary state", np.abs(perp[1]), psi_perp, gpsi,
-                              NotOrthogonalError)]
-        e = perp[2:, ..., None]
+        e = np.vecdot(psi_perp, gw)[..., None]
         rhs3 = np.array([rhs1, -rhs1]) + np.abs(e[..., 0]) ** 2
         gap3 = np.maximum(np.vecdot(w - e * psi_perp, gw - e * gperp).real, 0.0)
         minus3 = rhs3[1] > rhs3[0]
@@ -188,27 +172,13 @@ def relation_batch(a, b, psi, g, psi_perp=None, *, relations=_ALL) -> RelationBa
     lhs, rhs, gap = values[0], values[1:5], values[5:]
     minus = np.array([minus3, halves[1] > halves[0]])
     degenerate = flat[0] | flat[1]
-    state = _norm_check("state", nsq, psi, gpsi)
-    real = _real_check("variance", raw[:4], u[:4], gu[:4])
-    held = np.isfinite(values)  # an overflow is not a verdict
-    finite = _Rule(np.count_nonzero(held) == held.size, lambda: ~held.all(0),
-                   lambda i: NonFiniteError("relation values overflow double "
-                                            f"precision (lhs = {lhs[i]:.3g})"))
+    held = np.isfinite(values)
     errors = (None,) * n
-    if not all(rule.clear for rule in (state, real, *aux, finite)):
-        unreal = real.bad()
-        var_checks = [(guards, unreal[k], lambda i, k=k: real.error((k, i)))
-                      for k, guards in enumerate((_ALL, _ALL, {3}, {3}))]
-        # (guards, mask, error of point i), in the order they apply; the
-        # finite check last, so that any earlier error stands
-        checks = [(_ALL, state.bad(), state.error)]
-        checks += var_checks[:2] + [({2}, rule.bad(), rule.error) for rule in aux]
-        checks += var_checks[2:] + [(_ALL, finite.bad(), finite.error)]
-        guarded = [(mask, error) for guards, mask, error in checks if guards & relations]
-        bad = np.array([mask for mask, _ in guarded])
-        failed, first = bad.any(0), bad.argmax(0)
-        errors = tuple(guarded[k][1](i) if bad[k, i] else None
-                       for i, k in enumerate(first.tolist()))
+    if np.count_nonzero(held) != held.size:
+        failed = ~held.all(0)
+        errors = tuple(NonFiniteError("relation values overflow double precision "
+                                      f"(lhs = {lhs[i]:.3g})") if bad else None
+                       for i, bad in enumerate(failed.tolist()))
         lhs[failed] = rhs[:, failed] = gap[:, failed] = np.nan
         minus[:, failed] = degenerate[failed] = False
     holds = ur_holds(lhs, rhs, np.vecdot(norm, norm, axis=0))  # S
@@ -217,16 +187,24 @@ def relation_batch(a, b, psi, g, psi_perp=None, *, relations=_ALL) -> RelationBa
 
 def _stats_g(g: Metric | None, formalism: Formalism, dim: int) -> np.ndarray:
     """The metric matrix of the statistics: the identity under the plain
-    formalism or when no metric is given, else g's matrix."""
+    formalism or when no metric is given, else g's matrix, which must be
+    dim x dim and meet the Metric contract (`metric._require_valid`)."""
     if formalism is Formalism.PLAIN or g is None:
         return identity_metric(dim).g
-    return g.g
+    if g.dim != dim:
+        raise DimensionMismatchError(
+            f"metric is {g.dim}x{g.dim} but the operators are {dim}x{dim}")
+    return _require_valid(g)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # then a rule fails
 def _validated(a, b, psi, g: Metric | None, formalism: Formalism,
                psi_perp=None):
-    """Boundary checks of one problem, the good-observable gate last: (a, b,
-    psi, G, psi_perp) ready for `relation_batch`, G the statistics metric."""
+    """Boundary checks of one problem: its shapes, then the metric contract,
+    the good-observable gate, psi's normalization, and an explicit
+    psi_perp's normalization and overlap, the first failure raised.
+    (a, b, psi, G, psi_perp) ready for `relation_batch`, G the statistics
+    metric."""
     a = as_operator(a, name="first operator")
     dim = a.shape[0]
     b = as_operator(b, dim=dim, name="second operator")
@@ -234,21 +212,25 @@ def _validated(a, b, psi, g: Metric | None, formalism: Formalism,
     if psi_perp is not None:
         psi_perp = as_state(psi_perp, dim=dim, name="auxiliary state")
     garr = _stats_g(g, formalism, dim)
-    if garr.shape[0] != dim:
-        raise DimensionMismatchError(
-            f"metric is {g.dim}x{g.dim} but the operators are {dim}x{dim}")
     if formalism is Formalism.GOOD:
         _require_good(a, b, garr)
+    gpsi = np.matvec(garr, psi)
+    _norm_check("state", np.vecdot(psi, gpsi), psi, gpsi).require()
+    if psi_perp is not None:
+        gperp = np.matvec(garr, psi_perp)
+        name = "auxiliary state"
+        _norm_check(name, np.vecdot(psi_perp, gperp), psi_perp, gperp).require()
+        _overlap_check(name, np.abs(np.vecdot(psi_perp, gpsi)), psi_perp, gpsi,
+                       NotOrthogonalError).require()
     return a, b, psi, garr, psi_perp
 
 
-def _single(a, b, psi, g, formalism, relations=_ALL, psi_perp=None) -> tuple:
+def _single(a, b, psi, g, formalism, psi_perp=None) -> tuple:
     """One problem's four records: validated, evaluated as a batch of
-    one, and raising the first error of a check guarding `relations`."""
+    one, and raising its error."""
     a, b, psi, garr, psi_perp = _validated(a, b, psi, g, formalism, psi_perp)
     batch = relation_batch(a, b, psi[None], garr,
-                           None if psi_perp is None else psi_perp[None],
-                           relations=relations)
+                           None if psi_perp is None else psi_perp[None])
     (error,) = batch.errors
     if error is not None:
         raise error
@@ -259,13 +241,13 @@ def _single(a, b, psi, g, formalism, relations=_ALL, psi_perp=None) -> tuple:
 def ur1(a, b, psi, g: Metric | None = None,
         formalism: Formalism = Formalism.PLAIN) -> UrEvaluation:
     """Variance sum against twice the imaginary part of the covariance."""
-    return _single(a, b, psi, g, formalism, {0})[0]
+    return _single(a, b, psi, g, formalism)[0]
 
 
 def ur2(a, b, psi, g: Metric | None = None,
         formalism: Formalism = Formalism.PLAIN) -> UrEvaluation:
     """Variance sum against twice the real part of the covariance."""
-    return _single(a, b, psi, g, formalism, {1})[1]
+    return _single(a, b, psi, g, formalism)[1]
 
 
 def ur3(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLAIN,
@@ -278,7 +260,7 @@ def ur3(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLA
     metric-orthogonal to psi, overrides the canonical auxiliary state,
     for which the bound is tight and both branches equal lhs ("plus").
     """
-    return _single(a, b, psi, g, formalism, {2}, psi_perp)[2]
+    return _single(a, b, psi, g, formalism, psi_perp)[2]
 
 
 def ur4(a, b, psi, g: Metric | None = None,
@@ -290,7 +272,7 @@ def ur4(a, b, psi, g: Metric | None = None,
     its combination contributes zero and sets the degenerate flag, with no
     error.  A tie goes to the branch that computes larger, else to "plus".
     """
-    return _single(a, b, psi, g, formalism, {3})[3]
+    return _single(a, b, psi, g, formalism)[3]
 
 
 def evaluate_all(a, b, psi, g: Metric | None = None,

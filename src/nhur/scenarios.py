@@ -16,6 +16,8 @@ point but records its typed error.  It builds its metric once, checks a
 good sweep's gate once, and `_collect` evaluates the stacks in one
 `relation_batch` call per group into a `Sweep`, the kernel's arrays plus
 the grid `param` and formalism, building ScenarioPoints only when indexed.
+The kernel trusts the states a scenario builds; `sweep` checks each
+builder's output at the boundary, as `evaluate_all` does.
 """
 
 import math

@@ -5,7 +5,10 @@ All orthogonality here is metric orthogonality, ``<u|G|v> = 0``; with the
 identity metric that is ordinary Dirac orthogonality.  Outputs carry a
 deterministic phase gauge (first significant amplitude real positive)
 because every downstream quantity is phase-invariant and reproducible
-output is worth more than an arbitrary gauge.
+output is worth more than an arbitrary gauge.  A state is normalized by the
+real part of its norm^2, whose imaginary part is rounding.  Only this
+module raises InternalInconsistencyError: where a constructed state fails
+its overlap rule, or `ur3_default_perp` finds no direction.
 """
 
 from contextlib import suppress
@@ -22,7 +25,7 @@ from .errors import (
     ZeroVectorError,
 )
 from .metric import (Metric, _centered, _norm, _norm_check, _overlap_check,
-                     _real_check, _vanishes, _variance, require_normalized)
+                     _require_valid, _vanishes, _variance, require_normalized)
 from .linalg import _scaled, as_operator, as_state
 from .tolerances import EPS_MACH
 
@@ -51,15 +54,14 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # then the row fails
 def _unit(v: np.ndarray, g: np.ndarray, zero: np.ndarray, what: str):
-    """G-normalize the (N, d) rows of v: the states and N errors, each None,
+    """G-normalize the (N, d) rows of v by the real part of their norm^2,
+    whose imaginary part is rounding: the states and N errors, each None,
     or NonFiniteError where a norm^2 overflowed, ZeroVectorError where zero
-    marks the row, or the error of a norm^2 not positive, or not real by
-    `_real_check`; a failed row is unusable."""
-    gv = np.matvec(g, v)
-    nsq = np.vecdot(v, gv)
-    leak = _real_check(f"{what} norm^2", nsq, v, gv)
+    marks the row, or NegativeNormError where the real part is not
+    positive; a failed row is unusable."""
+    nsq = np.vecdot(v, np.matvec(g, v))
     finite = np.isfinite(nsq)
-    bad = ~finite | zero | leak.bad() | (nsq.real <= 0.0)
+    bad = ~finite | zero | (nsq.real <= 0.0)
     errors = [None] * len(v)
     for i in np.flatnonzero(bad) if bad.any() else ():
         if not finite[i]:
@@ -67,8 +69,6 @@ def _unit(v: np.ndarray, g: np.ndarray, zero: np.ndarray, what: str):
                 f"{what} norm^2 overflows double precision ({nsq[i]:.3g})")
         elif zero[i]:
             errors[i] = ZeroVectorError(f"{what} cancels to the zero vector")
-        elif nsq[i].real > 0.0:
-            errors[i] = leak.error(i)
         else:
             errors[i] = NegativeNormError(
                 f"{what} has non-positive metric norm^2 = {nsq[i].real:.6g}; "
@@ -104,7 +104,7 @@ def superposition_state(basis, weights, metric: Metric) -> np.ndarray:
     """
     vecs = [as_state(b, dim=metric.dim, name=f"basis[{i}]") for i, b in enumerate(basis)]
     w = as_state(weights, dim=len(vecs), name="weights")
-    return _one(*_superpose(np.array(vecs), w[None], metric.g))
+    return _one(*_superpose(np.array(vecs), w[None], _require_valid(metric)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # then `_unit` fails the row
@@ -120,9 +120,7 @@ def _superpose(basis: np.ndarray, weights: np.ndarray, g: np.ndarray):
 def _overlap(v: np.ndarray, gpsi: np.ndarray, what: str) -> float:
     """|<v|G psi>|, checked by `_overlap_check`."""
     residual = np.abs(np.vdot(v, gpsi))
-    rule = _overlap_check(what, residual, v, gpsi, InternalInconsistencyError)
-    if rule.bad():
-        raise rule.error(())
+    _overlap_check(what, residual, v, gpsi, InternalInconsistencyError).require()
     return float(residual)
 
 

@@ -4,7 +4,9 @@ All comparison thresholds live here so that tests and library code agree
 on a single set of numbers.  Each is applied by one rule, named beside
 it, in the one package module that reads it; a relative limit on a
 product <u|v> is eps * max(1, |u| |v|) (`metric._limit`).  The verdict's
-rule, `ur_holds`, lives here beside EPS_UR, which has no override.
+rule, `ur_holds`, lives here beside EPS_UR, which has no override.  A
+variance or norm^2, real and nonnegative by construction under a valid
+metric, has no tolerance: its rounding is read as its real part, clamped at 0.
 """
 
 # Noise floor relative to the largest entry or term: states._fix_phase, _superpose.
@@ -23,10 +25,6 @@ EPS_PD = 1e-10
 
 # Relative residual of X^dag G = G X, the good-observable gate: metric._good.
 EPS_GOOD = 1e-9
-
-# Imaginary or negative part of a variance or norm^2 <u|v>, which is real and
-# nonnegative by construction, relative: metric._real_check.
-EPS_VAR = 1e-9
 
 # Deviation of a state's norm^2 <v|G v> from one, relative; a norm^2 that
 # is not finite fails: metric._norm_check.

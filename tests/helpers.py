@@ -92,3 +92,25 @@ def dirac_covariance(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> complex:
     wa = a @ psi
     wb = b @ psi
     return complex(np.vdot(wa, wb) - np.vdot(wa, psi) * np.vdot(psi, wb))
+
+
+def recipe_problem(rng):
+    """One draw of the wide-range recipe: (A, B, psi, G) with d from 1 to 4,
+    G Hermitian with eigenvalues spread over 10^U(0, 9) and unit Frobenius
+    norm, A and B complex Gaussian times 10^U(-12, 12), in 30% of draws B
+    near -A, and psi normalized in G.  Under gmetric every draw is a valid
+    problem that must evaluate."""
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    d = int(rng.integers(1, 5))
+    q = np.linalg.qr(gauss(d, d))[0]
+    g = q @ np.diag(10.0 ** rng.uniform(0, 9, d)) @ q.conj().T
+    g = g / np.linalg.norm(g)
+    g = (g + g.conj().T) / 2
+    a = gauss(d, d) * 10.0 ** rng.uniform(-12, 12)
+    b = gauss(d, d) * 10.0 ** rng.uniform(-12, 12)
+    if rng.random() < 0.3:
+        b = -a + gauss(d, d) * 10.0 ** rng.uniform(-12, 0) * np.abs(a).max()
+    psi = gauss(d)
+    return a, b, psi / np.sqrt(np.vdot(psi, g @ psi).real), g

@@ -3,8 +3,10 @@ the per-point reference imports none of the package's private helpers and
 the CLI none of the metric's, each tolerance is read by one module, which
 owns its rule, no module reads the environment, the kernel is reached by
 one route for a single problem and one for a sweep and takes no
-formalism, neither the kernel nor ur3 takes a sign option, and importing
-the package does none of the command line's work.
+formalism, neither the kernel nor ur3 takes a sign option and the kernel
+no option at all, no module checks a limit on a variance's rounding, only
+`states` names the internal-inconsistency error, and importing the package
+does none of the command line's work.
 
 The package's `__init__.py` is exempt from the import check, since its
 imports are the public re-exports listed in `__all__`.
@@ -108,16 +110,42 @@ def test_only_metric_applies_the_overlap_tolerance():
     assert readers == ["metric.py"]
 
 
-def test_only_metric_applies_the_variance_tolerance():
-    # every check of a product that is real by construction (a variance, a
-    # norm^2) goes through metric._real_check, so a second reader of EPS_VAR
-    # would be a second variance-limit rule
-    assert reads_name("from .tolerances import EPS_DEGEN, EPS_VAR\n", "EPS_VAR")
-    assert reads_name("import nhur.tolerances as t\nt.EPS_VAR\n", "EPS_VAR")
-    assert not reads_name("from .metric import _real_check\n", "EPS_VAR")
-    readers = sorted(p.name for p in (ROOT / "src" / "nhur").glob("*.py")
-                     if reads_name(p.read_text(encoding="utf-8"), "EPS_VAR"))
-    assert readers == ["metric.py"]
+def names(source: str, name: str) -> bool:
+    """Whether the module defines, imports or reads `name`, bare or as an
+    attribute."""
+    return reads_name(source, name) or any(
+        name in (getattr(node, "id", None), getattr(node, "name", None))
+        for node in ast.walk(ast.parse(source)))
+
+
+def test_no_module_checks_a_variance_limit():
+    # under a valid metric a variance or norm^2 is real and nonnegative by
+    # construction, and its rounding is read as its real part; a limit
+    # on that rounding back in the package would fail valid inputs
+    assert names("EPS_VAR = 1e-9\n", "EPS_VAR")
+    assert names("def _real_check(x):\n    return x\n", "_real_check")
+    assert names("from .metric import _real_check\n", "_real_check")
+    assert names("import nhur.tolerances as t\nt.EPS_VAR\n", "EPS_VAR")
+    assert not names("from .tolerances import EPS_NORM\n", "EPS_VAR")
+    found = sorted((p.name, name) for p in (ROOT / "src" / "nhur").glob("*.py")
+                   for name in ("EPS_VAR", "_real_check")
+                   if names(p.read_text(encoding="utf-8"), name))
+    assert found == []
+
+
+def test_only_states_names_the_internal_error():
+    # InternalInconsistencyError marks a constructed state that failed its
+    # own rule; a module elsewhere naming it would turn rounding or a
+    # caller's input into an internal fault
+    assert names("from .errors import InternalInconsistencyError\n",
+                 "InternalInconsistencyError")
+    assert names("raise errors.InternalInconsistencyError('x')\n",
+                 "InternalInconsistencyError")
+    assert not names("raise NotNormalizedError('x')\n", "InternalInconsistencyError")
+    found = sorted(p.name for p in (ROOT / "src" / "nhur").glob("*.py")
+                   if p.name not in ("errors.py", "__init__.py")
+                   and names(p.read_text(encoding="utf-8"), "InternalInconsistencyError"))
+    assert found == ["states.py"]
 
 
 def reads_environment(source: str) -> bool:
@@ -230,12 +258,14 @@ def keyword_only(function) -> tuple:
 
 def test_kernel_and_ur3_take_no_sign_option():
     # ur3 reports its larger branch, as ur4 does; a sign option back in the
-    # kernel or in ur3 would be a second way to ask for a branch
+    # kernel or in ur3 would be a second way to ask for a branch.  The
+    # kernel takes no option at all: every rule about its input is applied
+    # at the boundary, so none is left to pick
     def toy(a, psi_perp=None, *, relations=None, sign="max"):
         return a
 
     assert keyword_only(toy) == ("relations", "sign")
-    assert keyword_only(relation_batch) == ("relations",)
+    assert keyword_only(relation_batch) == ()
     assert keyword_only(ur3) == ("psi_perp",)
 
 

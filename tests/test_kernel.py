@@ -16,14 +16,15 @@ import reference
 from helpers import good_observable_for, metric_gs, random_operator, random_state
 from nhur import (
     BROKEN,
+    DimensionMismatchError,
     Example1Config,
     Example2Config,
     Formalism,
-    InternalInconsistencyError,
     Metric,
     MetricReport,
     MetricValidationError,
     NhurError,
+    NonFiniteError,
     NotGoodObservableError,
     NotNormalizedError,
     NotOrthogonalError,
@@ -38,9 +39,14 @@ from nhur import (
     g_expectation,
     g_variance,
     identity_metric,
+    is_good_observable,
     metric_from_matrix,
+    metric_from_right_eigenvectors,
     pt_hamiltonian,
+    require_normalized,
+    superposition_state,
     sweep,
+    symmetric_eigensystem,
     ur1,
     ur2,
     ur3,
@@ -162,7 +168,7 @@ def assert_n_invariant(batch, a, b, psi, g, psi_perp=None, **kwargs):
 @pytest.mark.parametrize("dim", [2, 3, 4, 6, 8, 64])
 def test_kernel_is_n_invariant(dim, formalism, with_perp, stacked):
     # the kernel has no one-point path: each point of a batch, passing or
-    # failing (the last state is off normalization), reads as its own call
+    # failing (the last state's values overflow), reads as its own call
     rng = np.random.default_rng(1000 * dim + 10 * FORMALISMS.index(formalism)
                                 + 2 * with_perp + stacked)
     if stacked:
@@ -174,10 +180,11 @@ def test_kernel_is_n_invariant(dim, formalism, with_perp, stacked):
         psi, perp = zip(*(random_states(rng, stats, with_perp) for _ in range(5)))
         g = stats.g
     psi = np.array(psi)
-    psi[-1] *= 2.0
+    psi[-1] *= 1e200
     perp = None if not with_perp else np.array(perp)
     batch = relation_batch(a, b, psi, g, perp)
     assert [e is None for e in batch.errors] == [True] * 4 + [False]
+    assert isinstance(batch.errors[-1], NonFiniteError)
     assert_n_invariant(batch, a, b, psi, g, perp)
 
 
@@ -232,11 +239,50 @@ def test_public_surface():
         getattr(nhur, name)
 
 
-def _fake_metric(g):
+def _fake_metric(g, report=MetricReport(False, False, 0.0)):
     g = np.array(g, dtype=complex)
     g.setflags(write=False)
-    return Metric(g=g, provenance="explicit",
-                  validation=MetricReport(False, False, 0.0))
+    return Metric(g=g, provenance="explicit", validation=report)
+
+
+OK_REPORT = MetricReport(True, True, 1.0)
+# a non-Hermitian "metric" would make Var(A) complex: 1 - 0.01i
+SKEW = [[1.0, 0.1], [0.1j, 1.0]]
+
+
+@pytest.mark.parametrize("metric", [
+    _fake_metric(np.eye(2)), _fake_metric(SKEW, OK_REPORT), _fake_metric(SKEW),
+], ids=["bad-report", "not-hermitian", "complex-variance"])
+def test_a_metric_outside_the_contract_is_refused(metric):
+    # every function that computes with a Metric's matrix refuses one no
+    # factory would return, with its report; under plain the statistics do
+    # not use it, so evaluate_all ignores it
+    psi = np.array([0.6, 0.8j])
+    calls = [lambda: evaluate_all(SX, SY, psi, metric, Formalism.GMETRIC),
+             lambda: evaluate_all(SX, SY, psi, metric, Formalism.GOOD),
+             *(lambda fn=fn: fn(SX, SY, psi, metric, Formalism.GMETRIC)
+               for fn in (ur1, ur2, ur3, ur4)),
+             lambda: require_normalized(psi, metric),
+             lambda: g_expectation(SX, psi, metric),
+             lambda: g_variance(SX, psi, metric),
+             lambda: g_covariance(SX, SY, psi, metric),
+             lambda: superposition_state([E0, E1], [1.0, 1.0], metric),
+             lambda: is_good_observable(SX, metric)]
+    for call in calls:
+        with pytest.raises(MetricValidationError) as caught:
+            call()
+        assert caught.value.report is metric.validation
+    assert evaluate_all(SX, SY, psi, metric) == evaluate_all(SX, SY, psi)
+
+
+def test_the_factories_meet_the_metric_contract():
+    frame = symmetric_eigensystem(0.9)
+    for metric in (identity_metric(2), metric_from_matrix([[2.0, 0.5j], [-0.5j, 1.0]]),
+                   metric_from_right_eigenvectors(frame, pt_hamiltonian(0.9))):
+        psi = superposition_state([E0, E1], [1.0, 0.5], metric)
+        assert require_normalized(psi, metric) is not None
+        assert evaluate_all(SX, SY, psi, metric, Formalism.GMETRIC)[0].holds
+        assert is_good_observable(SX, metric).residual >= 0.0
 
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -254,11 +300,8 @@ SY = np.array([[0.0, -1j], [1j, 0.0]])
          NotGoodObservableError),
         (dict(psi_perp=(E0 + E1) / math.sqrt(2.0)), NotOrthogonalError),
         (dict(psi_perp=2.0 * E1), NotNormalizedError),
-        # a non-Hermitian "metric" makes Var(A) complex: 1 - 0.01i
-        (dict(g=_fake_metric([[1.0, 0.1], [0.1j, 1.0]]),
-              formalism=Formalism.GMETRIC), InternalInconsistencyError),
     ],
-    ids=["state-norm", "not-good", "perp-overlap", "perp-norm", "complex-variance"],
+    ids=["state-norm", "not-good", "perp-overlap", "perp-norm"],
 )
 def test_kernel_raises_the_reference_errors(case, error):
     args = dict(a=SX, b=SY, psi=E0, g=None, formalism=Formalism.PLAIN,
@@ -272,54 +315,68 @@ def test_kernel_raises_the_reference_errors(case, error):
 
 
 def test_checks_fail_only_the_relations_they_guard():
-    # a non-orthogonal override breaks ur3 and nothing else
+    # a non-orthogonal override breaks the calls that take it; ur1, ur2
+    # and ur4 take no psi_perp
     bad = (E0 + E1) / math.sqrt(2.0)
-    args = (SX, SY, E0[None], np.eye(2), bad[None])
-    for relations in ({2}, {0, 1, 2, 3}):
-        batch = relation_batch(*args, relations=relations)
-        (err,) = batch.errors
-        assert isinstance(err, NotOrthogonalError)
-        assert np.isnan(batch.gap).all() and not batch.holds.any()
-    for k in (0, 1, 3):
-        batch = relation_batch(*args, relations={k})
-        assert batch.errors == (None,)
-        assert batch.holds[k, 0]
-    with pytest.raises(NotOrthogonalError):
-        ur3(SX, SY, E0, psi_perp=bad)
+    for fn in (ur3, evaluate_all):
+        with pytest.raises(NotOrthogonalError):
+            fn(SX, SY, E0, psi_perp=bad)
 
 
-def _coupled_sum_problem():
-    # a non-Hermitian "metric" that couples A psi = e1 and B psi = e2:
-    # Var(A) = Var(B) = 1 stay real, Var(A +- B) = 2 +- (0.1 + 0.1i) do not
-    g = _fake_metric([[1.0, 0.0, 0.0], [0.0, 1.0, 0.1], [0.0, 0.1j, 1.0]])
-    a, b = np.zeros((3, 3)), np.zeros((3, 3))
-    a[1, 0] = b[2, 0] = 1.0
-    return a, b, np.array([1.0, 0.0, 0.0]), g, Formalism.GMETRIC
+@pytest.mark.parametrize("formalism", FORMALISMS, ids=lambda f: f.value)
+def test_each_relation_is_a_record_of_evaluate_all(formalism):
+    # ur1..ur4 are records of one evaluate_all call, bit for bit, and
+    # raise the error it raises
+    rng = np.random.default_rng(21 + FORMALISMS.index(formalism))
+    for dim in (2, 3, 4):
+        for _ in range(5):
+            a, b, psi, metric, _, _ = random_problem(rng, dim, formalism, False)
+            records = evaluate_all(a, b, psi, metric, formalism)
+            assert [fn(a, b, psi, metric, formalism)
+                    for fn in (ur1, ur2, ur3, ur4)] == list(records)
+    errors = set()
+    for fn in (evaluate_all, ur1, ur2, ur3, ur4):
+        with pytest.raises(NotNormalizedError) as caught:
+            fn(SX, SY, 2.0 * E0, None, formalism)
+        errors.add(str(caught.value))
+    assert errors == {"state has metric norm^2 = 4 (must be 1 within 4e-08)"}
 
 
-def test_variance_of_the_sum_guards_only_ur4():
-    args = _coupled_sum_problem()
-    for fn in (reference.evaluate_all, evaluate_all, ur4):
-        with pytest.raises(InternalInconsistencyError):
-            fn(*args)
-    for fn in (ur1, ur2, ur3):
-        assert fn(*args).lhs == 2.0
+# Problems that each fail two boundary rules, with the error of the first.
+TWO_FAILURES = [
+    # shapes first: a 3x3 metric under 2x2 operators, itself outside the contract
+    (dict(g=_fake_metric(np.eye(3)), formalism=Formalism.GOOD), DimensionMismatchError),
+    # the contract, then the gate
+    (dict(g=_fake_metric(np.eye(2)), formalism=Formalism.GOOD, a=pt_hamiltonian(1.2)),
+     MetricValidationError),
+    # the gate, then psi's normalization
+    (dict(g=metric_gs(0.9), formalism=Formalism.GOOD, a=pt_hamiltonian(1.2),
+          psi=2.0 * E0), NotGoodObservableError),
+    # psi's normalization, then psi_perp's
+    (dict(psi=2.0 * E0, psi_perp=2.0 * E1), "state has"),
+    # psi_perp's normalization, then its overlap
+    (dict(psi_perp=2.0 * E0), "auxiliary state has metric norm"),
+    # the overlap, then the kernel's finite rule
+    (dict(a=1e200 * SX, psi_perp=E0), NotOrthogonalError),
+]
 
 
 def test_first_error_follows_the_check_order():
-    # the perp checks come before the Var(A +- B) checks: with a perp that
-    # is G-normalized but not orthogonal to psi, a call that needs ur3
-    # fails on the perp, ur4 still fails on its variance, and ur1 and ur2
-    # evaluate
-    args = _coupled_sum_problem()
-    perp = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    for fn in (evaluate_all, ur3):
-        with pytest.raises(NotOrthogonalError):
-            fn(*args, psi_perp=perp)
-    with pytest.raises(InternalInconsistencyError):
-        ur4(*args)
-    for fn in (ur1, ur2):
-        assert fn(*args).lhs == 2.0
+    # the boundary raises the first failed rule in its order: shapes, the
+    # metric contract, the good-observable gate, psi's normalization,
+    # psi_perp's normalization and its overlap; the kernel's finite rule
+    # comes last
+    for case, error in TWO_FAILURES:
+        args = dict(a=SX, b=SY, psi=E0, g=None, formalism=Formalism.GMETRIC,
+                    psi_perp=None)
+        args.update(case)
+        for fn in (evaluate_all, ur3):
+            if isinstance(error, str):
+                with pytest.raises(NotNormalizedError, match=f"^{error}"):
+                    fn(**args)
+            else:
+                with pytest.raises(error):
+                    fn(**args)
 
 
 # The benchmark's five sweep command lines: (config, formalism), with None

@@ -17,6 +17,7 @@ from nhur import (
     InternalInconsistencyError,
     Metric,
     MetricReport,
+    MetricValidationError,
     NegativeNormError,
     NonFiniteError,
     SIGMA_X,
@@ -35,6 +36,7 @@ from nhur import (
     ur3,
     ur3_default_perp,
 )
+from nhur.states import _one, _unit
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -96,8 +98,12 @@ def test_superposition_negative_norm_flags_invalid_metric():
         provenance="explicit",
         validation=MetricReport(True, False, -1.0),
     )
-    with pytest.raises(NegativeNormError):
+    # a hand-built Metric is outside the contract; the normalizer behind
+    # superposition_state still flags a norm^2 that is not positive
+    with pytest.raises(MetricValidationError):
         superposition_state([E0, E1], [1.0, 1.0], fake)
+    with pytest.raises(NegativeNormError):
+        _one(*_unit(np.array([E0 + E1]), bad, np.zeros(1, dtype=bool), "superposition"))
 
 
 def test_complement_basis_case():
