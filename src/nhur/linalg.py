@@ -30,12 +30,14 @@ SIGMA_Z = _const([[1, 0], [0, -1]])
 
 
 def as_operator(value, dim: int | None = None, name: str = "operator") -> np.ndarray:
-    """Coerce to a square complex matrix, checking shape and finiteness."""
+    """Coerce to a nonempty square complex matrix, checking shape and finiteness."""
     arr = np.asarray(value, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatchError(
             f"{name} must be a square matrix, got shape {arr.shape}"
         )
+    if arr.size == 0:
+        raise DimensionMismatchError(f"{name} must not be empty")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(
             f"{name} must be {dim}x{dim}, got {arr.shape[0]}x{arr.shape[1]}"
@@ -46,12 +48,14 @@ def as_operator(value, dim: int | None = None, name: str = "operator") -> np.nda
 
 
 def as_state(value, dim: int | None = None, name: str = "state") -> np.ndarray:
-    """Coerce to a complex vector, checking shape and finiteness."""
+    """Coerce to a nonempty complex vector, checking shape and finiteness."""
     arr = np.asarray(value, dtype=complex)
     if arr.ndim != 1:
         raise DimensionMismatchError(
             f"{name} must be a vector, got shape {arr.shape}"
         )
+    if arr.size == 0:
+        raise DimensionMismatchError(f"{name} must not be empty")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(
             f"{name} must have length {dim}, got {arr.shape[0]}"

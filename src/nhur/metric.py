@@ -5,8 +5,8 @@ product ``<u|G|v>``; a Metric stores the Hermitian part of the matrix it
 validated, bit for bit when that matrix is exactly Hermitian.  With G =
 identity this is the Dirac product, which is how the plain formalism is
 realized downstream: the identity metric recovers every unweighted value.
-Every function that computes with a Metric's matrix first holds it to the
-contract the factories meet (`_require_valid`).
+A Metric checks its contract once, when it is built, so no function that
+computes with its matrix checks it again.
 
 With the centered vector d_X = (X - <X>_G) psi, where <X>_G = <psi|G X|psi>,
 Var_G(X) = <d_X|G d_X> and Cov_G(A,B) = <d_A|G d_B>.  One batched helper,
@@ -18,21 +18,20 @@ contract a variance or a norm^2 is real and nonnegative by construction,
 so its imaginary part and any negative real part are rounding: each is
 read as its real part, clamped at 0, and no rule checks it.
 
-Each rule that can fail a point is one function returning a `_Rule`,
-and only it words that failure: a norm^2 <v|G v> within EPS_NORM of 1
-and finite (`_norm_check`), and an overlap <v|G psi> within EPS_ORTH
-(`_overlap_check`).  The good-observable gate, a condition on (A, B, G)
+Each rule on a state is one plain function, and only it words that
+failure: a norm^2 <v|G v> finite and within EPS_NORM of 1 (`_is_normalized`,
+raised by `_require_norm`), and an overlap <v|G psi> within EPS_ORTH
+(`_require_orthogonal`).  The good-observable gate, a condition on (A, B, G)
 alone, checks one problem (`_require_good`).  Each limit on a product
 <u|v> is `_limit`, eps * max(1, |u| |v|), never below the rule's absolute
-eps, and a rule's mask forms the limit only where that eps trips.  The
+eps, and `_beyond` forms the limit only where that eps trips.  The
 eigenstate rule (`_vanishes`) takes its scale from the caller's operands.
 No other module reads the tolerances of these rules.
 """
 
-from collections.abc import Callable
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .errors import (
     NotGoodObservableError,
     NotNormalizedError,
 )
-from .linalg import (EigenSystem, _const, _scaled, _stable_inverse,
+from .linalg import (EigenSystem, _scaled, _stable_inverse,
                      _well_conditioned, as_operator, as_state)
 from .tolerances import EPS_DEGEN, EPS_GOOD, EPS_HERM, EPS_NORM, EPS_ORTH
 
@@ -70,17 +69,32 @@ class MetricReport:
 class Metric:
     """A validated metric matrix with its provenance.
 
-    provenance is one of "identity", "explicit", "eigenframe".  The matrix
-    is stored exactly Hermitian and read-only; instances are safe to share.
-    Build one with the factories: a hand-built report that the matrix does
-    not meet is outside the contract, and a Metric whose report is not ok,
-    or whose matrix is not exactly Hermitian, raises MetricValidationError
-    wherever its matrix is used.
+    provenance is one of "identity", "explicit", "eigenframe".  The contract
+    is checked once, here: a Metric whose report is not ok, or whose matrix
+    is not exactly Hermitian, raises MetricValidationError with that report
+    when it is built, `dataclasses.replace` included.  The matrix is stored
+    complex and read-only, copied when it is handed a writable one, so
+    instances are safe to share.  Build one with the factories: a hand-built
+    report that the matrix does not meet is outside the contract.
     """
 
     g: np.ndarray
     provenance: str
     validation: MetricReport
+
+    def __post_init__(self):
+        g, report = self.g, self.validation
+        if not (isinstance(g, np.ndarray) and g.dtype == complex
+                and not g.flags.writeable):
+            g = np.array(g, dtype=complex)
+            g.setflags(write=False)
+        ok = isinstance(report, MetricReport) and report.ok
+        hermitian = g.ndim == 2 and np.array_equal(g, g.conj().T)
+        if not (ok and hermitian):
+            raise MetricValidationError(
+                f"metric breaks the Metric contract (report ok={ok}, "
+                f"matrix exactly Hermitian={hermitian})", report=report)
+        object.__setattr__(self, "g", g)
 
     @property
     def dim(self) -> int:
@@ -124,7 +138,7 @@ def _validation(g, hamiltonian) -> tuple:
 def identity_metric(dim: int = 2) -> Metric:
     """The Dirac-product metric; immutable, so one instance per dim serves."""
     report = MetricReport(hermitian=True, positive_definite=True, min_eigenvalue=1.0)
-    return Metric(g=_const(np.eye(dim)), provenance="identity", validation=report)
+    return Metric(g=np.eye(dim), provenance="identity", validation=report)
 
 
 def metric_from_matrix(g, hamiltonian=None) -> Metric:
@@ -134,26 +148,13 @@ def metric_from_matrix(g, hamiltonian=None) -> Metric:
 
 
 def _checked(g, hamiltonian, provenance: str, failure: str) -> Metric:
-    """g validated, its Hermitian part frozen; or MetricValidationError."""
+    """g validated, as the Metric of its Hermitian part; or MetricValidationError."""
     report, herm = _validation(g, hamiltonian)
     if not report.ok:
         raise MetricValidationError(
             f"{failure} (hermitian={report.hermitian}, "
             f"min eigenvalue={report.min_eigenvalue:.6g})", report=report)
-    return Metric(g=_const(herm), provenance=provenance, validation=report)
-
-
-def _require_valid(metric: Metric) -> np.ndarray:
-    """The Metric contract: metric's matrix if a factory could have returned
-    it, its report ok and the matrix exactly Hermitian (O(d^2)), else
-    MetricValidationError with its report."""
-    g, report = metric.g, metric.validation
-    hermitian = np.array_equal(g, g.conj().T)
-    if not (report.ok and hermitian):
-        raise MetricValidationError(
-            f"metric breaks the Metric contract (report ok={report.ok}, "
-            f"matrix exactly Hermitian={hermitian})", report=report)
-    return g
+    return Metric(g=herm, provenance=provenance, validation=report)
 
 
 def _hermitian(g: np.ndarray) -> np.ndarray:
@@ -197,7 +198,7 @@ class GoodObservableCheck:
 def is_good_observable(x, metric: Metric) -> GoodObservableCheck:
     """Test whether x plays the role of a Hermitian observable under G."""
     x = as_operator(x, dim=metric.dim, name="observable")
-    residual = float(_good_residual(x, _require_valid(metric)))
+    residual = float(_good_residual(x, metric.g))
     return GoodObservableCheck(
         is_good=_good(residual), residual=residual, threshold=EPS_GOOD
     )
@@ -216,19 +217,6 @@ def _require_good(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> None:
         raise NotGoodObservableError(
             "good-observable formalism requires both operators to satisfy X^dag G = "
             f"G X; residuals a={res[0]:.3e}, b={res[1]:.3e} (threshold {EPS_GOOD:g})")
-
-
-class _Rule(NamedTuple):
-    """One rule over a batch, called: where it fails, and the error of
-    point i."""
-
-    bad: Callable
-    error: Callable
-
-    def require(self) -> None:
-        """Raise the error of one unbatched value where the rule fails it."""
-        if self.bad():
-            raise self.error(())
 
 
 @np.errstate(over="ignore", invalid="ignore")  # then the residual is NaN
@@ -251,21 +239,26 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
 def require_normalized(psi, metric: Metric, name: str = "state") -> np.ndarray:
     """Validate that psi is unit-norm under the metric; returns the array."""
     psi = as_state(psi, dim=metric.dim, name=name)
-    gpsi = _require_valid(metric) @ psi
-    _norm_check(name, np.vdot(psi, gpsi), psi, gpsi).require()
+    gpsi = metric.g @ psi
+    _require_norm(name, np.vdot(psi, gpsi), psi, gpsi)
     return psi
 
 
-def _norm_check(name: str, nsq, v: np.ndarray, gv: np.ndarray) -> _Rule:
-    """The one normalization rule, batched: it fails where nsq = <v|G v> is
-    off 1 beyond _limit(EPS_NORM, v, G v) or not finite."""
-    excess = np.abs(nsq - 1.0)
-    return _Rule(
-        lambda: _beyond(excess, EPS_NORM, v, gv) | ~np.isfinite(excess),
-        lambda i: NotNormalizedError(
-            f"{name} has metric norm^2 = {nsq[i].real:.12g} (must be 1"
-            + (f" within {float(_limit(EPS_NORM, v[i], gv[i])):.3g}"
-               if np.isfinite(excess[i]) else "") + ")"))
+def _is_normalized(nsq, v: np.ndarray, gv: np.ndarray) -> bool:
+    """The one normalization rule: nsq = <v|G v> is finite and off 1 by no
+    more than _limit(EPS_NORM, v, G v)."""
+    excess = abs(nsq - 1.0)
+    return math.isfinite(excess) and not _beyond(excess, EPS_NORM, v, gv)
+
+
+def _require_norm(name: str, nsq, v: np.ndarray, gv: np.ndarray) -> None:
+    """NotNormalizedError unless `_is_normalized`, naming the limit where
+    nsq is finite."""
+    if not _is_normalized(nsq, v, gv):
+        within = (f" within {float(_limit(EPS_NORM, v, gv)):.3g}"
+                  if math.isfinite(abs(nsq - 1.0)) else "")
+        raise NotNormalizedError(
+            f"{name} has metric norm^2 = {nsq.real:.12g} (must be 1{within})")
 
 
 def _vanishes(length, scale):
@@ -302,22 +295,20 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(np.vecdot(unit, unit).real), exp)
 
 
-def _overlap_check(what: str, overlap, v: np.ndarray, gpsi: np.ndarray,
-                   error) -> _Rule:
-    """The one orthogonality rule, batched: it fails where overlap =
-    |<v|G psi>| passes _limit(EPS_ORTH, v, G psi), in `error`, a class."""
-    return _Rule(lambda: _beyond(overlap, EPS_ORTH, v, gpsi),
-                 lambda i: error(f"{what} has metric overlap {overlap[i]:.3e} with the "
-                                 f"state (limit {_limit(EPS_ORTH, v[i], gpsi[i]):.3g})"))
+def _require_orthogonal(what: str, v: np.ndarray, gpsi: np.ndarray, error) -> float:
+    """The one orthogonality rule: overlap = |<v|G psi>|, or `error`, a
+    class, where it passes _limit(EPS_ORTH, v, G psi)."""
+    overlap = abs(np.vdot(v, gpsi))
+    if _beyond(overlap, EPS_ORTH, v, gpsi):
+        raise error(f"{what} has metric overlap {overlap:.3e} with the "
+                    f"state (limit {_limit(EPS_ORTH, v, gpsi):.3g})")
+    return float(overlap)
 
 
-def _beyond(excess, eps: float, u: np.ndarray, v: np.ndarray):
-    """Where excess passes _limit(eps, u, v), computed only where the
+def _beyond(excess, eps: float, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether excess passes _limit(eps, u, v), formed only where the
     absolute eps, never larger, trips; a NaN excess passes nothing."""
-    bad = excess > eps
-    if np.count_nonzero(bad):
-        bad = bad & (excess > _limit(eps, u, v))
-    return bad
+    return excess > eps and excess > _limit(eps, u, v)
 
 
 def _finite(what: str, x):

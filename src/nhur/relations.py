@@ -47,8 +47,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, NotOrthogonalError
 from .linalg import as_operator, as_state
-from .metric import (Metric, _centered, _norm_check, _overlap_check, _require_good,
-                     _require_valid, _vanishes, identity_metric)
+from .metric import (Metric, _centered, _require_good, _require_norm,
+                     _require_orthogonal, _vanishes, identity_metric)
 from .tolerances import ur_holds
 
 
@@ -188,20 +188,20 @@ def relation_batch(a, b, psi, g, psi_perp=None) -> RelationBatch:
 def _stats_g(g: Metric | None, formalism: Formalism, dim: int) -> np.ndarray:
     """The metric matrix of the statistics: the identity under the plain
     formalism or when no metric is given, else g's matrix, which must be
-    dim x dim and meet the Metric contract (`metric._require_valid`)."""
+    dim x dim."""
     if formalism is Formalism.PLAIN or g is None:
         return identity_metric(dim).g
     if g.dim != dim:
         raise DimensionMismatchError(
             f"metric is {g.dim}x{g.dim} but the operators are {dim}x{dim}")
-    return _require_valid(g)
+    return g.g
 
 
 @np.errstate(over="ignore", invalid="ignore")  # then a rule fails
 def _validated(a, b, psi, g: Metric | None, formalism: Formalism,
                psi_perp=None):
-    """Boundary checks of one problem: its shapes, then the metric contract,
-    the good-observable gate, psi's normalization, and an explicit
+    """Boundary checks of one problem: its shapes, the metric's included,
+    then the good-observable gate, psi's normalization, and an explicit
     psi_perp's normalization and overlap, the first failure raised.
     (a, b, psi, G, psi_perp) ready for `relation_batch`, G the statistics
     metric."""
@@ -215,13 +215,12 @@ def _validated(a, b, psi, g: Metric | None, formalism: Formalism,
     if formalism is Formalism.GOOD:
         _require_good(a, b, garr)
     gpsi = np.matvec(garr, psi)
-    _norm_check("state", np.vecdot(psi, gpsi), psi, gpsi).require()
+    _require_norm("state", np.vecdot(psi, gpsi), psi, gpsi)
     if psi_perp is not None:
         gperp = np.matvec(garr, psi_perp)
         name = "auxiliary state"
-        _norm_check(name, np.vecdot(psi_perp, gperp), psi_perp, gperp).require()
-        _overlap_check(name, np.abs(np.vecdot(psi_perp, gpsi)), psi_perp, gpsi,
-                       NotOrthogonalError).require()
+        _require_norm(name, np.vecdot(psi_perp, gperp), psi_perp, gperp)
+        _require_orthogonal(name, psi_perp, gpsi, NotOrthogonalError)
     return a, b, psi, garr, psi_perp
 
 

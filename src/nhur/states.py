@@ -24,8 +24,8 @@ from .errors import (
     NonFiniteError,
     ZeroVectorError,
 )
-from .metric import (Metric, _centered, _norm, _norm_check, _overlap_check,
-                     _require_valid, _vanishes, _variance, require_normalized)
+from .metric import (Metric, _centered, _is_normalized, _norm, _require_orthogonal,
+                     _vanishes, _variance, require_normalized)
 from .linalg import _scaled, as_operator, as_state
 from .tolerances import EPS_MACH
 
@@ -85,12 +85,12 @@ def _one(states: np.ndarray, errors: list) -> np.ndarray:
 
 
 def _normalized(v: np.ndarray, g: np.ndarray, what: str) -> np.ndarray:
-    """v itself where `_norm_check` accepts it, so results are reproducible
+    """v itself where it `_is_normalized`, so results are reproducible
     bit for bit; else v G-normalized by `_unit`, or its error raised, v
     first `_scaled` so that its norm^2 neither under- nor overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # then v fails the check
         gv = g @ v
-    if not _norm_check(what, np.vdot(v, gv), v, gv).bad():
+    if _is_normalized(np.vdot(v, gv), v, gv):
         return v
     v = _scaled(v)[0]
     return _one(*_unit(v[None], g, np.array([not v.any()]), what))
@@ -104,7 +104,7 @@ def superposition_state(basis, weights, metric: Metric) -> np.ndarray:
     """
     vecs = [as_state(b, dim=metric.dim, name=f"basis[{i}]") for i, b in enumerate(basis)]
     w = as_state(weights, dim=len(vecs), name="weights")
-    return _one(*_superpose(np.array(vecs), w[None], _require_valid(metric)))
+    return _one(*_superpose(np.array(vecs), w[None], metric.g))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # then `_unit` fails the row
@@ -115,13 +115,6 @@ def _superpose(basis: np.ndarray, weights: np.ndarray, g: np.ndarray):
     scale = (np.abs(weights) * _norm(basis)).max(-1)
     zero = (_norm(out) <= EPS_MACH * scale) | (scale == 0.0)
     return _unit(out, g, zero, "superposition")
-
-
-def _overlap(v: np.ndarray, gpsi: np.ndarray, what: str) -> float:
-    """|<v|G psi>|, checked by `_overlap_check`."""
-    residual = np.abs(np.vdot(v, gpsi))
-    _overlap_check(what, residual, v, gpsi, InternalInconsistencyError).require()
-    return float(residual)
 
 
 def g_orthogonal_complement_2d(psi, metric: Metric) -> np.ndarray:
@@ -138,7 +131,7 @@ def g_orthogonal_complement_2d(psi, metric: Metric) -> np.ndarray:
     # (v, w) = 0 by construction: the 2D cross-vector of w
     v = np.array([[-w[1].conjugate(), w[0].conjugate()]])
     v = _fix_phase(_one(*_unit(v, metric.g, np.zeros(1, dtype=bool), "complement")))
-    _overlap(v, w, "complement")
+    _require_orthogonal("complement", v, w, InternalInconsistencyError)
     return v
 
 
@@ -185,8 +178,10 @@ def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
     perp = d / sd
     # discard the roundoff component along psi so orthogonality is exact
     perp = perp - complex(np.vdot(psi, g @ perp)) * psi
+    residual = _require_orthogonal("orthogonal-state", perp, gv[0],
+                                   InternalInconsistencyError)
     return OrthogonalPair(psi=psi, psi_perp=perp, context=metric,
-                          overlap_residual=_overlap(perp, gv[0], "orthogonal-state"))
+                          overlap_residual=residual)
 
 
 def ur3_default_perp(a, b, psi, metric: Metric, sign: int) -> np.ndarray:

@@ -27,11 +27,11 @@ EPS_PD = 1e-10
 EPS_GOOD = 1e-9
 
 # Deviation of a state's norm^2 <v|G v> from one, relative; a norm^2 that
-# is not finite fails: metric._norm_check.
+# is not finite fails: metric._is_normalized.
 EPS_NORM = 1e-8
 
 # Overlap <perp|G psi> of every auxiliary state, constructed or supplied,
-# relative: metric._overlap_check.
+# relative: metric._require_orthogonal.
 EPS_ORTH = 1e-10
 
 # Length that vanishes, EPS_DEGEN * scale: metric._vanishes.  The scale is

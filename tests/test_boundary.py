@@ -1,0 +1,73 @@
+"""Every input the validators accept evaluates or fails typed.
+
+A property over a wide space of problems: d from 1 to 4, the plain and
+gmetric formalisms, operators at 10^U(-160, 160), a metric from
+`metric_from_matrix` at 10^U(-150, 150) with cond(G) up to 10^9.5, and psi
+normalized in the metric of the statistics.  Through `evaluate_all`,
+`require_normalized`, `g_variance` and `g_covariance` each draw must
+evaluate or raise an NhurError other than InternalInconsistencyError, which
+would be a fault of the package's own; a warning fails the test through
+the suite's warning filter.  Whether NonFiniteError is raised only where a
+true value overflows is not checked here.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nhur import (
+    Formalism,
+    InternalInconsistencyError,
+    NhurError,
+    evaluate_all,
+    g_covariance,
+    g_variance,
+    identity_metric,
+    metric_from_matrix,
+    require_normalized,
+)
+
+
+def boundary_problem(d, seed, a_exp, b_exp, g_exp, cond_exp):
+    """(A, B, v, G): A and B complex Gaussian times 10^a_exp and 10^b_exp,
+    v complex Gaussian, and G Hermitian with largest eigenvalue 10^g_exp
+    and, for d > 1, smallest 10^(g_exp - cond_exp)."""
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    q = np.linalg.qr(gauss(d, d))[0]
+    spread = rng.uniform(0.0, cond_exp, d)
+    spread[0], spread[-1] = cond_exp, 0.0
+    g = (q * 10.0 ** (g_exp - spread)) @ q.conj().T
+    return (gauss(d, d) * 10.0 ** a_exp, gauss(d, d) * 10.0 ** b_exp, gauss(d),
+            (g + g.conj().T) / 2.0)
+
+
+def typed(call):
+    """call's result, or None where it raised an NhurError a caller may see."""
+    try:
+        return call()
+    except InternalInconsistencyError:
+        raise
+    except NhurError:
+        return None
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.integers(1, 4), st.sampled_from([Formalism.PLAIN, Formalism.GMETRIC]),
+       st.integers(0, 2**32 - 1), st.floats(-160.0, 160.0), st.floats(-160.0, 160.0),
+       st.floats(-150.0, 150.0), st.floats(0.0, 9.5))
+def test_every_accepted_input_evaluates_or_fails_typed(d, formalism, seed, a_exp,
+                                                       b_exp, g_exp, cond_exp):
+    a, b, v, g = boundary_problem(d, seed, a_exp, b_exp, g_exp, cond_exp)
+    metric = typed(lambda: metric_from_matrix(g))
+    if metric is None:
+        return
+    stats = metric if formalism is Formalism.GMETRIC else identity_metric(d)
+    psi = v / np.sqrt(np.vdot(v, stats.g @ v).real)
+    typed(lambda: evaluate_all(a, b, psi, metric, formalism))
+    typed(lambda: require_normalized(psi, stats))
+    typed(lambda: g_variance(a, psi, stats))
+    typed(lambda: g_covariance(a, b, psi, stats))

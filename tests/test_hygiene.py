@@ -80,11 +80,11 @@ def test_reference_imports_no_private_name():
 def test_cli_imports_no_private_metric_name():
     # the CLI applies no tolerance rule of its own: every check it needs
     # comes through a public validator or through states and relations
-    source = ("from .metric import Metric, _norm_check\n"
+    source = ("from .metric import Metric, _require_norm\n"
               "from .relations import _stats_g\nfrom nhur.metric import _limit\n")
-    assert private_imports(source, "nhur.metric") == [(1, "_norm_check"),
+    assert private_imports(source, "nhur.metric") == [(1, "_require_norm"),
                                                       (3, "_limit")]
-    assert private_imports(source) == [(1, "_norm_check"), (2, "_stats_g"),
+    assert private_imports(source) == [(1, "_require_norm"), (2, "_stats_g"),
                                        (3, "_limit")]
     cli = (ROOT / "src" / "nhur" / "cli.py").read_text(encoding="utf-8")
     assert private_imports(cli, "nhur.metric") == []
@@ -100,7 +100,7 @@ def reads_name(source: str, name: str) -> bool:
 
 
 def test_only_metric_applies_the_overlap_tolerance():
-    # every orthogonality check goes through metric._overlap_check, so a
+    # every orthogonality check goes through metric._require_orthogonal, so a
     # second module reading EPS_ORTH would be a second overlap rule
     assert reads_name("from .tolerances import EPS_NORM, EPS_ORTH\n", "EPS_ORTH")
     assert reads_name("from . import tolerances\nx = tolerances.EPS_ORTH\n", "EPS_ORTH")

@@ -15,7 +15,11 @@ from nhur import (
     as_operator,
     as_state,
     commutator,
+    evaluate_all,
+    identity_metric,
+    metric_from_matrix,
     pt_hamiltonian,
+    superposition_state,
 )
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -31,6 +35,26 @@ def test_validators_reject_bad_shapes():
         as_state(np.zeros((2, 2)))
     with pytest.raises(DimensionMismatchError):
         as_state(np.zeros(3), dim=2)
+
+
+def test_validators_reject_empty_input():
+    for call in (lambda: as_operator(np.zeros((0, 0))), lambda: as_state([])):
+        with pytest.raises(DimensionMismatchError, match="must not be empty$"):
+            call()
+
+
+EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: metric_from_matrix(EMPTY), "metric"),
+    (lambda: evaluate_all(EMPTY, EMPTY, np.zeros(0)), "first operator"),
+    (lambda: superposition_state([], [], identity_metric(2)), "weights"),
+], ids=["metric_from_matrix", "evaluate_all", "superposition_state"])
+def test_an_empty_problem_fails_typed(call, name):
+    # each once failed untyped, deep in its computation
+    with pytest.raises(DimensionMismatchError, match=f"^{name} must not be empty$"):
+        call()
 
 
 def test_validators_reject_non_finite():

@@ -92,16 +92,10 @@ def test_superposition_rejects_non_finite_weights():
 
 def test_superposition_negative_norm_flags_invalid_metric():
     bad = np.diag([-1.0, -1.0]).astype(complex)
-    bad.setflags(write=False)
-    fake = Metric(
-        g=bad,
-        provenance="explicit",
-        validation=MetricReport(True, False, -1.0),
-    )
-    # a hand-built Metric is outside the contract; the normalizer behind
+    # a Metric of this matrix cannot be built; the normalizer behind
     # superposition_state still flags a norm^2 that is not positive
     with pytest.raises(MetricValidationError):
-        superposition_state([E0, E1], [1.0, 1.0], fake)
+        Metric(g=bad, provenance="explicit", validation=MetricReport(True, False, -1.0))
     with pytest.raises(NegativeNormError):
         _one(*_unit(np.array([E0 + E1]), bad, np.zeros(1, dtype=bool), "superposition"))
 

@@ -52,7 +52,7 @@ from nhur import (
 )
 from nhur.cli import main
 from nhur.relations import relation_batch
-from nhur.states import _normalized, _overlap
+from nhur.states import _normalized
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)
@@ -316,12 +316,18 @@ def test_a_norm_that_is_not_finite_fails_and_names_no_limit():
     # a finite excess fails past its limit, an inf or NaN one always,
     # whether its limit overflowed with it (the last two states) or not
     v = np.array([[1.0, 0.0]] * 5 + [[1e200, 0.0]] * 2, dtype=complex)
-    nsq = np.array([1.0, 1.0 + 2e-8, 4.0, math.inf, math.nan, math.inf, math.nan])
-    rule = nhur.metric._norm_check("state", nsq + 0j, v, v)
-    assert rule.bad().tolist() == [False, True, True, True, True, True, True]
-    assert str(rule.error(2)) == "state has metric norm^2 = 4 (must be 1 within 1e-08)"
+    nsq = np.array([1.0, 1.0 + 2e-8, 4.0, math.inf, math.nan, math.inf, math.nan]) + 0j
+    assert [nhur.metric._is_normalized(n, u, u) for n, u in zip(nsq, v)] == [
+        True, False, False, False, False, False, False]
+
+    def error(i):
+        with pytest.raises(NotNormalizedError) as caught:
+            nhur.metric._require_norm("state", nsq[i], v[i], v[i])
+        return str(caught.value)
+
+    assert error(2) == "state has metric norm^2 = 4 (must be 1 within 1e-08)"
     for i, text in ((3, "inf"), (4, "nan"), (5, "inf"), (6, "nan")):
-        assert str(rule.error(i)) == f"state has metric norm^2 = {text} (must be 1)"
+        assert error(i) == f"state has metric norm^2 = {text} (must be 1)"
     with pytest.raises(NotNormalizedError) as caught:
         require_normalized([1e200, 0], identity_metric(2))
     assert str(caught.value) == "state has metric norm^2 = inf (must be 1)"
@@ -335,7 +341,8 @@ def test_each_rule_words_its_own_failure():
     with pytest.raises(NotOrthogonalError) as supplied:
         evaluate_all(SIGMA_X, SIGMA_Z, psi, psi_perp=perp)
     with pytest.raises(InternalInconsistencyError) as constructed:
-        _overlap(perp, psi, "complement")
+        nhur.metric._require_orthogonal("complement", perp, psi,
+                                        InternalInconsistencyError)
     assert str(supplied.value) == ("auxiliary state has metric overlap 8.000e-07 "
                                    "with the state (limit 1e-10)")
     assert str(constructed.value) == str(supplied.value).replace(
