@@ -41,10 +41,10 @@ class SingularFrameError(NhurError):
 class MetricValidationError(NhurError):
     """A candidate metric is not Hermitian positive definite.
 
-    report is the failed validation's MetricReport, when one was made.
+    report is the failed validation's MetricReport.
     """
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
 
@@ -67,5 +67,6 @@ class PhaseMismatchError(NhurError):
 
 
 class InternalInconsistencyError(NhurError):
-    """A quantity that must be real (or otherwise constrained) by
-    construction violated its constraint at run time."""
+    """A fault of the package's own, raised only in `states`: a state it
+    constructed fails its overlap rule, or no direction orthogonal to the
+    state is found."""

@@ -30,7 +30,7 @@ No other module reads the tolerances of these rules.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -67,34 +67,33 @@ class MetricReport:
 
 @dataclass(frozen=True)
 class Metric:
-    """A validated metric matrix with its provenance.
+    """A Hermitian positive-definite metric matrix, checked when it is built.
 
-    provenance is one of "identity", "explicit", "eigenframe".  The contract
-    is checked once, here: a Metric whose report is not ok, or whose matrix
-    is not exactly Hermitian, raises MetricValidationError with that report
-    when it is built, `dataclasses.replace` included.  The matrix is stored
-    complex and read-only, copied when it is handed a writable one, so
-    instances are safe to share.  Build one with the factories: a hand-built
-    report that the matrix does not meet is outside the contract.
+    ``Metric(g, hamiltonian=None)`` is the one constructor.  It runs
+    `_validation` on g, the one check of the contract, and raises
+    MetricValidationError with that report unless it is ok,
+    `dataclasses.replace` included.  g is stored as its Hermitian part,
+    complex and read-only, copied unless it was handed a read-only complex
+    array, so instances are safe to share; validation keeps the report.  A
+    Hamiltonian, not stored, adds the stationarity residual to the report.
     """
 
     g: np.ndarray
-    provenance: str
-    validation: MetricReport
+    hamiltonian: InitVar[object] = None
+    validation: MetricReport = field(init=False)
 
-    def __post_init__(self):
-        g, report = self.g, self.validation
-        if not (isinstance(g, np.ndarray) and g.dtype == complex
-                and not g.flags.writeable):
-            g = np.array(g, dtype=complex)
-            g.setflags(write=False)
-        ok = isinstance(report, MetricReport) and report.ok
-        hermitian = g.ndim == 2 and np.array_equal(g, g.conj().T)
-        if not (ok and hermitian):
+    def __post_init__(self, hamiltonian):
+        report, g = _validation(self.g, hamiltonian)
+        if not report.ok:
             raise MetricValidationError(
-                f"metric breaks the Metric contract (report ok={ok}, "
-                f"matrix exactly Hermitian={hermitian})", report=report)
+                f"metric is not Hermitian positive definite (hermitian="
+                f"{report.hermitian}, min eigenvalue={report.min_eigenvalue:.6g})",
+                report=report)
+        if g.flags.writeable:
+            g = g.copy()
+            g.setflags(write=False)
         object.__setattr__(self, "g", g)
+        object.__setattr__(self, "validation", report)
 
     @property
     def dim(self) -> int:
@@ -102,7 +101,8 @@ class Metric:
 
     @property
     def is_identity(self) -> bool:
-        return self.provenance == "identity"
+        """Whether G equals the identity, read from the matrix."""
+        return np.array_equal(self.g, np.eye(self.dim))
 
 
 def validate_metric(g, hamiltonian=None) -> MetricReport:
@@ -116,10 +116,14 @@ def validate_metric(g, hamiltonian=None) -> MetricReport:
 
 
 def _validation(g, hamiltonian) -> tuple:
-    """(report, Hermitian part) of g, converted once."""
+    """(report, Hermitian part) of g, converted once; the only maker of a
+    MetricReport.  The Hermiticity test reads g scaled exactly by one power
+    of two, so its norms neither under- nor overflow and it flags g alike
+    at every scale."""
     g = as_operator(g, name="metric")
     herm = _hermitian(g)
-    herm_dev = float(np.linalg.norm(g - g.conj().T))
+    unit = _scaled(g.ravel())[0].reshape(g.shape)
+    herm_dev = float(np.linalg.norm(unit - unit.conj().T))
     eigs = np.linalg.eigvalsh(herm)
     min_eig = float(eigs[0])
     residual = None
@@ -127,7 +131,7 @@ def _validation(g, hamiltonian) -> tuple:
         h = as_operator(hamiltonian, dim=g.shape[0], name="hamiltonian")
         residual = float(np.linalg.norm(g @ h - h.conj().T @ g))
     return MetricReport(
-        hermitian=herm_dev <= EPS_HERM * float(np.linalg.norm(g)),
+        hermitian=herm_dev <= EPS_HERM * float(np.linalg.norm(unit)),
         positive_definite=_well_conditioned(min_eig, float(np.abs(eigs).max())),
         min_eigenvalue=min_eig,
         stationarity_residual=residual,
@@ -137,29 +141,18 @@ def _validation(g, hamiltonian) -> tuple:
 @lru_cache(maxsize=8)
 def identity_metric(dim: int = 2) -> Metric:
     """The Dirac-product metric; immutable, so one instance per dim serves."""
-    report = MetricReport(hermitian=True, positive_definite=True, min_eigenvalue=1.0)
-    return Metric(g=np.eye(dim), provenance="identity", validation=report)
+    return Metric(np.eye(dim))
 
 
 def metric_from_matrix(g, hamiltonian=None) -> Metric:
     """Wrap an explicitly supplied metric matrix, enforcing validity."""
-    return _checked(g, hamiltonian, "explicit",
-                    "metric is not Hermitian positive definite")
-
-
-def _checked(g, hamiltonian, provenance: str, failure: str) -> Metric:
-    """g validated, as the Metric of its Hermitian part; or MetricValidationError."""
-    report, herm = _validation(g, hamiltonian)
-    if not report.ok:
-        raise MetricValidationError(
-            f"{failure} (hermitian={report.hermitian}, "
-            f"min eigenvalue={report.min_eigenvalue:.6g})", report=report)
-    return Metric(g=herm, provenance=provenance, validation=report)
+    return Metric(g, hamiltonian)
 
 
 def _hermitian(g: np.ndarray) -> np.ndarray:
-    """(g + g^dag) / 2, or g itself, bit for bit, if it is exactly Hermitian."""
-    herm = (g + g.conj().T) / 2.0
+    """(g + g^dag) / 2, or g itself, bit for bit, if it is exactly Hermitian;
+    halved first, so that no sum overflows."""
+    herm = g / 2.0 + g.conj().T / 2.0
     return g if np.array_equal(g, herm) else herm
 
 
@@ -175,8 +168,7 @@ def metric_from_right_eigenvectors(sys: EigenSystem, hamiltonian=None) -> Metric
     inverse = _stable_inverse(frame_sum, "eigenvector frame sum")
     # Hermitian by construction: validate that part, as the inverse's own
     # asymmetry, about eps cond(S), can exceed EPS_HERM on an accepted frame
-    return _checked(_hermitian(inverse), hamiltonian, "eigenframe",
-                    "eigenframe-derived metric failed validation")
+    return Metric(_hermitian(inverse), hamiltonian)
 
 
 @dataclass(frozen=True)

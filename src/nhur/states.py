@@ -55,10 +55,12 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # then the row fails
 def _unit(v: np.ndarray, g: np.ndarray, zero: np.ndarray, what: str):
     """G-normalize the (N, d) rows of v by the real part of their norm^2,
-    whose imaginary part is rounding: the states and N errors, each None,
+    whose imaginary part is rounding, each row first `_scaled` so that its
+    norm^2 neither under- nor overflows: the states and N errors, each None,
     or NonFiniteError where a norm^2 overflowed, ZeroVectorError where zero
     marks the row, or NegativeNormError where the real part is not
     positive; a failed row is unusable."""
+    v = _scaled(v)[0]
     nsq = np.vecdot(v, np.matvec(g, v))
     finite = np.isfinite(nsq)
     bad = ~finite | zero | (nsq.real <= 0.0)
@@ -86,13 +88,11 @@ def _one(states: np.ndarray, errors: list) -> np.ndarray:
 
 def _normalized(v: np.ndarray, g: np.ndarray, what: str) -> np.ndarray:
     """v itself where it `_is_normalized`, so results are reproducible
-    bit for bit; else v G-normalized by `_unit`, or its error raised, v
-    first `_scaled` so that its norm^2 neither under- nor overflows."""
+    bit for bit; else v G-normalized by `_unit`, or its error raised."""
     with np.errstate(over="ignore", invalid="ignore"):  # then v fails the check
         gv = g @ v
     if _is_normalized(np.vdot(v, gv), v, gv):
         return v
-    v = _scaled(v)[0]
     return _one(*_unit(v[None], g, np.array([not v.any()]), what))
 
 
@@ -162,8 +162,12 @@ def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
     metric-weighted expectation and standard deviation.  Raises
     DegenerateEigenstateError when psi is an eigenstate of x (DX within
     EPS_DEGEN |x|_F, `metric._vanishes`), where the direction is undefined.
+    x is first `_scaled`, exactly, as a whole: the direction and that rule
+    are unchanged by its units, and its variance then neither under- nor
+    overflows.
     """
     x = as_operator(x, dim=metric.dim, name="operator")
+    x = _scaled(x.ravel())[0].reshape(x.shape)
     psi = require_normalized(psi, metric)
     g = metric.g
     v = np.array([psi, x @ psi])

@@ -9,6 +9,10 @@ evaluate or raise an NhurError other than InternalInconsistencyError, which
 would be a fault of the package's own; a warning fails the test through
 the suite's warning filter.  Whether NonFiniteError is raised only where a
 true value overflows is not checked here.
+
+A second, metamorphic property: scaling an operand by c = 2^k, an exact
+operation for k over +-700, moves no bit of what the state constructions
+return, and no flag of `validate_metric`.
 """
 
 import numpy as np
@@ -19,12 +23,16 @@ from nhur import (
     Formalism,
     InternalInconsistencyError,
     NhurError,
+    av_orthogonal_state,
     evaluate_all,
     g_covariance,
+    g_orthogonal_complement_2d,
     g_variance,
     identity_metric,
     metric_from_matrix,
     require_normalized,
+    superposition_state,
+    validate_metric,
 )
 
 
@@ -71,3 +79,37 @@ def test_every_accepted_input_evaluates_or_fails_typed(d, formalism, seed, a_exp
     typed(lambda: require_normalized(psi, stats))
     typed(lambda: g_variance(a, psi, stats))
     typed(lambda: g_covariance(a, b, psi, stats))
+
+
+def flags(report):
+    return report.hermitian, report.positive_definite
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(-700, 700),
+       st.floats(0.0, 3.0), st.floats(-12.0, 0.0), st.floats(-1.0, 1.0))
+def test_a_power_of_two_scale_moves_no_bit(d, seed, k, cond_exp, skew_exp, shift):
+    # each construction scales its operand exactly before it forms a norm^2
+    # or a variance, so c = 2^k changes nothing but the units: a state
+    # built from c * basis or c * x is the one built at c = 1, and the
+    # complement of psi / c under c^2 G is the one of psi under G over c
+    _, _, v, g = boundary_problem(d, seed, 0.0, 0.0, 0.0, cond_exp)
+    rng = np.random.default_rng(seed + 1)
+    basis, x = (rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
+    metric, c = metric_from_matrix(g), 2.0 ** k
+    psi = superposition_state(basis, v, metric)
+    scaled = superposition_state(c * basis, v, metric)
+    assert scaled.tobytes() == psi.tobytes()
+    perp = av_orthogonal_state(x, psi, metric).psi_perp
+    assert av_orthogonal_state(c * x, psi, metric).psi_perp.tobytes() == perp.tobytes()
+    for state in (psi, perp):
+        require_normalized(state, metric)
+    if d == 2:
+        h = 2.0 ** (k // 2)  # so that h^2 G stays within double range
+        scaled_metric = metric_from_matrix(h * h * g)
+        comp = g_orthogonal_complement_2d(psi / h, scaled_metric)
+        assert (comp * h).tobytes() == g_orthogonal_complement_2d(psi, metric).tobytes()
+        require_normalized(comp, scaled_metric)
+    # a candidate that may be skew or indefinite flags alike at every scale
+    candidate = g + 10.0 ** skew_exp * x - shift * np.eye(d)
+    assert flags(validate_metric(c * candidate)) == flags(validate_metric(candidate))

@@ -145,6 +145,14 @@ def test_check_reproduces_library_evaluations(tmp_path):
         assert rec["sign_branch"] == ev.sign_branch
 
 
+def test_a_payload_omits_g_exactly_when_it_is_the_identity():
+    psi = [1.0, 0.0]
+    for g, kept in ((None, False), (identity_metric(2), False),
+                    (metric_from_matrix(np.eye(2)), False),
+                    (metric_from_matrix(np.diag([2.0, 3.0])), True)):
+        assert ("G" in problem_payload(SIGMA_X, SIGMA_X, psi, g)) is kept
+
+
 def test_check_flat_and_nested_matrix_forms_agree(tmp_path):
     a, b, psi, g = build_example2(Example2Config.broken_default())
     flat = problem_payload(a, b, psi, g, "gmetric")  # flat pair lists

@@ -5,8 +5,9 @@ owns its rule, no module reads the environment, the kernel is reached by
 one route for a single problem and one for a sweep and takes no
 formalism, neither the kernel nor ur3 takes a sign option and the kernel
 no option at all, no module checks a limit on a variance's rounding, only
-`states` names the internal-inconsistency error, and importing the package
-does none of the command line's work.
+`states` names the internal-inconsistency error, a `Metric` is built from
+its matrix alone, and importing the package does none of the command
+line's work.
 
 The package's `__init__.py` is exempt from the import check, since its
 imports are the public re-exports listed in `__all__`.
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from nhur.metric import Metric
 from nhur.relations import relation_batch, ur3
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -267,6 +269,18 @@ def test_kernel_and_ur3_take_no_sign_option():
     assert keyword_only(toy) == ("relations", "sign")
     assert keyword_only(relation_batch) == ()
     assert keyword_only(ur3) == ("psi_perp",)
+
+
+def test_a_metric_is_built_from_its_matrix_alone():
+    # Metric(g, hamiltonian=None) is the one constructor, and only
+    # metric._validation makes a MetricReport, so a Metric's report can only
+    # come from the matrix it describes
+    assert tuple(inspect.signature(Metric).parameters) == ("g", "hamiltonian")
+    source = "def f():\n    return m.MetricReport(1)\nMetricReport(2)\n"
+    assert callers(source, "MetricReport") == ["<module>", "f"]
+    found = sorted(f"{p.stem}.{scope}" for p in (ROOT / "src" / "nhur").glob("*.py")
+                   for scope in callers(p.read_text(encoding="utf-8"), "MetricReport"))
+    assert found == ["metric._validation"]
 
 
 def test_only_metric_applies_a_limit():

@@ -51,6 +51,7 @@ from nhur import (
     ur2,
     ur3,
     ur4,
+    validate_metric,
 )
 from nhur import scenarios
 from nhur.relations import relation_batch
@@ -239,44 +240,49 @@ def test_public_surface():
         getattr(nhur, name)
 
 
-OK_REPORT = MetricReport(True, True, 1.0)
-BAD_REPORT = MetricReport(False, False, 0.0)
 # a non-Hermitian "metric" would make Var(A) complex: 1 - 0.01i
 SKEW = [[1.0, 0.1], [0.1j, 1.0]]
 
 
-@pytest.mark.parametrize("g, report", [
-    (np.eye(2), BAD_REPORT), (SKEW, OK_REPORT), (SKEW, BAD_REPORT), (np.eye(2), None),
-], ids=["bad-report", "not-hermitian", "complex-variance", "no-report"])
-def test_a_metric_outside_the_contract_is_refused(g, report):
-    # the contract is checked once, when the Metric is built, with the
-    # report it was handed; one no factory would return cannot exist, so no
-    # function that computes with a Metric's matrix checks it again
+@pytest.mark.parametrize("g, flags", [
+    (np.diag([1.0, -1.0]), (True, False)), (SKEW, (False, True)),
+    ([[1.0, 0.1], [0.1j, -1.0]], (False, False)), (np.diag([1.0, 0.0]), (True, False)),
+], ids=["indefinite", "not-hermitian", "skew-and-indefinite", "singular"])
+def test_a_metric_outside_the_contract_is_refused(g, flags):
+    # the contract is checked once, when the Metric is built, on the report
+    # of its own matrix: no report can be handed in, so one no factory would
+    # return cannot exist, and no function that computes with a Metric's
+    # matrix checks it again.  Accepted, the indefinite matrix would give
+    # ur2 a false verdict
     with pytest.raises(MetricValidationError) as caught:
-        Metric(g=g, provenance="explicit", validation=report)
-    assert caught.value.report is report
+        Metric(g)
+    report = caught.value.report
+    assert report == validate_metric(g)
+    assert (report.hermitian, report.positive_definite) == flags
 
 
 def test_a_metric_owns_a_read_only_matrix():
     # the caller's writable array is copied, so mutating it later moves
     # nothing; a read-only complex one is kept as it is
     g = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
-    metric = Metric(g=g, provenance="explicit", validation=OK_REPORT)
+    metric = Metric(g)
+    assert metric.validation == validate_metric(g)
     g[0, 0] = 7.0
     assert metric.g.tolist() == [[2.0, 0.5j], [-0.5j, 1.0]]
     assert metric.g.dtype == complex and not metric.g.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         metric.g[0, 0] = 7.0
-    assert Metric(g=metric.g, provenance="explicit", validation=OK_REPORT).g is metric.g
+    assert Metric(metric.g).g is metric.g
 
 
 def test_replace_cannot_break_the_metric_contract():
     metric = metric_from_matrix([[2.0, 0.5j], [-0.5j, 1.0]])
-    with pytest.raises(MetricValidationError) as caught:
-        replace(metric, g=SKEW)
-    assert caught.value.report is metric.validation
-    with pytest.raises(MetricValidationError):
-        replace(metric, validation=BAD_REPORT)
+    for bad in (SKEW, np.diag([1.0, -1.0])):
+        with pytest.raises(MetricValidationError) as caught:
+            replace(metric, g=bad)
+        assert caught.value.report == validate_metric(bad)
+    with pytest.raises(ValueError, match="init=False"):
+        replace(metric, validation=MetricReport(True, True, 1.0))
 
 
 def test_the_factories_meet_the_metric_contract():
@@ -554,7 +560,8 @@ def test_a_failed_gate_fails_every_point_whose_state_built(monkeypatch):
 
 def test_metric_failure_is_recorded_on_every_point(monkeypatch):
     def failing(*args, **kwargs):
-        raise MetricValidationError("metric rejected for the test")
+        raise MetricValidationError("metric rejected for the test",
+                                    validate_metric(np.diag([1.0, -1.0])))
 
     monkeypatch.setattr(scenarios, "metric_from_right_eigenvectors", failing)
     points = example2_sweep(Example2Config.broken_default(), points=7)

@@ -50,7 +50,7 @@ def test_eigenframe_metric_matches_closed_form_symmetric(gamma):
     metric = metric_from_right_eigenvectors(symmetric_eigensystem(gamma))
     npt.assert_allclose(metric.g, gs_closed(gamma), atol=1e-10)
     assert metric.validation.ok
-    assert metric.provenance == "eigenframe"
+    assert not metric.is_identity
 
 
 @pytest.mark.parametrize("gamma", [1.2, 1.5, 2.0])
@@ -65,6 +65,14 @@ def test_orthonormal_frame_gives_identity_metric():
     values = np.array([1.0, -1.0])
     metric = metric_from_right_eigenvectors(EigenSystem.from_right(values, np.eye(2)))
     npt.assert_allclose(metric.g, np.eye(2), atol=1e-14)
+
+
+def test_is_identity_is_read_from_the_matrix():
+    # however a metric was built, it is the identity exactly when its matrix is
+    assert identity_metric(3).is_identity
+    assert metric_from_matrix(np.eye(2)).is_identity
+    assert not metric_from_matrix(np.diag([2.0, 3.0])).is_identity
+    assert not metric_from_matrix(np.diag([1.0, 1.0 + 2**-52])).is_identity
 
 
 def test_validate_metric_symmetric_phase_stationary():

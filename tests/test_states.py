@@ -16,7 +16,6 @@ from nhur import (
     Formalism,
     InternalInconsistencyError,
     Metric,
-    MetricReport,
     MetricValidationError,
     NegativeNormError,
     NonFiniteError,
@@ -94,8 +93,9 @@ def test_superposition_negative_norm_flags_invalid_metric():
     bad = np.diag([-1.0, -1.0]).astype(complex)
     # a Metric of this matrix cannot be built; the normalizer behind
     # superposition_state still flags a norm^2 that is not positive
-    with pytest.raises(MetricValidationError):
-        Metric(g=bad, provenance="explicit", validation=MetricReport(True, False, -1.0))
+    with pytest.raises(MetricValidationError) as caught:
+        Metric(bad)
+    assert not caught.value.report.positive_definite
     with pytest.raises(NegativeNormError):
         _one(*_unit(np.array([E0 + E1]), bad, np.zeros(1, dtype=bool), "superposition"))
 

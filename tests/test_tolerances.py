@@ -190,6 +190,21 @@ def test_metric_validity_does_not_depend_on_units(c, rng):
             metric_from_matrix(bad)
 
 
+@pytest.mark.parametrize("k", [0, 500, -500, 660, -660])
+def test_the_hermiticity_test_does_not_depend_on_units(k):
+    # both norms are formed on G scaled exactly by one power of two:
+    # unscaled, at 1e200 each would be inf, inf <= EPS_HERM * inf would pass
+    # a non-Hermitian G, and a RuntimeWarning would escape (an error here)
+    c = 2.0 ** k
+    skew = c * np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert not validate_metric(skew).hermitian
+    with pytest.raises(MetricValidationError):
+        metric_from_matrix(skew)
+    g = c * np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+    assert metric_from_matrix(g).validation.ok
+    assert metric_from_matrix(g).g.tolist() == g.tolist()
+
+
 def test_one_conditioning_rule(monkeypatch):
     # each check passes iff its smallest/largest ratio exceeds EPS_PD: 1/2
     # for the gamma = 0.6 frame, 1/4 for its frame sum and its metric
@@ -350,18 +365,26 @@ def test_each_rule_words_its_own_failure():
 
 
 def test_an_overflowed_statistic_is_typed():
-    # a variance, covariance or superposition norm^2 beyond double range
-    # raises NonFiniteError, while a complement projection scales its vector
-    # first and does not overflow; no np.errstate, so the suite's warning
-    # filter checks that no RuntimeWarning escapes on the way
+    # a variance or covariance beyond double range raises NonFiniteError,
+    # while an orthogonal state, a superposition and a complement
+    # projection scale their operands exactly first and do not overflow; a
+    # superposition's norm^2 overflows only where G's own scale pushes it
+    # past double range, and such a G is accepted, its Hermitian part halved
+    # before it is summed.  No np.errstate, so the suite's warning filter
+    # checks that no RuntimeWarning escapes on the way
     metric, psi = identity_metric(2), [0.6, 0.8]
     for call in (lambda: g_variance(1e200 * SIGMA_X, psi, metric),
-                 lambda: g_covariance(1e200 * SIGMA_X, 1e200 * SIGMA_Z, psi, metric),
-                 lambda: av_orthogonal_state(1e200 * SIGMA_X, psi, metric)):
+                 lambda: g_covariance(1e200 * SIGMA_X, 1e200 * SIGMA_Z, psi, metric)):
         with pytest.raises(NonFiniteError, match="variance|covariance"):
             call()
+    assert (av_orthogonal_state(1e200 * SIGMA_X, psi, metric).psi_perp.tolist()
+            == av_orthogonal_state(SIGMA_X, psi, metric).psi_perp.tolist())
+    assert (superposition_state([[1, 0], [0, 1]], [1e200, 1e200], metric).tolist()
+            == superposition_state([[1, 0], [0, 1]], [1, 1], metric).tolist())
+    huge = metric_from_matrix(1.7e308 * np.eye(8))
+    assert huge.g.tolist() == (1.7e308 * np.eye(8)).tolist()
     with pytest.raises(NonFiniteError, match="superposition norm\\^2 overflows"):
-        superposition_state([[1, 0], [0, 1]], [1e200, 1e200], metric)
+        superposition_state(np.eye(8), np.ones(8), huge)
     assert g_complement_projection([1e200, 1e200], [1, 0], metric).tolist() == [0, 1]
 
 
