@@ -148,11 +148,11 @@ def _run_sweep(args, param_name: str, run) -> int:
 
 
 def cmd_example1(args) -> int:
-    cfg = Example1Config(
+    # the config checks itself when built, so build it after --points
+    return _run_sweep(args, "theta0", lambda points: example1_sweep(Example1Config(
         theta1=args.theta1, theta3=args.theta3,
         theta5=args.theta5, theta7=args.theta7,
-    )
-    return _run_sweep(args, "theta0", lambda points: example1_sweep(cfg, points=points))
+    ), points=points))
 
 
 def cmd_example2(args) -> int:
@@ -161,14 +161,12 @@ def cmd_example2(args) -> int:
         if args.phase == SYMMETRIC
         else Example2Config.broken_default()
     )
-    cfg = Example2Config(
+    formalism = Formalism.parse(args.formalism)
+    return _run_sweep(args, "alpha", lambda points: example2_sweep(Example2Config(
         gamma=defaults.gamma if args.gamma is None else args.gamma,
         p=defaults.p if args.p is None else args.p,
         phase=args.phase,
-    )
-    formalism = Formalism.parse(args.formalism)
-    return _run_sweep(args, "alpha", lambda points: example2_sweep(
-        cfg, points=points, formalism=formalism))
+    ), points=points, formalism=formalism))
 
 
 class ProblemParseError(NhurError):
@@ -387,8 +385,7 @@ def cmd_metric(args) -> int:
     phase = args.phase
     if phase is None:
         phase = SYMMETRIC if gamma * gamma < 1.0 else BROKEN
-    *_, metric = _example2_frame(
-        Example2Config(gamma=gamma, p=0.0, phase=phase).validated())
+    *_, metric = _example2_frame(Example2Config(gamma=gamma, p=0.0, phase=phase))
     h = pt_hamiltonian(gamma)
     rep = metric.validation
     print(f"phase: {phase}, gamma = {gamma:g}")

@@ -9,7 +9,7 @@ np.vecdot, antilinear in its first argument, for inner products over the
 last axis.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,9 +101,14 @@ def anticommutator(a, b) -> np.ndarray:
     return a @ b + b @ a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Biorthogonal eigendecomposition of a (generally non-normal) matrix.
+
+    ``EigenSystem(values, right)``, `dataclasses.replace` included, checks
+    both (`as_operator`, `as_state`) and derives left by inverting the right
+    frame, the unique biorthonormal choice, or raises SingularFrameError
+    where it has no stable inverse.  Instances compare by identity.
 
     Attributes
     ----------
@@ -115,21 +120,14 @@ class EigenSystem:
 
     values: np.ndarray
     right: np.ndarray
-    left: np.ndarray
+    left: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        right = as_operator(self.right, name="right eigenvector frame")
+        values = as_state(self.values, dim=right.shape[0], name="eigenvalues")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "left", _stable_inverse(right, "right eigenvector frame"))
 
     def right_vector(self, i: int) -> np.ndarray:
         return self.right[:, i]
-
-    @classmethod
-    def from_right(cls, values, right) -> "EigenSystem":
-        """Build a system from eigenvalues and right-eigenvector columns.
-
-        The left rows are obtained by inverting the right frame, which is
-        the unique choice satisfying the biorthonormality condition.
-        Raises SingularFrameError when the frame has no stable inverse.
-        """
-        right = as_operator(right, name="right eigenvector frame")
-        values = as_state(values, dim=right.shape[0], name="eigenvalues")
-        left = _stable_inverse(right, "right eigenvector frame")
-        return cls(values=values, right=right, left=left)
-

@@ -65,7 +65,7 @@ class MetricReport:
         return self.hermitian and self.positive_definite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metric:
     """A Hermitian positive-definite metric matrix, checked when it is built.
 
@@ -76,6 +76,7 @@ class Metric:
     complex and read-only, copied unless it was handed a read-only complex
     array, so instances are safe to share; validation keeps the report.  A
     Hamiltonian, not stored, adds the stationarity residual to the report.
+    Instances compare by identity.
     """
 
     g: np.ndarray
@@ -119,17 +120,23 @@ def _validation(g, hamiltonian) -> tuple:
     """(report, Hermitian part) of g, converted once; the only maker of a
     MetricReport.  The Hermiticity test reads g scaled exactly by one power
     of two, so its norms neither under- nor overflow and it flags g alike
-    at every scale."""
+    at every scale; the stationarity residual is formed likewise, on g and
+    H each scaled, and scaled back, reading inf only beyond double range."""
     g = as_operator(g, name="metric")
     herm = _hermitian(g)
-    unit = _scaled(g.ravel())[0].reshape(g.shape)
+    unit, exp = _scaled(g.ravel())
+    unit = unit.reshape(g.shape)
     herm_dev = float(np.linalg.norm(unit - unit.conj().T))
     eigs = np.linalg.eigvalsh(herm)
     min_eig = float(eigs[0])
     residual = None
     if hamiltonian is not None:
         h = as_operator(hamiltonian, dim=g.shape[0], name="hamiltonian")
-        residual = float(np.linalg.norm(g @ h - h.conj().T @ g))
+        h_unit, h_exp = _scaled(h.ravel())
+        h_unit = h_unit.reshape(h.shape)
+        with np.errstate(over="ignore"):
+            residual = float(np.ldexp(np.linalg.norm(
+                unit @ h_unit - h_unit.conj().T @ unit), exp + h_exp))
     return MetricReport(
         hermitian=herm_dev <= EPS_HERM * float(np.linalg.norm(unit)),
         positive_definite=_well_conditioned(min_eig, float(np.abs(eigs).max())),
@@ -163,8 +170,7 @@ def metric_from_right_eigenvectors(sys: EigenSystem, hamiltonian=None) -> Metric
     Hermitian positive definite whenever the frame has full rank, so the
     construction fails only near coalescing eigenvectors.
     """
-    right = as_operator(sys.right, name="right eigenvector frame")
-    frame_sum = right @ right.conj().T
+    frame_sum = sys.right @ sys.right.conj().T
     inverse = _stable_inverse(frame_sum, "eigenvector frame sum")
     # Hermitian by construction: validate that part, as the inverse's own
     # asymmetry, about eps cond(S), can exceed EPS_HERM on an accepted frame

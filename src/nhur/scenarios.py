@@ -17,7 +17,8 @@ good sweep's gate once, and `_collect` evaluates the stacks in one
 `relation_batch` call per group into a `Sweep`, the kernel's arrays plus
 the grid `param` and formalism, building ScenarioPoints only when indexed.
 The kernel trusts the states a scenario builds; `sweep` checks each
-builder's output at the boundary, as `evaluate_all` does.
+builder's output at the boundary, as `evaluate_all` does.  A config checks
+itself when it is built; a PT eigensystem builder applies the gamma rule first.
 """
 
 import math
@@ -73,10 +74,9 @@ class Example1Config:
     theta5: float = math.pi / 4
     theta7: float = 3 * math.pi / 4
 
-    def validated(self) -> "Example1Config":
+    def __post_init__(self):
         for name in ("theta0", "theta1", "theta3", "theta5", "theta7"):
             _require_finite(name, getattr(self, name))
-        return self
 
 
 def _polar_operator(theta_u: float, theta_s: float, theta0) -> np.ndarray:
@@ -94,7 +94,7 @@ def _polar_operator(theta_u: float, theta_s: float, theta0) -> np.ndarray:
 
 
 def _example1_arrays(cfg: Example1Config, theta0):
-    """A, B and psi of a validated config, stacked over an array of theta0."""
+    """A, B and psi of a config, stacked over an array of theta0."""
     theta0 = np.asarray(theta0, dtype=float)
     a = _polar_operator(cfg.theta1, cfg.theta3, theta0)
     b = _polar_operator(cfg.theta5, cfg.theta7, theta0)
@@ -104,7 +104,6 @@ def _example1_arrays(cfg: Example1Config, theta0):
 
 def build_example1(cfg: Example1Config):
     """Operators, state, and (identity) metric for the polar-part scenario."""
-    cfg = cfg.validated()
     return (*_example1_arrays(cfg, cfg.theta0), identity_metric(2))
 
 
@@ -113,7 +112,7 @@ class Example2Config:
     """PT-model scenario; alpha is the sweep variable.
 
     phase selects the spectral region and must be consistent with gamma:
-    "symmetric" needs gamma^2 < 1, "broken" needs gamma > 1.
+    "symmetric" needs gamma^2 < 1, "broken" needs gamma > 1 (`_require_gamma`).
     """
 
     gamma: float
@@ -129,30 +128,33 @@ class Example2Config:
     def broken_default(cls, alpha: float = 0.0) -> "Example2Config":
         return cls(gamma=1.2, p=1.5, alpha=alpha, phase=BROKEN)
 
-    def validated(self) -> "Example2Config":
-        _require_finite("gamma", self.gamma)
-        _require_finite("p", self.p)
-        _require_finite("alpha", self.alpha)
+    def __post_init__(self):
+        for name in ("gamma", "p", "alpha"):
+            _require_finite(name, getattr(self, name))
         if self.phase not in (SYMMETRIC, BROKEN):
             raise PhaseMismatchError(
                 f"phase must be {SYMMETRIC!r} or {BROKEN!r}, got {self.phase!r}"
             )
-        if abs(self.gamma * self.gamma - 1.0) <= EPS_EP:
-            raise ExceptionalPointError(
-                f"gamma={self.gamma:g} sits at the exceptional point gamma^2=1; "
-                "the eigenvector frame and metric degenerate there"
-            )
-        if self.phase == SYMMETRIC and not self.gamma * self.gamma < 1.0:
-            raise PhaseMismatchError(
-                f"gamma={self.gamma:g} lies outside the symmetric phase "
-                "(needs gamma^2 < 1)"
-            )
-        if self.phase == BROKEN and not self.gamma > 1.0:
-            raise PhaseMismatchError(
-                f"gamma={self.gamma:g} lies outside the broken phase "
-                "(needs gamma > 1)"
-            )
-        return self
+        _require_gamma(self.gamma, self.phase)
+
+
+def _require_gamma(gamma: float, phase: str) -> None:
+    """The PT model's one gamma rule: finite, off the exceptional point
+    (|gamma^2 - 1| > EPS_EP), and inside phase."""
+    gamma = _require_finite("gamma", gamma)
+    if abs(gamma * gamma - 1.0) <= EPS_EP:
+        raise ExceptionalPointError(
+            f"gamma={gamma:g} sits at the exceptional point gamma^2=1; "
+            "the eigenvector frame and metric degenerate there"
+        )
+    if phase == SYMMETRIC and not gamma * gamma < 1.0:
+        raise PhaseMismatchError(
+            f"gamma={gamma:g} lies outside the symmetric phase (needs gamma^2 < 1)"
+        )
+    if phase == BROKEN and not gamma > 1.0:
+        raise PhaseMismatchError(
+            f"gamma={gamma:g} lies outside the broken phase (needs gamma > 1)"
+        )
 
 
 def symmetric_eigensystem(gamma: float) -> EigenSystem:
@@ -162,6 +164,7 @@ def symmetric_eigensystem(gamma: float) -> EigenSystem:
     scale 1/sqrt(2 cos theta) makes the frame-sum metric come out in its
     standard closed form.
     """
+    _require_gamma(gamma, SYMMETRIC)
     theta = math.asin(gamma)
     c = math.cos(theta)
     norm = 1.0 / math.sqrt(2.0 * c)
@@ -169,7 +172,7 @@ def symmetric_eigensystem(gamma: float) -> EigenSystem:
     e_plus = norm * np.array([np.exp(1j * half), np.exp(-1j * half)])
     e_minus = 1j * norm * np.array([np.exp(-1j * half), -np.exp(1j * half)])
     values = np.array([c, -c], dtype=complex)
-    return EigenSystem.from_right(values, np.column_stack([e_plus, e_minus]))
+    return EigenSystem(values, np.column_stack([e_plus, e_minus]))
 
 
 def broken_eigensystem(gamma: float) -> EigenSystem:
@@ -177,17 +180,18 @@ def broken_eigensystem(gamma: float) -> EigenSystem:
 
     Eigenvalues are the conjugate pair +-i*lambda, lambda = sqrt(gamma^2-1).
     """
+    _require_gamma(gamma, BROKEN)
     lam = math.sqrt(gamma * gamma - 1.0)
     norm = math.sqrt(2.0 * gamma * lam - 2.0 * lam * lam)
     e_plus = np.array([1.0, -1j * (gamma - lam)]) / norm
     e_minus = np.array([1j * (gamma - lam), 1.0]) / norm
     values = np.array([1j * lam, -1j * lam], dtype=complex)
-    return EigenSystem.from_right(values, np.column_stack([e_plus, e_minus]))
+    return EigenSystem(values, np.column_stack([e_plus, e_minus]))
 
 
 def _example2_frame(cfg: Example2Config):
-    """The alpha-independent part of a validated PT config: A, B, the
-    eigensystem and its metric."""
+    """The alpha-independent part of a PT config: A, B, the eigensystem
+    and its metric."""
     h = pt_hamiltonian(cfg.gamma)
     if cfg.phase == SYMMETRIC:
         sys = symmetric_eigensystem(cfg.gamma)
@@ -201,9 +205,9 @@ def _example2_frame(cfg: Example2Config):
 
 def _example2_arrays(cfg: Example2Config, alpha, formalism: Formalism):
     """A, B, the metric, and over an array of alpha the (N, 2) states and
-    their N errors, of a validated PT config: each state superposes the two
-    right eigenvectors with weights (1, p e^{i alpha}) and is normalized in
-    the metric of the statistics (`_stats_g`)."""
+    their N errors, of a PT config: each state superposes the two right
+    eigenvectors with weights (1, p e^{i alpha}) and is normalized in the
+    metric of the statistics (`_stats_g`)."""
     a, b, sys, metric = _example2_frame(cfg)
     alpha = np.asarray(alpha, dtype=float)
     weights = np.ones(alpha.shape + (2,), dtype=complex)
@@ -221,7 +225,6 @@ def build_example2(cfg: Example2Config, formalism: Formalism = Formalism.GOOD):
     normalized in the metric of the statistics (G, or the Dirac product
     under plain), is `example2_sweep`'s at alpha, or raises its error.
     """
-    cfg = cfg.validated()
     a, b, psi, metric, errors = _example2_arrays(cfg, [cfg.alpha], formalism)
     return a, b, _one(psi, errors), metric
 
@@ -320,9 +323,8 @@ def sweep(builder, param_range, points: int,
 
 def example1_sweep(cfg: Example1Config | None = None, points: int = 721) -> Sweep:
     """Sweep theta0 over [0, pi] under the Dirac product."""
-    base = (cfg or Example1Config()).validated()
     grid = _grid((0.0, math.pi), points)
-    a, b, psi = _example1_arrays(base, grid)
+    a, b, psi = _example1_arrays(cfg or Example1Config(), grid)
     return _collect(grid, Formalism.PLAIN, [None] * len(grid),
                     [(np.arange(len(grid)), a, b, psi, identity_metric(2).g)])
 
@@ -330,11 +332,10 @@ def example1_sweep(cfg: Example1Config | None = None, points: int = 721) -> Swee
 def example2_sweep(cfg: Example2Config, points: int = 721,
                    formalism: Formalism = Formalism.GOOD) -> Sweep:
     """Sweep alpha over [0, 2 pi] at fixed gamma and p."""
-    base = cfg.validated()
     grid = _grid((0.0, 2.0 * math.pi), points)
     errors = [None] * len(grid)
     try:
-        a, b, psi, metric, errors = _example2_arrays(base, grid, formalism)
+        a, b, psi, metric, errors = _example2_arrays(cfg, grid, formalism)
         g = _stats_g(metric, formalism, 2)
         if formalism is Formalism.GOOD:  # the gate, once for every point
             _require_good(a, b, g)

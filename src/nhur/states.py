@@ -30,12 +30,12 @@ from .linalg import _scaled, as_operator, as_state
 from .tolerances import EPS_MACH
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthogonalPair:
     """A state and a unit vector metric-orthogonal to it.
 
     context is the metric defining the inner product; overlap_residual is
-    the achieved ``|<psi_perp|G|psi>|``.
+    the achieved ``|<psi_perp|G|psi>|``.  Instances compare by identity.
     """
 
     psi: np.ndarray

@@ -12,7 +12,7 @@ metric, has no tolerance: its rounding is read as its real part, clamped at 0.
 # Noise floor relative to the largest entry or term: states._fix_phase, _superpose.
 EPS_MACH = 1e-12
 
-# |gamma^2 - 1| at or below which Example2Config.validated rejects gamma
+# |gamma^2 - 1| at or below which scenarios._require_gamma rejects gamma
 # as the exceptional point; absolute, gamma being dimensionless.
 EPS_EP = 1e-8
 

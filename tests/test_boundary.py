@@ -10,20 +10,38 @@ would be a fault of the package's own; a warning fails the test through
 the suite's warning filter.  Whether NonFiniteError is raised only where a
 true value overflows is not checked here.
 
+The same problems, in all three formalisms and written with
+`cli.problem_payload`, through an in-process `nhur check`: no exception
+escapes `main`, the exit code is 0, 1 or 2, and an exit of 2 comes with a
+report whose error names an NhurError other than InternalInconsistencyError.
+
 A second, metamorphic property: scaling an operand by c = 2^k, an exact
 operation for k over +-700, moves no bit of what the state constructions
 return, and no flag of `validate_metric`.
+
+A third: every gamma, the exceptional point and NaN included, builds the
+PT model's eigensystems, configs and scenario or fails typed.
 """
+
+import json
+import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nhur import (
+    BROKEN,
+    SYMMETRIC,
+    Example2Config,
     Formalism,
     InternalInconsistencyError,
     NhurError,
     av_orthogonal_state,
+    broken_eigensystem,
+    build_example2,
     evaluate_all,
     g_covariance,
     g_orthogonal_complement_2d,
@@ -32,8 +50,10 @@ from nhur import (
     metric_from_matrix,
     require_normalized,
     superposition_state,
+    symmetric_eigensystem,
     validate_metric,
 )
+from nhur.cli import main, problem_payload
 
 
 def boundary_problem(d, seed, a_exp, b_exp, g_exp, cond_exp):
@@ -79,6 +99,74 @@ def test_every_accepted_input_evaluates_or_fails_typed(d, formalism, seed, a_exp
     typed(lambda: require_normalized(psi, stats))
     typed(lambda: g_variance(a, psi, stats))
     typed(lambda: g_covariance(a, b, psi, stats))
+
+
+def error_names() -> set:
+    """The name of every NhurError class a caller may see."""
+    names, todo = set(), [NhurError]
+    while todo:
+        cls = todo.pop()
+        names.add(cls.__name__)
+        todo += cls.__subclasses__()
+    return names - {"InternalInconsistencyError"}
+
+
+def good_for(x, g, exp):
+    """G^-1 (x + x^dag), formed at unit scale and scaled to a largest entry
+    of 10^exp: X^dag G = G X up to rounding, so it can pass the
+    good-observable gate."""
+    x = x / np.abs(x).max()
+    good = np.linalg.solve(g / np.abs(g).max(), x + x.conj().T)
+    return good * (10.0 ** exp / np.abs(good).max())
+
+
+def run_check(payload) -> tuple:
+    """(exit code, --out report) of `nhur check` on the payload, in process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        problem, out = os.path.join(tmp, "problem.json"), os.path.join(tmp, "report.json")
+        with open(problem, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        code = main(["check", "--input", problem, "--out", out])
+        with open(out, encoding="utf-8") as fh:
+            return code, json.load(fh)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 4), st.sampled_from(list(Formalism)), st.integers(0, 2**32 - 1),
+       st.floats(-160.0, 160.0), st.floats(-160.0, 160.0), st.floats(-150.0, 150.0),
+       st.floats(0.0, 9.5), st.booleans())
+def test_check_gives_a_verdict_or_a_typed_error(d, formalism, seed, a_exp, b_exp,
+                                                g_exp, cond_exp, with_perp):
+    a, b, v, g = boundary_problem(d, seed, a_exp, b_exp, g_exp, cond_exp)
+    metric = metric_from_matrix(g)  # cond(G) <= 10^9.5 is always accepted
+    if formalism is Formalism.GOOD:
+        a, b = good_for(a, g, a_exp), good_for(b, g, b_exp)
+    stats = identity_metric(d) if formalism is Formalism.PLAIN else metric
+    psi = v / np.sqrt(np.vdot(v, stats.g @ v).real)
+    perp = None
+    if with_perp and d > 1:  # psi's G-orthogonal complement of a second draw
+        w = boundary_problem(d, seed + 1, 0.0, 0.0, 0.0, 0.0)[2]
+        w = w - psi * np.vdot(psi, stats.g @ w)
+        perp = w / np.sqrt(np.vdot(w, stats.g @ w).real)
+    code, report = run_check(problem_payload(a, b, psi, metric, formalism.value, perp))
+    assert code in (0, 1, 2)
+    assert ("error" in report) == (code == 2)
+    if code == 2:
+        assert report["error"].split(":")[0] in error_names(), report["error"]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([1.0, -1.0, math.nan])))
+def test_every_gamma_builds_or_fails_typed(gamma):
+    # the one gamma rule runs first in each eigensystem builder and in the
+    # config, so a builder returns exactly where its phase's config builds
+    for phase, builder in ((SYMMETRIC, symmetric_eigensystem),
+                           (BROKEN, broken_eigensystem)):
+        cfg = typed(lambda: Example2Config(gamma=gamma, p=0.5, phase=phase))
+        assert (typed(lambda: builder(gamma)) is None) == (cfg is None)
+        if cfg is not None:
+            for formalism in Formalism:
+                typed(lambda: build_example2(cfg, formalism))
 
 
 def flags(report):

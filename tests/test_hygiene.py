@@ -6,22 +6,39 @@ one route for a single problem and one for a sweep and takes no
 formalism, neither the kernel nor ur3 takes a sign option and the kernel
 no option at all, no module checks a limit on a variance's rounding, only
 `states` names the internal-inconsistency error, a `Metric` is built from
-its matrix alone, and importing the package does none of the command
-line's work.
+its matrix alone and an `EigenSystem` from its values and right frame
+alone, a scenario config checks itself with no `validated` path beside it,
+a dataclass holding an array compares by identity, and importing the
+package does none of the command line's work.
 
 The package's `__init__.py` is exempt from the import check, since its
 imports are the public re-exports listed in `__all__`.
 """
 
 import ast
+import dataclasses
+import importlib
 import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from nhur import (
+    SIGMA_X,
+    EigenSystem,
+    ExceptionalPointError,
+    Example1Config,
+    Example2Config,
+    SingularFrameError,
+    av_orthogonal_state,
+    identity_metric,
+    metric_from_matrix,
+    symmetric_eigensystem,
+)
 from nhur.metric import Metric
 from nhur.relations import relation_batch, ur3
 
@@ -281,6 +298,77 @@ def test_a_metric_is_built_from_its_matrix_alone():
     found = sorted(f"{p.stem}.{scope}" for p in (ROOT / "src" / "nhur").glob("*.py")
                    for scope in callers(p.read_text(encoding="utf-8"), "MetricReport"))
     assert found == ["metric._validation"]
+
+
+def test_each_value_type_is_checked_once_when_built():
+    # EigenSystem(values, right) and the scenario configs check themselves in
+    # __post_init__, which dataclasses.replace runs too; a from_right or a
+    # validated() beside them would be a second path a caller could skip
+    assert tuple(inspect.signature(EigenSystem).parameters) == ("values", "right")
+    assert not hasattr(EigenSystem, "from_right")
+    for config in (Example1Config, Example2Config):
+        assert not hasattr(config, "validated")
+    with pytest.raises(ExceptionalPointError):
+        dataclasses.replace(Example2Config.symmetric_default(), gamma=1.0)
+    with pytest.raises(SingularFrameError):
+        dataclasses.replace(symmetric_eigensystem(0.6), right=np.zeros((2, 2)))
+
+
+def array_dataclasses(namespace: dict, module: str) -> list:
+    """(name, eq flag) of each dataclass defined in `module`, among the
+    namespace's values, with a field annotated np.ndarray."""
+    return [(name, obj.__dataclass_params__.eq)
+            for name, obj in namespace.items()
+            if dataclasses.is_dataclass(obj) and obj.__module__ == module
+            and any(f.type is np.ndarray for f in dataclasses.fields(obj))]
+
+
+TOY_DATACLASSES = """
+import dataclasses
+import numpy as np
+@dataclasses.dataclass(frozen=True)
+class A:
+    x: np.ndarray
+@dataclasses.dataclass(frozen=True, eq=False)
+class B:
+    x: np.ndarray
+@dataclasses.dataclass
+class C:
+    x: float
+"""
+
+
+def test_a_dataclass_holding_an_array_compares_by_identity():
+    # the generated __eq__ compares ndarray fields with ==, whose truth value
+    # is ambiguous, and a frozen class with it hashes them, which fails;
+    # eq=False makes equality identity and every instance hashable
+    toy = {"__name__": "toy"}
+    exec(TOY_DATACLASSES, toy)
+    assert array_dataclasses(toy, "toy") == [("A", True), ("B", False)]
+    found = [(path.stem, name) for path in (ROOT / "src" / "nhur").glob("*.py")
+             for name, eq in array_dataclasses(
+                 vars(importlib.import_module(f"nhur.{path.stem}")),
+                 f"nhur.{path.stem}") if eq]
+    assert found == []
+
+
+def equal_inputs_pair(kind: str) -> tuple:
+    """Two distinct instances of the type, built from equal inputs."""
+    if kind == "Metric":
+        return metric_from_matrix(2.0 * np.eye(2)), metric_from_matrix(2.0 * np.eye(2))
+    if kind == "EigenSystem":
+        return symmetric_eigensystem(0.6), symmetric_eigensystem(0.6)
+    psi = np.array([1.0, 0.0])
+    return tuple(av_orthogonal_state(SIGMA_X, psi, identity_metric(2)) for _ in "ab")
+
+
+@pytest.mark.parametrize("kind", ["Metric", "EigenSystem", "OrthogonalPair"])
+def test_equality_and_hash_are_identity(kind):
+    first, second = equal_inputs_pair(kind)
+    assert type(first).__name__ == kind
+    assert first == first and first != second
+    assert hash(first) == hash(first)
+    assert len({first, second}) == 2 and first in {first} and second not in {first}
 
 
 def test_only_metric_applies_a_limit():

@@ -106,10 +106,10 @@ def test_commutator_and_anticommutator():
 def test_eigensystem_from_right_rejects_singular_frame():
     cols = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]])
     with pytest.raises(SingularFrameError):
-        EigenSystem.from_right(np.array([1.0, 2.0]), cols)
+        EigenSystem(np.array([1.0, 2.0]), cols)
 
 
 def test_eigensystem_from_right_biorthonormal():
     cols = np.column_stack([E0 + E1, E0 - E1])
-    sys_ = EigenSystem.from_right(np.array([1.0, -1.0]), cols)
+    sys_ = EigenSystem(np.array([1.0, -1.0]), cols)
     npt.assert_allclose(sys_.left @ sys_.right, np.eye(2), atol=1e-14)

@@ -63,7 +63,7 @@ def test_eigenframe_metric_matches_closed_form_broken(gamma):
 def test_orthonormal_frame_gives_identity_metric():
     # the eigenframe of sigma_z
     values = np.array([1.0, -1.0])
-    metric = metric_from_right_eigenvectors(EigenSystem.from_right(values, np.eye(2)))
+    metric = metric_from_right_eigenvectors(EigenSystem(values, np.eye(2)))
     npt.assert_allclose(metric.g, np.eye(2), atol=1e-14)
 
 
@@ -149,7 +149,7 @@ def test_good_residual_matches_the_two_product_formula(rng, dim, kind):
     if kind == "hermitian":
         metric = metric_from_matrix(m @ m.conj().T / dim + np.eye(dim))
     else:
-        frame = EigenSystem.from_right(np.arange(dim), m + dim * np.eye(dim))
+        frame = EigenSystem(np.arange(dim), m + dim * np.eye(dim))
         metric = metric_from_right_eigenvectors(frame)
     for x in (random_operator(rng, dim), good_observable_for(rng, metric)):
         expected = reference.good_residual(x, np.asarray(metric.g))

@@ -74,26 +74,26 @@ def test_example1_rejects_non_finite_angle():
 )
 def test_example2_config_rejects_phase_mismatch(gamma, phase):
     with pytest.raises(PhaseMismatchError):
-        Example2Config(gamma=gamma, p=1.0, phase=phase).validated()
+        Example2Config(gamma=gamma, p=1.0, phase=phase)
 
 
 @pytest.mark.parametrize("gamma", [1.0, -1.0, 1.0 + 1e-10])
 def test_example2_config_rejects_exceptional_point(gamma):
     phase = BROKEN if gamma > 1.0 else SYMMETRIC
     with pytest.raises(ExceptionalPointError):
-        Example2Config(gamma=gamma, p=1.0, phase=phase).validated()
+        Example2Config(gamma=gamma, p=1.0, phase=phase)
 
 
 def test_example2_config_rejects_non_finite():
     with pytest.raises(NonFiniteError):
-        Example2Config(gamma=math.nan, p=1.0).validated()
+        Example2Config(gamma=math.nan, p=1.0)
     with pytest.raises(NonFiniteError):
-        Example2Config(gamma=0.9, p=math.inf).validated()
+        Example2Config(gamma=0.9, p=math.inf)
 
 
 def test_example2_config_rejects_unknown_phase():
     with pytest.raises(PhaseMismatchError):
-        Example2Config(gamma=0.9, p=1.0, phase="weird").validated()
+        Example2Config(gamma=0.9, p=1.0, phase="weird")
 
 
 def test_example2_defaults():

@@ -35,6 +35,7 @@ from nhur import (
     SingularFrameError,
     ZeroVectorError,
     av_orthogonal_state,
+    broken_eigensystem,
     build_example2,
     evaluate_all,
     example2_sweep,
@@ -45,6 +46,7 @@ from nhur import (
     is_good_observable,
     metric_from_matrix,
     metric_from_right_eigenvectors,
+    pt_hamiltonian,
     require_normalized,
     superposition_state,
     symmetric_eigensystem,
@@ -205,12 +207,35 @@ def test_the_hermiticity_test_does_not_depend_on_units(k):
     assert metric_from_matrix(g).g.tolist() == g.tolist()
 
 
+@pytest.mark.parametrize("k", [300, -300])
+def test_the_stationarity_residual_scales_exactly(k):
+    # |GH - H^dag G|_F is formed on G and H each scaled exactly by a power
+    # of two and scaled back: unscaled, at 2^300 its squares overflow and at
+    # 2^-300 they underflow, so c G and c H must give exactly c^2 times it
+    g = metric_from_right_eigenvectors(broken_eigensystem(1.2)).g
+    h = pt_hamiltonian(1.2)
+    base = validate_metric(g, h).stationarity_residual
+    assert base > 0.1
+    c = 2.0 ** k
+    assert validate_metric(c * g, c * h).stationarity_residual == base * c * c
+
+
+def test_a_stationarity_residual_beyond_double_range_reads_inf():
+    # at 1e200 the true residual, about 1e400, leaves double range: it reads
+    # inf, with no RuntimeWarning (an error here), and the metric still builds
+    sys_ = symmetric_eigensystem(0.5)
+    g = metric_from_right_eigenvectors(sys_).g
+    metric = metric_from_matrix(1e200 * g, hamiltonian=1e200 * pt_hamiltonian(0.5))
+    assert metric.validation.ok
+    assert metric.validation.stationarity_residual == math.inf
+
+
 def test_one_conditioning_rule(monkeypatch):
     # each check passes iff its smallest/largest ratio exceeds EPS_PD: 1/2
     # for the gamma = 0.6 frame, 1/4 for its frame sum and its metric
     system = symmetric_eigensystem(0.6)
     g = np.asarray(metric_from_right_eigenvectors(system).g)
-    builds = ((lambda: EigenSystem.from_right(system.values, system.right), 0.5),
+    builds = ((lambda: EigenSystem(system.values, system.right), 0.5),
               (lambda: metric_from_right_eigenvectors(system), 0.25))
     for eps in (0.2, 0.3, 0.6):
         monkeypatch.setattr(nhur.linalg, "EPS_PD", eps)
