@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import MetricValidationError, NhurError
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
-from .metric import Metric, identity_metric, is_good_observable, metric_from_matrix
+from .metric import (Metric, identity_metric, is_good_observable, metric_from_matrix,
+                     metric_from_right_eigenvectors)
 from .relations import Formalism, _stats_g, evaluate_all
 from .scenarios import (
     BROKEN,
@@ -45,10 +46,11 @@ from .scenarios import (
     Example2Config,
     Sweep,
     _error_text,
-    _example2_frame,
+    broken_eigensystem,
     example1_sweep,
     example2_sweep,
     pt_hamiltonian,
+    symmetric_eigensystem,
 )
 from .states import _normalized
 from .tolerances import EPS_UR
@@ -382,11 +384,12 @@ def _write_report(path, report: dict) -> None:
 
 def cmd_metric(args) -> int:
     gamma = args.gamma
-    phase = args.phase
-    if phase is None:
-        phase = SYMMETRIC if gamma * gamma < 1.0 else BROKEN
-    *_, metric = _example2_frame(Example2Config(gamma=gamma, p=0.0, phase=phase))
+    # the phase follows from gamma; each builder applies the gamma rule first
+    phase, build = ((SYMMETRIC, symmetric_eigensystem) if gamma * gamma < 1.0
+                    else (BROKEN, broken_eigensystem))
+    frame = build(gamma)
     h = pt_hamiltonian(gamma)
+    metric = metric_from_right_eigenvectors(frame, hamiltonian=h)
     rep = metric.validation
     print(f"phase: {phase}, gamma = {gamma:g}")
     print("G =")
@@ -462,9 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
         "metric",
         help="print metric diagnostics for the PT model at one gamma",
     )
-    pm.add_argument("--gamma", type=float, required=True)
-    pm.add_argument("--phase", choices=(SYMMETRIC, BROKEN), default=None,
-                    help="inferred from gamma when omitted")
+    pm.add_argument("--gamma", type=float, required=True,
+                    help="the phase follows: symmetric if gamma^2 < 1, else broken")
     pm.set_defaults(func=cmd_metric)
     return parser
 

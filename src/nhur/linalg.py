@@ -17,16 +17,21 @@ from .errors import DimensionMismatchError, NonFiniteError, SingularFrameError
 from .tolerances import EPS_PD
 
 
-def _const(rows) -> np.ndarray:
-    arr = np.array(rows, dtype=complex)
-    arr.setflags(write=False)
+def _read_only(value) -> np.ndarray:
+    """value as a read-only complex array, copied unless it is one already
+    that owns its data (a read-only view can change with its base), so
+    that no caller's array can change it later."""
+    arr = np.asarray(value, dtype=complex)
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
     return arr
 
 
-IDENTITY2 = _const([[1, 0], [0, 1]])
-SIGMA_X = _const([[0, 1], [1, 0]])
-SIGMA_Y = _const([[0, -1j], [1j, 0]])
-SIGMA_Z = _const([[1, 0], [0, -1]])
+IDENTITY2 = _read_only([[1, 0], [0, 1]])
+SIGMA_X = _read_only([[0, 1], [1, 0]])
+SIGMA_Y = _read_only([[0, -1j], [1j, 0]])
+SIGMA_Z = _read_only([[1, 0], [0, -1]])
 
 
 def as_operator(value, dim: int | None = None, name: str = "operator") -> np.ndarray:
@@ -108,7 +113,9 @@ class EigenSystem:
     ``EigenSystem(values, right)``, `dataclasses.replace` included, checks
     both (`as_operator`, `as_state`) and derives left by inverting the right
     frame, the unique biorthonormal choice, or raises SingularFrameError
-    where it has no stable inverse.  Instances compare by identity.
+    where it has no stable inverse.  All three arrays are read-only copies
+    (`_read_only`), so no caller's array can change them.  Instances
+    compare by identity.
 
     Attributes
     ----------
@@ -125,9 +132,9 @@ class EigenSystem:
     def __post_init__(self):
         right = as_operator(self.right, name="right eigenvector frame")
         values = as_state(self.values, dim=right.shape[0], name="eigenvalues")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "left", _stable_inverse(right, "right eigenvector frame"))
+        left = _stable_inverse(right, "right eigenvector frame")
+        for name, arr in (("values", values), ("right", right), ("left", left)):
+            object.__setattr__(self, name, _read_only(arr))
 
     def right_vector(self, i: int) -> np.ndarray:
         return self.right[:, i]

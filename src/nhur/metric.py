@@ -41,7 +41,7 @@ from .errors import (
     NotGoodObservableError,
     NotNormalizedError,
 )
-from .linalg import (EigenSystem, _scaled, _stable_inverse,
+from .linalg import (EigenSystem, _read_only, _scaled, _stable_inverse,
                      _well_conditioned, as_operator, as_state)
 from .tolerances import EPS_DEGEN, EPS_GOOD, EPS_HERM, EPS_NORM, EPS_ORTH
 
@@ -73,8 +73,9 @@ class Metric:
     `_validation` on g, the one check of the contract, and raises
     MetricValidationError with that report unless it is ok,
     `dataclasses.replace` included.  g is stored as its Hermitian part,
-    complex and read-only, copied unless it was handed a read-only complex
-    array, so instances are safe to share; validation keeps the report.  A
+    complex and read-only (`linalg._read_only`), copied unless it was
+    handed a read-only complex array that owns its data, so instances are
+    safe to share; validation keeps the report.  A
     Hamiltonian, not stored, adds the stationarity residual to the report.
     Instances compare by identity.
     """
@@ -90,10 +91,7 @@ class Metric:
                 f"metric is not Hermitian positive definite (hermitian="
                 f"{report.hermitian}, min eigenvalue={report.min_eigenvalue:.6g})",
                 report=report)
-        if g.flags.writeable:
-            g = g.copy()
-            g.setflags(write=False)
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", _read_only(g))
         object.__setattr__(self, "validation", report)
 
     @property
@@ -108,7 +106,10 @@ class Metric:
 
 def validate_metric(g, hamiltonian=None) -> MetricReport:
     """Check Hermiticity and positive definiteness, both relative to G's
-    scale (`linalg._well_conditioned`); never raises.
+    scale (`linalg._well_conditioned`).  A failed check is reported, not
+    raised; an input that is no matrix raises, as `as_operator` does:
+    DimensionMismatchError for a non-square or empty G (or a Hamiltonian
+    of another size), NonFiniteError for non-finite entries.
 
     With a Hamiltonian supplied the report also carries the stationarity
     residual of the static metric condition, ``|GH - H^dag G|_F``.
@@ -316,10 +317,10 @@ def _finite(what: str, x):
     return x
 
 
-def _variance(d: np.ndarray, gd: np.ndarray) -> float:
-    """Var_G(X) of one state from its d and G d, the real part of the finite
-    product clamped at 0; the caller ignores overflow warnings."""
-    return max(float(_finite("variance", np.vecdot(d, gd)).real), 0.0)
+def _variance(product) -> float:
+    """Var_G(X) of one state from its product <d|G d>, the real part of the
+    finite value clamped at 0; the caller ignores overflow warnings."""
+    return max(float(_finite("variance", product).real), 0.0)
 
 
 def g_expectation(x, psi, metric: Metric) -> complex:
@@ -334,9 +335,7 @@ def g_variance(x, psi, metric: Metric) -> float:
     """Weighted variance; real and clamped to be nonnegative."""
     x = as_operator(x, dim=metric.dim, name="observable")
     psi = require_normalized(psi, metric)
-    v = np.array([psi, x @ psi])
-    (d,), (gd,) = _centered(v, np.matvec(metric.g, v))[0]
-    return _variance(d, gd)
+    return _variance(_cov(x, x, psi, metric.g))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises NonFiniteError
@@ -345,6 +344,23 @@ def g_covariance(a, b, psi, metric: Metric) -> complex:
     a = as_operator(a, dim=metric.dim, name="first operator")
     b = as_operator(b, dim=metric.dim, name="second operator")
     psi = require_normalized(psi, metric)
-    v = np.array([psi, a @ psi, b @ psi])
-    (d_a, _), (_, gd_b) = _centered(v, np.matvec(metric.g, v))[0]
-    return complex(_finite("covariance", np.vecdot(d_a, gd_b)))
+    return complex(_finite("covariance", _cov(a, b, psi, metric.g)))
+
+
+def _cov(a: np.ndarray, b: np.ndarray, psi: np.ndarray, g: np.ndarray):
+    """Cov_G(A, B) = <d_A|G d_B>; the caller ignores overflow warnings.  A
+    product can overflow where the value does not, so where it is not
+    finite it is formed again on A and B each `_scaled` exactly, and
+    scaled back: it then overflows only where its true value does."""
+    def form(a, b):
+        v = np.array([psi, a @ psi, b @ psi])
+        (d_a, _), (_, gd_b) = _centered(v, np.matvec(g, v))[0]
+        return np.vecdot(d_a, gd_b)
+
+    cov = form(a, b)
+    if not np.isfinite(cov):
+        (a, a_exp), (b, b_exp) = (_scaled(x.ravel()) for x in (a, b))
+        cov = form(a.reshape(g.shape), b.reshape(g.shape))
+        exp = a_exp + b_exp
+        cov = complex(np.ldexp(cov.real, exp), np.ldexp(cov.imag, exp))
+    return cov

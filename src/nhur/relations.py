@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, NotOrthogonalError
-from .linalg import as_operator, as_state
+from .linalg import _scaled, as_operator, as_state
 from .metric import (Metric, _centered, _require_good, _require_norm,
                      _require_orthogonal, _vanishes, identity_metric)
 from .tolerances import ur_holds
@@ -134,9 +134,40 @@ def relation_batch(a, b, psi, g, psi_perp=None) -> RelationBatch:
     and good observables where the formalism asks it; `_validated` makes
     them so.  holds is `ur_holds` with S from the norms the eigenstate rule
     forms; ur3 reports its larger branch, as ur4 does.  The one error a
-    point can record is NonFiniteError, where its lhs, rhs or gap
+    point can record is NonFiniteError, where its true lhs, rhs or gap
     overflows, as overflow is no verdict.
     """
+    values, holds, minus, degenerate = _values(a, b, psi, g, psi_perp)
+    lhs, rhs, gap = values[0], values[1:5], values[5:]
+    n, d = psi.shape
+    errors = (None,) * n
+    held = np.isfinite(values)
+    if np.count_nonzero(held) != held.size:
+        failed = np.flatnonzero(~held.all(0))
+        # a product can overflow where no value does: evaluate those points
+        # again with A and B `_scaled` jointly, exactly, by 2^-k, which
+        # scales every value by 2^-2k and moves no verdict, and scale back
+        ab, k = _scaled(np.concatenate([np.broadcast_to(x, (n, d, d))[failed]
+                                        .reshape(-1, d * d) for x in (a, b)], 1))
+        parts = _values(*ab.reshape(-1, 2, d, d).swapaxes(0, 1), psi[failed],
+                        np.broadcast_to(g, (n, d, d))[failed],
+                        None if psi_perp is None else psi_perp[failed])
+        values[:, failed] = np.ldexp(parts[0], 2 * k)
+        for whole, part in zip((holds, minus, degenerate), parts[1:]):
+            whole[..., failed] = part
+        failed = ~np.isfinite(values).all(0)
+        errors = tuple(NonFiniteError("relation values overflow double precision "
+                                      f"(lhs = {lhs[i]:.3g})") if bad else None
+                       for i, bad in enumerate(failed.tolist()))
+        values[:, failed] = np.nan
+        holds[:, failed] = minus[:, failed] = degenerate[failed] = False
+    return RelationBatch(lhs, rhs, gap, holds, minus, degenerate, errors)
+
+
+def _values(a, b, psi, g, psi_perp) -> tuple:
+    """`relation_batch`'s arrays as computed, values overflowed included:
+    (lhs, the four rhs, the four gaps) as one (9, N) array, holds, minus
+    and degenerate."""
     n = psi.shape[0]
     v = np.array([psi, np.matvec(a, psi), np.matvec(b, psi)])
     gv = np.matvec(g, v)  # G psi, G A psi and G B psi in one product
@@ -169,20 +200,8 @@ def relation_batch(a, b, psi, g, psi_perp=None) -> RelationBatch:
     values = np.array([lhs, rhs1, cov2.real, rhs3,
                        np.maximum(halves[0], halves[1]), var[4], var[3], gap3,
                        np.minimum(halves[0], halves[1])])
-    lhs, rhs, gap = values[0], values[1:5], values[5:]
-    minus = np.array([minus3, halves[1] > halves[0]])
-    degenerate = flat[0] | flat[1]
-    held = np.isfinite(values)
-    errors = (None,) * n
-    if np.count_nonzero(held) != held.size:
-        failed = ~held.all(0)
-        errors = tuple(NonFiniteError("relation values overflow double precision "
-                                      f"(lhs = {lhs[i]:.3g})") if bad else None
-                       for i, bad in enumerate(failed.tolist()))
-        lhs[failed] = rhs[:, failed] = gap[:, failed] = np.nan
-        minus[:, failed] = degenerate[failed] = False
-    holds = ur_holds(lhs, rhs, np.vecdot(norm, norm, axis=0))  # S
-    return RelationBatch(lhs, rhs, gap, holds, minus, degenerate, errors)
+    holds = ur_holds(values[0], values[1:5], np.vecdot(norm, norm, axis=0))  # S
+    return values, holds, np.array([minus3, halves[1] > halves[0]]), flat[0] | flat[1]
 
 
 def _stats_g(g: Metric | None, formalism: Formalism, dim: int) -> np.ndarray:

@@ -179,28 +179,22 @@ def broken_eigensystem(gamma: float) -> EigenSystem:
     """Closed-form eigensystem of the PT Hamiltonian for gamma > 1.
 
     Eigenvalues are the conjugate pair +-i*lambda, lambda = sqrt(gamma^2-1).
+    The closed form holds in double precision up to gamma of about 1e8,
+    where gamma - lambda cancels to 0 (and from about 1.3e154 gamma^2
+    overflows); beyond it the eigenvector norm is 0 or NaN, and
+    NonFiniteError is raised.
     """
     _require_gamma(gamma, BROKEN)
     lam = math.sqrt(gamma * gamma - 1.0)
     norm = math.sqrt(2.0 * gamma * lam - 2.0 * lam * lam)
+    if not norm > 0.0:
+        raise NonFiniteError(
+            f"gamma={gamma:g} is beyond the broken-phase closed form in double "
+            f"precision (eigenvector norm {norm:g})")
     e_plus = np.array([1.0, -1j * (gamma - lam)]) / norm
     e_minus = np.array([1j * (gamma - lam), 1.0]) / norm
     values = np.array([1j * lam, -1j * lam], dtype=complex)
     return EigenSystem(values, np.column_stack([e_plus, e_minus]))
-
-
-def _example2_frame(cfg: Example2Config):
-    """The alpha-independent part of a PT config: A, B, the eigensystem
-    and its metric."""
-    h = pt_hamiltonian(cfg.gamma)
-    if cfg.phase == SYMMETRIC:
-        sys = symmetric_eigensystem(cfg.gamma)
-        a = h
-    else:
-        sys = broken_eigensystem(cfg.gamma)
-        a = pt_hamiltonian(1.0 / cfg.gamma)
-    g = metric_from_right_eigenvectors(sys, hamiltonian=h)
-    return a, np.array(SIGMA_Y), sys, g
 
 
 def _example2_arrays(cfg: Example2Config, alpha, formalism: Formalism):
@@ -208,12 +202,17 @@ def _example2_arrays(cfg: Example2Config, alpha, formalism: Formalism):
     their N errors, of a PT config: each state superposes the two right
     eigenvectors with weights (1, p e^{i alpha}) and is normalized in the
     metric of the statistics (`_stats_g`)."""
-    a, b, sys, metric = _example2_frame(cfg)
+    h = pt_hamiltonian(cfg.gamma)
+    if cfg.phase == SYMMETRIC:
+        sys, a = symmetric_eigensystem(cfg.gamma), h
+    else:
+        sys, a = broken_eigensystem(cfg.gamma), pt_hamiltonian(1.0 / cfg.gamma)
+    metric = metric_from_right_eigenvectors(sys, hamiltonian=h)
     alpha = np.asarray(alpha, dtype=float)
     weights = np.ones(alpha.shape + (2,), dtype=complex)
     weights[..., 1] = cfg.p * np.exp(1j * alpha)
     psi, errors = _superpose(sys.right.T, weights, _stats_g(metric, formalism, 2))
-    return a, b, psi, metric, errors
+    return a, np.array(SIGMA_Y), psi, metric, errors
 
 
 def build_example2(cfg: Example2Config, formalism: Formalism = Formalism.GOOD):

@@ -173,7 +173,7 @@ def av_orthogonal_state(x, psi, metric: Metric) -> OrthogonalPair:
     v = np.array([psi, x @ psi])
     gv = np.matvec(g, v)
     (d,), (gd,) = _centered(v, gv)[0]
-    sd = float(np.sqrt(_variance(d, gd)))
+    sd = float(np.sqrt(_variance(np.vecdot(d, gd))))
     if _vanishes(sd, np.linalg.norm(x)):
         raise DegenerateEigenstateError(
             f"state is an eigenstate of the operator (sd = {sd:.3e}); "

@@ -7,8 +7,10 @@ normalized in the metric of the statistics.  Through `evaluate_all`,
 `require_normalized`, `g_variance` and `g_covariance` each draw must
 evaluate or raise an NhurError other than InternalInconsistencyError, which
 would be a fault of the package's own; a warning fails the test through
-the suite's warning filter.  Whether NonFiniteError is raised only where a
-true value overflows is not checked here.
+the suite's warning filter.  An overflow oracle checks that NonFiniteError
+is raised only where a true value overflows: scaling A and B by 2^-k, G by
+2^-2m and psi by 2^m, where that is exact, scales every value by 2^-2k, so
+the rescaled values, scaled back, must leave double range.
 
 The same problems, in all three formalisms and written with
 `cli.problem_payload`, through an in-process `nhur check`: no exception
@@ -19,8 +21,9 @@ A second, metamorphic property: scaling an operand by c = 2^k, an exact
 operation for k over +-700, moves no bit of what the state constructions
 return, and no flag of `validate_metric`.
 
-A third: every gamma, the exceptional point and NaN included, builds the
-PT model's eigensystems, configs and scenario or fails typed.
+A third: every gamma, the exceptional point, NaN and a broken-phase gamma
+up to double range included, builds the PT model's eigensystems, configs
+and scenario or fails typed.
 """
 
 import json
@@ -29,7 +32,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nhur import (
@@ -39,6 +42,7 @@ from nhur import (
     Formalism,
     InternalInconsistencyError,
     NhurError,
+    NonFiniteError,
     av_orthogonal_state,
     broken_eigensystem,
     build_example2,
@@ -99,6 +103,67 @@ def test_every_accepted_input_evaluates_or_fails_typed(d, formalism, seed, a_exp
     typed(lambda: require_normalized(psi, stats))
     typed(lambda: g_variance(a, psi, stats))
     typed(lambda: g_covariance(a, b, psi, stats))
+
+
+def exactly(x, exp):
+    """x * 2^exp, or None where scaling it back does not return x's bits."""
+    scaled = x * 2.0 ** exp
+    return scaled if (scaled * 2.0 ** -exp).tobytes() == x.tobytes() else None
+
+
+def error_of(call):
+    """The NhurError call raised, or None."""
+    try:
+        call()
+    except InternalInconsistencyError:
+        raise
+    except NhurError as exc:
+        return exc
+    return None
+
+
+def statistics(a, b, psi, metric, formalism) -> dict:
+    """evaluate_all's values, g_variance and g_covariance of one problem,
+    each a call, in the metric of the statistics."""
+    stats = metric if formalism is Formalism.GMETRIC else identity_metric(len(psi))
+    return {
+        "evaluate_all": lambda: [x for ev in evaluate_all(a, b, psi, metric, formalism)
+                                 for x in (ev.lhs, ev.rhs, ev.gap)],
+        "g_variance": lambda: g_variance(a, psi, stats),
+        "g_covariance": lambda: g_covariance(a, b, psi, stats),
+    }
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 4), st.sampled_from([Formalism.PLAIN, Formalism.GMETRIC]),
+       st.integers(0, 2**32 - 1), st.floats(-160.0, 160.0), st.floats(-160.0, 160.0),
+       st.floats(-150.0, 150.0), st.floats(0.0, 9.5))
+# a variance within double range whose products, summed, overflowed
+@example(3, Formalism.GMETRIC, 1397358228, 154.22345288650098, 136.3851689080629,
+         -58.836344142405224, 6.362067574460317)
+def test_nonfinite_only_where_a_true_value_overflows(d, formalism, seed, a_exp, b_exp,
+                                                     g_exp, cond_exp):
+    a, b, v, g = boundary_problem(d, seed, a_exp, b_exp, g_exp, cond_exp)
+    metric = typed(lambda: metric_from_matrix(g))
+    if metric is None:
+        return
+    gmetric = formalism is Formalism.GMETRIC
+    stats = metric if gmetric else identity_metric(d)
+    psi = v / np.sqrt(np.vdot(v, stats.g @ v).real)
+    failed = [name for name, call in statistics(a, b, psi, metric, formalism).items()
+              if isinstance(error_of(call), NonFiniteError)]
+    k = int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1])
+    m = int(np.frexp(np.abs(g).max())[1]) // 2 if gmetric else 0
+    scaled = [exactly(x, exp) for x, exp in ((a, -k), (b, -k), (psi, m), (g, -2 * m))]
+    if not failed or any(x is None for x in scaled):
+        return
+    # every value of the rescaled problem is the true one times 2^-2k
+    a2, b2, psi2, g2 = scaled
+    rescaled = statistics(a2, b2, psi2, metric_from_matrix(g2), formalism)
+    for name in failed:
+        values = np.array(rescaled[name](), dtype=complex, ndmin=1).view(float)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.ldexp(values, 2 * k)).all(), (name, values, k)
 
 
 def error_names() -> set:
@@ -167,6 +232,23 @@ def test_every_gamma_builds_or_fails_typed(gamma):
         if cfg is not None:
             for formalism in Formalism:
                 typed(lambda: build_example2(cfg, formalism))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.floats(0.0, 308.0))
+@example(8.0)
+@example(154.0)
+@example(200.0)
+@example(308.0)
+def test_a_broken_gamma_up_to_double_range_builds_or_fails_typed(exponent):
+    # from gamma of about 1e8 the broken-phase closed form has no finite
+    # frame; no warning, and an NhurError, tells that
+    gamma = 10.0 ** exponent
+    typed(lambda: broken_eigensystem(gamma))
+    cfg = typed(lambda: Example2Config(gamma=gamma, p=0.5, phase=BROKEN))
+    if cfg is not None:
+        for formalism in Formalism:
+            typed(lambda: build_example2(cfg, formalism))
 
 
 def flags(report):

@@ -603,6 +603,14 @@ def test_metric_at_gamma_zero_skips_the_inverse_hamiltonian(capsys):
     assert table == {name: "true" for name in ("H(gamma)", "sigma_x", "sigma_y", "sigma_z")}
 
 
+def test_metric_takes_its_phase_from_gamma(capsys):
+    # gamma alone decides the phase, so there is no --phase to disagree with it
+    with pytest.raises(SystemExit) as exc:
+        main(["metric", "--gamma", "0.9", "--phase", "symmetric"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --phase symmetric" in capsys.readouterr().err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "nhur.cli", "metric", "--gamma", "0.6"],

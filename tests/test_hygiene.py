@@ -109,6 +109,14 @@ def test_cli_imports_no_private_metric_name():
     assert private_imports(cli, "nhur.metric") == []
 
 
+def test_cli_builds_the_pt_metric_through_public_constructors():
+    # `nhur metric` calls the eigensystem builders and the metric factory a
+    # library user calls; the one private name it takes from scenarios
+    # words a point's error as a sweep's summary does
+    cli = (ROOT / "src" / "nhur" / "cli.py").read_text(encoding="utf-8")
+    assert [name for _, name in private_imports(cli, "nhur.scenarios")] == ["_error_text"]
+
+
 def reads_name(source: str, name: str) -> bool:
     """Whether the module imports `name` or reads it as an attribute."""
     return any(

@@ -275,6 +275,17 @@ def test_a_metric_owns_a_read_only_matrix():
     assert Metric(metric.g).g is metric.g
 
 
+def test_a_metric_copies_a_read_only_view():
+    # a read-only view changes with its writable base, which would let an
+    # indefinite matrix into a built Metric
+    base = np.diag([2.0, 1.0]).astype(complex)
+    view = base.view()
+    view.setflags(write=False)
+    metric = Metric(view)
+    base[0, 0] = -1.0
+    assert metric.g.tolist() == [[2.0, 0.0], [0.0, 1.0]]
+
+
 def test_replace_cannot_break_the_metric_contract():
     metric = metric_from_matrix([[2.0, 0.5j], [-0.5j, 1.0]])
     for bad in (SKEW, np.diag([1.0, -1.0])):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -20,6 +22,7 @@ from nhur import (
     metric_from_matrix,
     pt_hamiltonian,
     superposition_state,
+    validate_metric,
 )
 
 E0 = np.array([1.0, 0.0], dtype=complex)
@@ -48,9 +51,10 @@ EMPTY = np.zeros((0, 0))
 
 @pytest.mark.parametrize("call, name", [
     (lambda: metric_from_matrix(EMPTY), "metric"),
+    (lambda: validate_metric(EMPTY), "metric"),
     (lambda: evaluate_all(EMPTY, EMPTY, np.zeros(0)), "first operator"),
     (lambda: superposition_state([], [], identity_metric(2)), "weights"),
-], ids=["metric_from_matrix", "evaluate_all", "superposition_state"])
+], ids=["metric_from_matrix", "validate_metric", "evaluate_all", "superposition_state"])
 def test_an_empty_problem_fails_typed(call, name):
     # each once failed untyped, deep in its computation
     with pytest.raises(DimensionMismatchError, match=f"^{name} must not be empty$"):
@@ -113,3 +117,25 @@ def test_eigensystem_from_right_biorthonormal():
     cols = np.column_stack([E0 + E1, E0 - E1])
     sys_ = EigenSystem(np.array([1.0, -1.0]), cols)
     npt.assert_allclose(sys_.left @ sys_.right, np.eye(2), atol=1e-14)
+
+
+def test_an_eigensystem_holds_read_only_copies():
+    # a caller's array, changed after the build, changes nothing: the
+    # frame and its inverse stay a biorthonormal pair
+    values, right = np.array([1, 2], dtype=complex), np.eye(2, dtype=complex)
+    sys_ = EigenSystem(values, right)
+    right[0, 1], values[0] = 5, 7
+    assert (sys_.left @ sys_.right).tolist() == np.eye(2).tolist()
+    assert sys_.values.tolist() == [1, 2]
+    # nor does the base of a read-only view
+    base = np.eye(2, dtype=complex)
+    view = base.view()
+    view.setflags(write=False)
+    sys_ = EigenSystem(values, view)
+    base[0, 1] = 5
+    assert (sys_.left @ sys_.right).tolist() == np.eye(2).tolist()
+    for built in (sys_, dataclasses.replace(sys_, right=np.eye(2) * 2)):
+        for arr in (built.values, built.right, built.left):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0

@@ -334,6 +334,24 @@ def test_overflow_is_no_verdict():
     assert np.isnan(batch.gap[:, 0]).all() and batch.holds[:, 1].all()
 
 
+def test_a_product_overflow_is_no_value_overflow():
+    # at A = B = 2^513 sigma_x every value is within double range, but
+    # Var(A + B), whose half is ur4's bound, is not: the kernel evaluates
+    # the point again with A and B scaled exactly, and each value is the
+    # unit-scale one times 2^1026, bit for bit, with the same verdict
+    big = evaluate_all(2.0 ** 513 * SIGMA_X, 2.0 ** 513 * SIGMA_X, [0.6, 0.8])
+    unit = evaluate_all(SIGMA_X, SIGMA_X, [0.6, 0.8])
+    for x, y in zip(big, unit):
+        assert [x.lhs, x.rhs, x.gap] == np.ldexp([y.lhs, y.rhs, y.gap], 1026).tolist()
+        assert x._replace(lhs=0, rhs=0, gap=0) == y._replace(lhs=0, rhs=0, gap=0)
+    assert big[0].lhs > 1e308
+    # in a batch, the point evaluated again reads as its own call
+    ab = np.array([2.0 ** 513 * SIGMA_X, SIGMA_X])
+    batch = relation_batch(ab, ab, np.array([[0.6, 0.8]] * 2, dtype=complex), np.eye(2))
+    assert batch.errors == (None, None)
+    assert batch.lhs.tolist() == [big[0].lhs, unit[0].lhs]
+
+
 def test_perp_overlap_limit_is_relative():
     # |perp| |G psi| is about 2.5e3 here, so overlaps between EPS_ORTH and
     # 2.5e-7 pass; past that the message names the overlap and the limit
