@@ -17,12 +17,13 @@ from .errors import DimensionMismatchError, NonFiniteError, SingularFrameError
 from .tolerances import EPS_PD
 
 
-def _read_only(value) -> np.ndarray:
-    """value as a read-only complex array, copied unless it is one already
-    that owns its data (a read-only view can change with its base), so
-    that no caller's array can change it later."""
+def _read_only(value, share: bool = False) -> np.ndarray:
+    """value as a read-only complex copy, which no caller's array can
+    change.  With share, a read-only complex array that owns its data is
+    kept as it is: it is safe only while its owner leaves it read-only (a
+    view, which changes with its base, is always copied)."""
     arr = np.asarray(value, dtype=complex)
-    if arr.flags.writeable or not arr.flags.owndata:
+    if not share or arr.flags.writeable or not arr.flags.owndata:
         arr = arr.copy()
         arr.setflags(write=False)
     return arr
@@ -114,8 +115,8 @@ class EigenSystem:
     both (`as_operator`, `as_state`) and derives left by inverting the right
     frame, the unique biorthonormal choice, or raises SingularFrameError
     where it has no stable inverse.  All three arrays are read-only copies
-    (`_read_only`), so no caller's array can change them.  Instances
-    compare by identity.
+    (`_read_only`), so no caller's array can change them, not even one
+    its owner makes writable again.  Instances compare by identity.
 
     Attributes
     ----------

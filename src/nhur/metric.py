@@ -73,9 +73,10 @@ class Metric:
     `_validation` on g, the one check of the contract, and raises
     MetricValidationError with that report unless it is ok,
     `dataclasses.replace` included.  g is stored as its Hermitian part,
-    complex and read-only (`linalg._read_only`), copied unless it was
-    handed a read-only complex array that owns its data, so instances are
-    safe to share; validation keeps the report.  A
+    complex and read-only (`linalg._read_only`), so instances are safe to
+    share.  A read-only complex array that owns its data, another metric's
+    g among them, is kept rather than copied, and stays safe only while
+    its owner leaves it read-only.  validation keeps the report.  A
     Hamiltonian, not stored, adds the stationarity residual to the report.
     Instances compare by identity.
     """
@@ -91,7 +92,7 @@ class Metric:
                 f"metric is not Hermitian positive definite (hermitian="
                 f"{report.hermitian}, min eigenvalue={report.min_eigenvalue:.6g})",
                 report=report)
-        object.__setattr__(self, "g", _read_only(g))
+        object.__setattr__(self, "g", _read_only(g, share=True))
         object.__setattr__(self, "validation", report)
 
     @property
@@ -347,20 +348,12 @@ def g_covariance(a, b, psi, metric: Metric) -> complex:
     return complex(_finite("covariance", _cov(a, b, psi, metric.g)))
 
 
-def _cov(a: np.ndarray, b: np.ndarray, psi: np.ndarray, g: np.ndarray):
-    """Cov_G(A, B) = <d_A|G d_B>; the caller ignores overflow warnings.  A
-    product can overflow where the value does not, so where it is not
-    finite it is formed again on A and B each `_scaled` exactly, and
-    scaled back: it then overflows only where its true value does."""
-    def form(a, b):
-        v = np.array([psi, a @ psi, b @ psi])
-        (d_a, _), (_, gd_b) = _centered(v, np.matvec(g, v))[0]
-        return np.vecdot(d_a, gd_b)
-
-    cov = form(a, b)
-    if not np.isfinite(cov):
-        (a, a_exp), (b, b_exp) = (_scaled(x.ravel()) for x in (a, b))
-        cov = form(a.reshape(g.shape), b.reshape(g.shape))
-        exp = a_exp + b_exp
-        cov = complex(np.ldexp(cov.real, exp), np.ldexp(cov.imag, exp))
-    return cov
+def _cov(a: np.ndarray, b: np.ndarray, psi: np.ndarray, g: np.ndarray) -> complex:
+    """Cov_G(A, B) = <d_A|G d_B>, formed on A and B each `_scaled` exactly
+    and scaled back, so it overflows only where its true value does; the
+    caller ignores overflow warnings."""
+    ab, exp = _scaled(np.array([a, b]).reshape(2, -1))
+    v = np.concatenate([psi[None], np.matvec(ab.reshape(2, *g.shape), psi)])
+    (d_a, _), (_, gd_b) = _centered(v, np.matvec(g, v))[0]
+    cov, exp = np.vecdot(d_a, gd_b), exp.sum()
+    return complex(np.ldexp(cov.real, exp), np.ldexp(cov.imag, exp))

@@ -134,6 +134,13 @@ def test_an_eigensystem_holds_read_only_copies():
     sys_ = EigenSystem(values, view)
     base[0, 1] = 5
     assert (sys_.left @ sys_.right).tolist() == np.eye(2).tolist()
+    # nor a read-only array whose owner makes it writable again
+    right = np.eye(2, dtype=complex)
+    right.setflags(write=False)
+    sys_ = EigenSystem(values, right)
+    right.setflags(write=True)
+    right[0, 1] = 5
+    assert (sys_.left @ sys_.right).tolist() == np.eye(2).tolist()
     for built in (sys_, dataclasses.replace(sys_, right=np.eye(2) * 2)):
         for arr in (built.values, built.right, built.left):
             assert not arr.flags.writeable
