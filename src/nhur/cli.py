@@ -403,9 +403,11 @@ def cmd_metric(args) -> int:
           f"(min eigenvalue {rep.min_eigenvalue:.6g})")
     print(f"stationarity residual |GH - H^dag G|_F vs H(gamma): "
           f"{rep.stationarity_residual:.6g}")
+    # H(1/gamma) has no value where 1/gamma is not finite, gamma = 0 included
+    inverse = 1.0 / gamma if gamma != 0 else math.inf
     table = [
         ("H(gamma)", h),
-        ("H(1/gamma)", pt_hamiltonian(1.0 / gamma) if gamma != 0 else None),
+        ("H(1/gamma)", pt_hamiltonian(inverse) if math.isfinite(inverse) else None),
         ("sigma_x", SIGMA_X),
         ("sigma_y", SIGMA_Y),
         ("sigma_z", SIGMA_Z),

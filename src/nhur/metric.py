@@ -22,7 +22,8 @@ Each rule on a state is one plain function, and only it words that
 failure: a norm^2 <v|G v> finite and within EPS_NORM of 1 (`_is_normalized`,
 raised by `_require_norm`), and an overlap <v|G psi> within EPS_ORTH
 (`_require_orthogonal`).  The good-observable gate, a condition on (A, B, G)
-alone, checks one problem (`_require_good`).  Each limit on a product
+alone, checks one problem (`_require_good`), with one residual per operator
+(`_good_residual`) that reads the same at every scale.  Each limit on a product
 <u|v> is `_limit`, eps * max(1, |u| |v|), never below the rule's absolute
 eps, and `_beyond` forms the limit only where that eps trips.  The
 eigenstate rule (`_vanishes`) takes its scale from the caller's operands.
@@ -198,42 +199,45 @@ class GoodObservableCheck:
 def is_good_observable(x, metric: Metric) -> GoodObservableCheck:
     """Test whether x plays the role of a Hermitian observable under G."""
     x = as_operator(x, dim=metric.dim, name="observable")
-    residual = float(_good_residual(x, metric.g))
+    residual = _good_residual(x, metric.g)
     return GoodObservableCheck(
         is_good=_good(residual), residual=residual, threshold=EPS_GOOD
     )
 
 
-def _good(residual):
-    """The one good-observable comparison, residual <= EPS_GOOD; batched."""
+def _good(residual: float) -> bool:
+    """The one good-observable comparison, residual <= EPS_GOOD."""
     return residual <= EPS_GOOD
 
 
 def _require_good(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> None:
     """The good-observable gate of one problem, a condition on (A, B, G)
     alone: NotGoodObservableError unless both operators are `_good`."""
-    res = _good_residual(np.array([a, b]), g)
-    if not _good(res).all():
+    res_a, res_b = _good_residual(a, g), _good_residual(b, g)
+    if not (_good(res_a) and _good(res_b)):
         raise NotGoodObservableError(
             "good-observable formalism requires both operators to satisfy X^dag G = "
-            f"G X; residuals a={res[0]:.3e}, b={res[1]:.3e} (threshold {EPS_GOOD:g})")
+            f"G X; residuals a={res_a:.3e}, b={res_b:.3e} (threshold {EPS_GOOD:g})")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # then the residual is NaN
-def _good_residual(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Batched ``|X^dag G - G X|_F / (|G|_F |X|_F)`` over leading axes;
-    0 where the denominator vanishes, NaN, without a warning, where the
-    numerator overflows (inf / inf).  G is Hermitian, so X^dag G is
-    (G X)^dag and one product serves."""
+@np.errstate(over="ignore", invalid="ignore")  # then the norms are formed again
+def _good_residual(x: np.ndarray, g: np.ndarray) -> float:
+    """``|X^dag G - G X|_F / (|G|_F |X|_F)`` of one operator, 0 where X
+    vanishes.  G is Hermitian, so X^dag G is (G X)^dag and one product
+    serves.  Where |X|_F or |G|_F lies outside [2^-200, 2^200] a square
+    could under- or overflow, so x and g are first `_scaled` exactly: the
+    ratio does not change, and the verdict is the same at every scale."""
+    nx, ng = _frobenius(x), _frobenius(g)
+    if not (2.0 ** -200 <= nx <= 2.0 ** 200 and 2.0 ** -200 <= ng <= 2.0 ** 200):
+        x, g = (_scaled(m.ravel())[0].reshape(m.shape) for m in (x, g))
+        nx, ng = _frobenius(x), _frobenius(g)
     gx = g @ x
-    raw = _frobenius(np.conj(np.swapaxes(gx, -1, -2)) - gx)
-    denom = _frobenius(g) * _frobenius(x)
-    return np.divide(raw, denom, out=np.zeros(raw.shape), where=denom != 0.0)
+    return _frobenius(gx.conj().T - gx) / (ng * nx) if nx else 0.0
 
 
-def _frobenius(m: np.ndarray) -> np.ndarray:
-    flat = m.reshape(*m.shape[:-2], -1)
-    return np.sqrt(np.vecdot(flat, flat).real)
+def _frobenius(m: np.ndarray) -> float:
+    flat = m.ravel()
+    return math.sqrt(np.vecdot(flat, flat).real)
 
 
 def require_normalized(psi, metric: Metric, name: str = "state") -> np.ndarray:
@@ -324,11 +328,17 @@ def _variance(product) -> float:
     return max(float(_finite("variance", product).real), 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NonFiniteError
 def g_expectation(x, psi, metric: Metric) -> complex:
-    """Weighted expectation ``<psi|G X|psi>`` for a normalized state."""
+    """Weighted expectation ``<psi|G X|psi>`` for a normalized state, formed
+    on X `_scaled` exactly and scaled back, as `_cov` does, so it overflows
+    only where its true value does."""
     x = as_operator(x, dim=metric.dim, name="observable")
     psi = require_normalized(psi, metric)
-    return complex(np.vdot(psi, metric.g @ (x @ psi)))
+    unit, exp = _scaled(x.ravel())
+    mean = np.vdot(psi, metric.g @ (unit.reshape(x.shape) @ psi))
+    return _finite("expectation",
+                   complex(np.ldexp(mean.real, exp), np.ldexp(mean.imag, exp)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises NonFiniteError

@@ -9,8 +9,9 @@ evaluate or raise an NhurError other than InternalInconsistencyError, which
 would be a fault of the package's own; a warning fails the test through
 the suite's warning filter.  An overflow oracle checks that NonFiniteError
 is raised only where a true value overflows: scaling A and B by 2^-k, G by
-2^-2m and psi by 2^m, where that is exact, scales every value by 2^-2k, so
-the rescaled values, scaled back, must leave double range.
+2^-2m and psi by 2^m, where that is exact, scales every value by 2^-2k (the
+expectation, linear in A, by 2^-k), so the rescaled values, scaled back,
+must leave double range.
 
 The same problems, in all three formalisms and written with
 `cli.problem_payload`, through an in-process `nhur check`: no exception
@@ -19,7 +20,7 @@ report whose error names an NhurError other than InternalInconsistencyError.
 
 A second, metamorphic property: scaling an operand by c = 2^k, an exact
 operation for k over +-700, moves no bit of what the state constructions
-return, and no flag of `validate_metric`.
+return or of the good-observable residual, and no flag of `validate_metric`.
 
 A third: every gamma, the exceptional point, NaN and a broken-phase gamma
 up to double range included, builds the PT model's eigensystems, configs
@@ -48,9 +49,11 @@ from nhur import (
     build_example2,
     evaluate_all,
     g_covariance,
+    g_expectation,
     g_orthogonal_complement_2d,
     g_variance,
     identity_metric,
+    is_good_observable,
     metric_from_matrix,
     require_normalized,
     superposition_state,
@@ -123,12 +126,13 @@ def error_of(call):
 
 
 def statistics(a, b, psi, metric, formalism) -> dict:
-    """evaluate_all's values, g_variance and g_covariance of one problem,
-    each a call, in the metric of the statistics."""
+    """evaluate_all's values, g_expectation, g_variance and g_covariance of
+    one problem, each a call, in the metric of the statistics."""
     stats = metric if formalism is Formalism.GMETRIC else identity_metric(len(psi))
     return {
         "evaluate_all": lambda: [x for ev in evaluate_all(a, b, psi, metric, formalism)
                                  for x in (ev.lhs, ev.rhs, ev.gap)],
+        "g_expectation": lambda: g_expectation(a, psi, stats),
         "g_variance": lambda: g_variance(a, psi, stats),
         "g_covariance": lambda: g_covariance(a, b, psi, stats),
     }
@@ -157,13 +161,15 @@ def test_nonfinite_only_where_a_true_value_overflows(d, formalism, seed, a_exp, 
     scaled = [exactly(x, exp) for x, exp in ((a, -k), (b, -k), (psi, m), (g, -2 * m))]
     if not failed or any(x is None for x in scaled):
         return
-    # every value of the rescaled problem is the true one times 2^-2k
+    # every value of the rescaled problem is the true one times 2^-2k, and
+    # the expectation, linear in A, times 2^-k
     a2, b2, psi2, g2 = scaled
     rescaled = statistics(a2, b2, psi2, metric_from_matrix(g2), formalism)
     for name in failed:
         values = np.array(rescaled[name](), dtype=complex, ndmin=1).view(float)
+        shift = k if name == "g_expectation" else 2 * k
         with np.errstate(over="ignore"):
-            assert not np.isfinite(np.ldexp(values, 2 * k)).all(), (name, values, k)
+            assert not np.isfinite(np.ldexp(values, shift)).all(), (name, values, k)
 
 
 def error_names() -> set:
@@ -261,8 +267,10 @@ def flags(report):
 def test_a_power_of_two_scale_moves_no_bit(d, seed, k, cond_exp, skew_exp, shift):
     # each construction scales its operand exactly before it forms a norm^2
     # or a variance, so c = 2^k changes nothing but the units: a state
-    # built from c * basis or c * x is the one built at c = 1, and the
-    # complement of psi / c under c^2 G is the one of psi under G over c
+    # built from c * basis or c * x is the one built at c = 1, the
+    # complement of psi / c under c^2 G is the one of psi under G over c,
+    # and the good-observable residual of c * x, or of x under c G, is the
+    # one at c = 1
     _, _, v, g = boundary_problem(d, seed, 0.0, 0.0, 0.0, cond_exp)
     rng = np.random.default_rng(seed + 1)
     basis, x = (rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
@@ -280,6 +288,11 @@ def test_a_power_of_two_scale_moves_no_bit(d, seed, k, cond_exp, skew_exp, shift
         comp = g_orthogonal_complement_2d(psi / h, scaled_metric)
         assert (comp * h).tobytes() == g_orthogonal_complement_2d(psi, metric).tobytes()
         require_normalized(comp, scaled_metric)
+    residual = is_good_observable(x, metric).residual
+    for x_c, g_c in ((exactly(x, k), g), (x, exactly(g, k))):
+        if x_c is not None and g_c is not None:
+            check = is_good_observable(x_c, metric_from_matrix(g_c))
+            assert check.residual == residual, (check.residual, residual)
     # a candidate that may be skew or indefinite flags alike at every scale
     candidate = g + 10.0 ** skew_exp * x - shift * np.eye(d)
     assert flags(validate_metric(c * candidate)) == flags(validate_metric(candidate))

@@ -603,6 +603,19 @@ def test_metric_at_gamma_zero_skips_the_inverse_hamiltonian(capsys):
     assert table == {name: "true" for name in ("H(gamma)", "sigma_x", "sigma_y", "sigma_z")}
 
 
+def test_metric_skips_the_inverse_hamiltonian_where_1_over_gamma_overflows(capsys):
+    # below |gamma| of about 5.6e-309, 1/gamma is inf, so H(1/gamma) has no
+    # value, as at 0; every other line is printed and the command succeeds
+    rc = main(["metric", "--gamma", "1e-310"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("phase: symmetric, gamma = 1e-310\nG =\n")
+    assert "stationarity residual |GH - H^dag G|_F vs H(gamma): 0\n" in out
+    assert "H(1/gamma)" not in out
+    table = _good_observable_table(out)
+    assert table == {name: "true" for name in ("H(gamma)", "sigma_x", "sigma_y", "sigma_z")}
+
+
 def test_metric_takes_its_phase_from_gamma(capsys):
     # gamma alone decides the phase, so there is no --phase to disagree with it
     with pytest.raises(SystemExit) as exc:

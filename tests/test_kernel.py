@@ -526,8 +526,8 @@ def test_example2_sweep_builds_its_metric_once(monkeypatch):
 
 
 def test_good_example2_sweep_checks_the_gate_once(monkeypatch):
-    # the gate is a condition on (A, B, G) alone: a good sweep forms its
-    # residual once, for A and B together, and a gmetric sweep not at all
+    # the gate is a condition on (A, B, G) alone: a good sweep forms it
+    # once, one residual for A and one for B, and a gmetric sweep not at all
     calls = []
     residual = nhur.metric._good_residual
 
@@ -538,10 +538,10 @@ def test_good_example2_sweep_checks_the_gate_once(monkeypatch):
     monkeypatch.setattr(nhur.metric, "_good_residual", counting)
     points = example2_sweep(Example2Config.symmetric_default(), points=181)
     assert all(p.ok for p in points)
-    assert calls == [(2, 2, 2)]
+    assert calls == [(2, 2), (2, 2)]
     example2_sweep(Example2Config.symmetric_default(), points=181,
                    formalism=Formalism.GMETRIC)
-    assert calls == [(2, 2, 2)]
+    assert calls == [(2, 2), (2, 2)]
 
 
 def test_a_failed_gate_fails_every_point_whose_state_built(monkeypatch):
@@ -559,7 +559,7 @@ def test_a_failed_gate_fails_every_point_whose_state_built(monkeypatch):
 
     monkeypatch.setattr(scenarios, "_superpose", one_failed)
     monkeypatch.setattr(nhur.metric, "_good_residual",
-                        lambda x, g: np.full(len(x), 2e-9))
+                        lambda x, g: 2e-9)
     monkeypatch.setattr(scenarios, "relation_batch", forbidden)
     points = example2_sweep(Example2Config.symmetric_default(), points=7)
     gate = ("NotGoodObservableError: good-observable formalism requires both "

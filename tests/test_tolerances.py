@@ -299,15 +299,15 @@ def test_one_eigenstate_rule(monkeypatch):
                 call()
 
 
-def test_gate_and_check_agree_on_a_nan_residual():
-    # |X|_F overflows, so the residual is inf / inf: not good, in both
+def test_gate_and_check_agree_where_a_square_overflows():
+    # |X|_F^2 overflows, so the residual is formed on X scaled exactly: it
+    # reads the unit-scale 1, not good, in both and with no warning
     x = 1e200 * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     metric = identity_metric(2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        check = is_good_observable(x, metric)
-        with pytest.raises(NotGoodObservableError, match="a=nan"):
-            evaluate_all(x, SIGMA_Z, E0, metric, Formalism.GOOD)
-    assert math.isnan(check.residual) and not check
+    check = is_good_observable(x, metric)
+    with pytest.raises(NotGoodObservableError, match=r"a=1\.000e\+00"):
+        evaluate_all(x, SIGMA_Z, E0, metric, Formalism.GOOD)
+    assert check.residual == 1.0 and not check
 
 
 TALL = 1e200 * np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -322,7 +322,7 @@ def test_overflow_is_no_verdict():
             evaluate_all(TALL, SIGMA_Z, E1, metric, formalism)
     with pytest.raises(NonFiniteError, match="lhs = inf"):
         evaluate_all(1e155 * SIGMA_X, SIGMA_Z, [0.6, 0.8])
-    with pytest.raises(NotGoodObservableError, match="a=nan"):
+    with pytest.raises(NotGoodObservableError, match=r"a=1\.000e\+00"):
         evaluate_all(TALL, SIGMA_Z, E1, metric, Formalism.GOOD)
     # the check comes last: an error found before it keeps its class
     with pytest.raises(NotNormalizedError):
