@@ -111,18 +111,6 @@ class RelationBatch:
     errors: tuple
 
 
-def _records(batch: RelationBatch, f: Formalism) -> list:
-    """Per point, the four UrEvaluation records of a batch, in formalism f."""
-    return [(UrEvaluation("ur1", f, lhs, rhs[0], gap[0], holds[0]),
-             UrEvaluation("ur2", f, lhs, rhs[1], gap[1], holds[1]),
-             UrEvaluation("ur3", f, lhs, rhs[2], gap[2], holds[2], _BRANCH[minus[0]]),
-             UrEvaluation("ur4", f, lhs, rhs[3], gap[3], holds[3], _BRANCH[minus[1]],
-                          degenerate))
-            for lhs, rhs, gap, holds, minus, degenerate in zip(
-                batch.lhs.tolist(), batch.rhs.T.tolist(), batch.gap.T.tolist(),
-                batch.holds.T.tolist(), batch.minus.T.tolist(), batch.degenerate.tolist())]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is no verdict
 def relation_batch(a, b, psi, g, psi_perp=None) -> RelationBatch:
     """Evaluate ur1..ur4 at N points in one vectorized pass.  Unchecked.
@@ -208,6 +196,9 @@ def _stats_g(g: Metric | None, formalism: Formalism, dim: int) -> np.ndarray:
     """The metric matrix of the statistics: the identity under the plain
     formalism or when no metric is given, else g's matrix, which must be
     dim x dim."""
+    if not (g is None or isinstance(g, Metric)):
+        raise TypeError(f"a metric must be a Metric or None, not {type(g).__name__}; "
+                        "build one with metric_from_matrix")
     if formalism is Formalism.PLAIN or g is None:
         return identity_metric(dim).g
     if g.dim != dim:
@@ -243,28 +234,44 @@ def _validated(a, b, psi, g: Metric | None, formalism: Formalism,
     return a, b, psi, garr, psi_perp
 
 
+def _formalism(value) -> Formalism:
+    """A public entry's formalism argument as a member; its ValueError else."""
+    return value if isinstance(value, Formalism) else Formalism(value)
+
+
 def _single(a, b, psi, g, formalism, psi_perp=None) -> tuple:
     """One problem's four records: validated, evaluated as a batch of
     one, and raising its error."""
-    a, b, psi, garr, psi_perp = _validated(a, b, psi, g, formalism, psi_perp)
+    f = _formalism(formalism)
+    a, b, psi, garr, psi_perp = _validated(a, b, psi, g, f, psi_perp)
     batch = relation_batch(a, b, psi[None], garr,
                            None if psi_perp is None else psi_perp[None])
     (error,) = batch.errors
     if error is not None:
         raise error
-    (records,) = _records(batch, formalism)
-    return records
+    (lhs,), rhs, gap, holds, (minus3, minus4), (degenerate,) = (
+        x.ravel().tolist() for x in (batch.lhs, batch.rhs, batch.gap, batch.holds,
+                                     batch.minus, batch.degenerate))
+    return (UrEvaluation("ur1", f, lhs, rhs[0], gap[0], holds[0]),
+            UrEvaluation("ur2", f, lhs, rhs[1], gap[1], holds[1]),
+            UrEvaluation("ur3", f, lhs, rhs[2], gap[2], holds[2], _BRANCH[minus3]),
+            UrEvaluation("ur4", f, lhs, rhs[3], gap[3], holds[3], _BRANCH[minus4],
+                         degenerate))
 
 
 def ur1(a, b, psi, g: Metric | None = None,
         formalism: Formalism = Formalism.PLAIN) -> UrEvaluation:
-    """Variance sum against twice the imaginary part of the covariance."""
+    """Variance sum against twice the imaginary part of the covariance.
+
+    Each of ur1-ur4 runs the whole four-relation kernel and keeps one
+    record: for two or more relations, call `evaluate_all` once."""
     return _single(a, b, psi, g, formalism)[0]
 
 
 def ur2(a, b, psi, g: Metric | None = None,
         formalism: Formalism = Formalism.PLAIN) -> UrEvaluation:
-    """Variance sum against twice the real part of the covariance."""
+    """Variance sum against twice the real part of the covariance; the
+    whole kernel runs, as for ur1, so prefer one `evaluate_all` call."""
     return _single(a, b, psi, g, formalism)[1]
 
 
@@ -277,6 +284,7 @@ def ur3(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLA
     the larger branch is reported.  psi_perp, metric-normalized and
     metric-orthogonal to psi, overrides the canonical auxiliary state,
     for which the bound is tight and both branches equal lhs ("plus").
+    The whole kernel runs, as for ur1, so prefer one `evaluate_all` call.
     """
     return _single(a, b, psi, g, formalism, psi_perp)[2]
 
@@ -289,6 +297,7 @@ def ur4(a, b, psi, g: Metric | None = None,
     orthogonal state of that combination gives; a branch at an eigenstate of
     its combination contributes zero and sets the degenerate flag, with no
     error.  A tie goes to the branch that computes larger, else to "plus".
+    The whole kernel runs, as for ur1, so prefer one `evaluate_all` call.
     """
     return _single(a, b, psi, g, formalism)[3]
 

@@ -15,16 +15,14 @@ that point's builder output, bit for bit.  A sweep never aborts on a bad
 point but records its typed error.  It builds its metric once, checks a
 good sweep's gate once, and `_collect` evaluates the stacks in one
 `relation_batch` call per group into a `Sweep`, the kernel's arrays plus
-the grid `param` and formalism, building ScenarioPoints only when indexed.
+the grid `param` and formalism; those arrays are a sweep's whole result.
 The kernel trusts the states a scenario builds; `sweep` checks each
 builder's output at the boundary, as `evaluate_all` does.  A config checks
 itself when it is built; a PT eigensystem builder applies the gamma rule first.
 """
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +38,7 @@ from .relations import (
     Formalism,
     RelationBatch,
     UrEvaluation,
-    _records,
+    _formalism,
     _stats_g,
     _validated,
     relation_batch,
@@ -224,13 +222,15 @@ def build_example2(cfg: Example2Config, formalism: Formalism = Formalism.GOOD):
     normalized in the metric of the statistics (G, or the Dirac product
     under plain), is `example2_sweep`'s at alpha, or raises its error.
     """
+    formalism = _formalism(formalism)
     a, b, psi, metric, errors = _example2_arrays(cfg, [cfg.alpha], formalism)
     return a, b, _one(psi, errors), metric
 
 
 @dataclass(frozen=True)
 class ScenarioPoint:
-    """One sweep sample: the four evaluations, or a recorded failure."""
+    """One sample in per-point form: the four evaluations, or a recorded
+    failure.  No sweep builds these; a `Sweep` is its arrays."""
 
     param: float
     evaluations: tuple[UrEvaluation, ...]
@@ -246,11 +246,9 @@ def _error_text(exc: NhurError) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class Sweep(RelationBatch, Sequence):
-    """A sweep's RelationBatch over its N grid points `param`, in `formalism`.
-
-    As a sequence a Sweep is its ScenarioPoints, built on first access.
-    """
+class Sweep(RelationBatch):
+    """A sweep's RelationBatch over its N grid points `param`, in `formalism`;
+    a point's result is its column of the arrays, ok where errors is None."""
 
     param: np.ndarray
     formalism: Formalism
@@ -258,19 +256,6 @@ class Sweep(RelationBatch, Sequence):
     @property
     def ok(self) -> np.ndarray:
         return np.array([e is None for e in self.errors], dtype=bool)
-
-    @cached_property
-    def _scenario_points(self) -> tuple:
-        return tuple(
-            ScenarioPoint(x, r) if e is None else ScenarioPoint(x, (), _error_text(e))
-            for x, r, e in zip(self.param.tolist(), _records(self, self.formalism),
-                               self.errors))
-
-    def __len__(self) -> int:
-        return len(self.errors)
-
-    def __getitem__(self, i):
-        return self._scenario_points[i]
 
 
 def _collect(grid: np.ndarray, formalism: Formalism, errors, groups=()) -> Sweep:
@@ -305,6 +290,7 @@ def sweep(builder, param_range, points: int,
     always completes.  The builder's outputs are validated one by one and
     evaluated in one kernel call per dimension.
     """
+    formalism = _formalism(formalism)
     grid = _grid(param_range, points)
     errors = [None] * len(grid)
     by_dim = {}
@@ -331,6 +317,7 @@ def example1_sweep(cfg: Example1Config | None = None, points: int = 721) -> Swee
 def example2_sweep(cfg: Example2Config, points: int = 721,
                    formalism: Formalism = Formalism.GOOD) -> Sweep:
     """Sweep alpha over [0, 2 pi] at fixed gamma and p."""
+    formalism = _formalism(formalism)
     grid = _grid((0.0, 2.0 * math.pi), points)
     errors = [None] * len(grid)
     try:

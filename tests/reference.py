@@ -6,9 +6,11 @@ built by `ur3_default_perp` and each ur4 branch built from the
 Aharonov-Vaidman state of `av_orthogonal_state`.  The tests compare the
 kernel against it; nothing in the package imports it.
 
-`write_sweep_csv` and `summarize_sweep` at the end are the CLI's former
-per-point sweep output, one `csv_row` per point, which the columnar
-writer and summary in `nhur.cli` must reproduce byte for byte.
+`points` at the end gives a sweep a per-point form, one ScenarioPoint per
+grid point, read from its public arrays.  `write_sweep_csv` and
+`summarize_sweep` are the CLI's former per-point sweep output over those
+points, one `csv_row` per point, which the columnar writer and summary in
+`nhur.cli` must reproduce byte for byte.
 
 The scalar statistics kernels (uncentered, with an absolute EPS_VAR
 check), `av_orthogonal_state`, the two-product good-observable residual
@@ -31,6 +33,7 @@ from nhur import (
     NotGoodObservableError,
     NotOrthogonalError,
     OrthogonalPair,
+    ScenarioPoint,
     UrEvaluation,
     anticommutator,
     as_operator,
@@ -271,11 +274,31 @@ def ur3_branch(a, b, psi, g, formalism, sign, psi_perp=None) -> UrEvaluation:
 _RELATIONS = ("ur1", "ur2", "ur3", "ur4")
 
 
-def write_sweep_csv(path: str, param_name: str, points) -> int:
+def points(sweep) -> list:
+    """A sweep's ScenarioPoints, from its public arrays: each point's four
+    UrEvaluation records in the sweep's formalism, or its error's text."""
+    out = []
+    for x, lhs, rhs, gap, holds, minus, degenerate, error in zip(
+            sweep.param.tolist(), sweep.lhs.tolist(), sweep.rhs.T.tolist(),
+            sweep.gap.T.tolist(), sweep.holds.T.tolist(), sweep.minus.T.tolist(),
+            sweep.degenerate.tolist(), sweep.errors):
+        if error is not None:
+            out.append(ScenarioPoint(x, (), f"{type(error).__name__}: {error}"))
+            continue
+        branch = (None, None, *("minus" if m else "plus" for m in minus))
+        flags = (False, False, False, degenerate)
+        out.append(ScenarioPoint(x, tuple(
+            UrEvaluation(*row) for row in zip(
+                _RELATIONS, [sweep.formalism] * 4, [lhs] * 4, rhs, gap, holds,
+                branch, flags))))
+    return out
+
+
+def write_sweep_csv(path: str, param_name: str, sweep) -> int:
     """Write rows for the successful points; returns how many were written."""
     lines = [csv_header(param_name)]
     written = 0
-    for pt in points:
+    for pt in points(sweep):
         if pt.ok:
             lines.append(csv_row(pt))
             written += 1
@@ -284,10 +307,11 @@ def write_sweep_csv(path: str, param_name: str, points) -> int:
     return written
 
 
-def summarize_sweep(points, param_name: str, tol: float) -> int:
+def summarize_sweep(sweep, param_name: str, tol: float) -> int:
     """Print per-relation minima and the verdict; returns the exit code."""
-    errors = [pt for pt in points if not pt.ok]
-    ok_points = [pt for pt in points if pt.ok]
+    pts = points(sweep)
+    errors = [pt for pt in pts if not pt.ok]
+    ok_points = [pt for pt in pts if pt.ok]
     for idx, rel in enumerate(_RELATIONS):
         best = None
         for pt in ok_points:

@@ -57,29 +57,26 @@ def announce(capsys):
     return _announce
 
 
-def _gaps(point):
-    return [ev.gap for ev in point.evaluations]
-
-
 def test_criterion_1_example1_sweep(announce):
     problems = []
     start = time.perf_counter()
-    pts = example1_sweep(points=721)
+    result = example1_sweep(points=721)
     elapsed = time.perf_counter() - start
     if elapsed >= 1.0:
         problems.append(f"sweep took {elapsed:.3f}s, limit 1s")
-    bad = [p for p in pts if not p.ok]
+    bad = np.count_nonzero(~result.ok)
     if bad:
-        problems.append(f"{len(bad)} points failed to evaluate")
-    worst = min(g for p in pts if p.ok for g in _gaps(p))
+        problems.append(f"{bad} points failed to evaluate")
+    worst = result.gap[:, result.ok].min()
     if worst < -1e-9:
         problems.append(f"worst gap {worst:.3e} below -1e-9")
     for target in (math.pi / 4, 3 * math.pi / 4):
-        nearest = min(pts, key=lambda p: abs(p.param - target))
-        for ev in nearest.evaluations:
-            if ev.gap > 1e-6:
+        nearest = np.argmin(np.abs(result.param - target))
+        for relation, gap in zip(("ur1", "ur2", "ur3", "ur4"),
+                                 result.gap[:, nearest].tolist()):
+            if gap > 1e-6:
                 problems.append(
-                    f"{ev.relation} gap {ev.gap:.3e} at theta0={target:.6f} "
+                    f"{relation} gap {gap:.3e} at theta0={target:.6f} "
                     "exceeds 1e-6"
                 )
     announce(1, "example1 sweep holds and pinches shut", problems)
@@ -88,19 +85,18 @@ def test_criterion_1_example1_sweep(announce):
 def _sweep_criterion(cfg):
     problems = []
     start = time.perf_counter()
-    pts = example2_sweep(cfg, points=721, formalism=Formalism.GOOD)
+    result = example2_sweep(cfg, points=721, formalism=Formalism.GOOD)
     elapsed = time.perf_counter() - start
     if elapsed >= 1.0:
         problems.append(f"sweep took {elapsed:.3f}s, limit 1s")
-    bad = [p for p in pts if not p.ok]
+    bad = np.count_nonzero(~result.ok)
     if bad:
-        problems.append(f"{len(bad)} points failed to evaluate")
-    worst = min(g for p in pts if p.ok for g in _gaps(p))
+        problems.append(f"{bad} points failed to evaluate")
+    gap = result.gap[:, result.ok]
+    worst = gap.min()
     if worst < -1e-9:
         problems.append(f"worst gap {worst:.3e} below -1e-9")
-    slack = max(
-        p.evaluations[2].gap - p.evaluations[0].gap for p in pts if p.ok
-    )
+    slack = (gap[2] - gap[0]).max()
     if slack > 1e-12:
         problems.append(
             f"third bound is looser than the first by {slack:.3e} somewhere"

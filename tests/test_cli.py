@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from helpers import BENCH_COMMANDS, dirac_covariance, dirac_variance, random_state
 from nhur import (
     SIGMA_X,
@@ -51,7 +54,8 @@ def test_example1_csv_contract(tmp_path, capsys):
     assert "all inequalities hold" in capsys.readouterr().out
 
     # numeric cells reproduce the library values bit for bit
-    pts = example1_sweep(points=21)
+    pts = reference.points(example1_sweep(points=21))
+    assert len(pts) == 21
     for line, pt in zip(lines[1:], pts):
         cells = line.split(",")
         assert float(cells[0]) == pt.param
@@ -625,9 +629,10 @@ def test_metric_takes_its_phase_from_gamma(capsys):
 
 
 def test_console_entry_point_runs():
+    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "nhur.cli", "metric", "--gamma", "0.6"],
-        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
     )
     assert proc.returncode == 0
     assert "positive definite: true" in proc.stdout

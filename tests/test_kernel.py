@@ -413,11 +413,12 @@ BENCH_SWEEPS = [
                               "symmetric-gmetric", "near-ep"])
 def test_sweeps_match_reference_point_by_point(cfg, formalism):
     if cfg is None:
-        points = example1_sweep(points=181)
+        result = example1_sweep(points=181)
         build = lambda x: build_example1(Example1Config(theta0=x))  # noqa: E731
     else:
-        points = example2_sweep(cfg, points=181, formalism=formalism)
+        result = example2_sweep(cfg, points=181, formalism=formalism)
         build = lambda x: build_example2(replace(cfg, alpha=x))  # noqa: E731
+    points = reference.points(result)
     near_ep = cfg is not None and abs(cfg.gamma * cfg.gamma - 1.0) < 1e-3
     compared = 0
     for pt in points:
@@ -434,7 +435,7 @@ def test_sweeps_match_reference_point_by_point(cfg, formalism):
         assert_matches(pt.evaluations, want, tol)
         compared += 1
     assert compared == len(points) or near_ep
-    assert all(pt.ok for pt in points)
+    assert result.ok.all()
 
 
 @pytest.mark.parametrize("cfg,formalism", BENCH_SWEEPS,
@@ -460,7 +461,8 @@ def test_sweeps_are_n_invariant(monkeypatch, cfg, formalism):
 def test_plain_example2_sweep_matches_reference():
     # under plain the superposition is normalized in the Dirac product
     for cfg, _ in BENCH_SWEEPS[1:3]:
-        for pt in example2_sweep(cfg, points=181, formalism=Formalism.PLAIN):
+        result = example2_sweep(cfg, points=181, formalism=Formalism.PLAIN)
+        for pt in reference.points(result):
             a, b, psi, metric = build_example2(replace(cfg, alpha=pt.param),
                                                Formalism.PLAIN)
             want = reference.evaluate_all(a, b, psi, metric, Formalism.PLAIN)
@@ -489,7 +491,7 @@ def test_generic_sweep_matches_closed_form_sweep(cfg, formalism):
         closed = example2_sweep(cfg, points=721, formalism=formalism)
         build = lambda x: build_example2(replace(cfg, alpha=x), formalism)  # noqa: E731
     stacked = sweep(build, grid, 721, formalism)
-    for p, q in zip(stacked, closed, strict=True):
+    for p, q in zip(reference.points(stacked), reference.points(closed), strict=True):
         assert p.ok and q.ok, (p.error, q.error)
         assert p.param == q.param
         assert p.evaluations == q.evaluations == evaluate_all(*build(p.param), formalism)
@@ -506,7 +508,7 @@ def test_generic_sweep_groups_dimensions():
                            random_state(rng, metric), metric)
         return problems[value]
 
-    for pt in sweep(builder, (0.0, 1.0), 6):
+    for pt in reference.points(sweep(builder, (0.0, 1.0), 6)):
         assert pt.ok
         assert pt.evaluations == evaluate_all(*problems[pt.param])
 
@@ -520,8 +522,8 @@ def test_example2_sweep_builds_its_metric_once(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(scenarios, "metric_from_right_eigenvectors", counting)
-    points = example2_sweep(Example2Config.symmetric_default(), points=181)
-    assert all(p.ok for p in points)
+    result = example2_sweep(Example2Config.symmetric_default(), points=181)
+    assert result.ok.all()
     assert len(calls) == 1
 
 
@@ -536,8 +538,8 @@ def test_good_example2_sweep_checks_the_gate_once(monkeypatch):
         return residual(x, g)
 
     monkeypatch.setattr(nhur.metric, "_good_residual", counting)
-    points = example2_sweep(Example2Config.symmetric_default(), points=181)
-    assert all(p.ok for p in points)
+    result = example2_sweep(Example2Config.symmetric_default(), points=181)
+    assert result.ok.all()
     assert calls == [(2, 2), (2, 2)]
     example2_sweep(Example2Config.symmetric_default(), points=181,
                    formalism=Formalism.GMETRIC)
@@ -561,7 +563,8 @@ def test_a_failed_gate_fails_every_point_whose_state_built(monkeypatch):
     monkeypatch.setattr(nhur.metric, "_good_residual",
                         lambda x, g: 2e-9)
     monkeypatch.setattr(scenarios, "relation_batch", forbidden)
-    points = example2_sweep(Example2Config.symmetric_default(), points=7)
+    points = reference.points(example2_sweep(Example2Config.symmetric_default(),
+                                             points=7))
     gate = ("NotGoodObservableError: good-observable formalism requires both "
             "operators to satisfy X^dag G = G X; residuals a=2.000e-09, "
             "b=2.000e-09 (threshold 1e-09)")
@@ -575,7 +578,7 @@ def test_metric_failure_is_recorded_on_every_point(monkeypatch):
                                     validate_metric(np.diag([1.0, -1.0])))
 
     monkeypatch.setattr(scenarios, "metric_from_right_eigenvectors", failing)
-    points = example2_sweep(Example2Config.broken_default(), points=7)
+    points = reference.points(example2_sweep(Example2Config.broken_default(), points=7))
     assert [p.error for p in points] == [
         "MetricValidationError: metric rejected for the test"] * 7
 

@@ -26,6 +26,7 @@ from nhur import (
     g_variance,
     identity_metric,
     pt_hamiltonian,
+    sweep,
     ur1,
     ur2,
     ur3,
@@ -278,3 +279,64 @@ def test_metric_of_another_size_is_rejected_at_the_boundary():
     with pytest.raises(DimensionMismatchError,
                        match="^metric is 3x3 but the operators are 2x2$"):
         evaluate_all(SIGMA_X, SIGMA_Z, E0, identity_metric(3), Formalism.GMETRIC)
+
+
+# ---- the formalism and metric arguments at the public entries -----------
+
+def _symmetric(alpha, formalism=Formalism.GOOD):
+    return build_example2(Example2Config.symmetric_default(alpha), formalism)
+
+
+def _sweep_values(result):
+    """Everything a Sweep holds, in comparable form."""
+    return (result.formalism, [None if e is None else str(e) for e in result.errors],
+            *(x.tolist() for x in (result.param, result.lhs, result.rhs, result.gap,
+                                   result.holds, result.minus, result.degenerate)))
+
+
+# each public entry that takes a formalism f, run on the symmetric PT
+# problem with its state normalized in the statistics of formalism m
+ENTRIES = {
+    "evaluate_all": lambda f, m: evaluate_all(*_symmetric(0.7, m), f),
+    **{fn.__name__: lambda f, m, fn=fn: fn(*_symmetric(0.7, m), f)
+       for fn in (ur1, ur2, ur3, ur4)},
+    "sweep": lambda f, m: _sweep_values(
+        sweep(lambda x: _symmetric(x, m), (0.0, 1.0), 5, f)),
+    "example2_sweep": lambda f, m: _sweep_values(
+        example2_sweep(Example2Config.symmetric_default(), 9, f)),
+    "build_example2": lambda f, m: [
+        x.tolist() for x in (*_symmetric(0.7, f)[:3], _symmetric(0.7, f)[3].g)],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("formalism", list(Formalism), ids=lambda f: f.value)
+def test_a_formalism_given_by_name_is_its_member(entry, formalism):
+    run = ENTRIES[entry]
+    assert run(formalism.value, formalism) == run(formalism, formalism)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_an_unknown_formalism_is_refused(entry):
+    with pytest.raises(ValueError, match="'nonsense' is not a valid Formalism"):
+        ENTRIES[entry]("nonsense", Formalism.GOOD)
+
+
+def test_good_by_name_keeps_the_gate():
+    a, b, psi, g = _symmetric(0.7)
+    for fn in (evaluate_all, ur1, ur2, ur3, ur4):
+        with pytest.raises(NotGoodObservableError):
+            fn(1j * a, b, psi, g, "good")
+    result = sweep(lambda x: (1j * a, b, psi, g), (0.0, 1.0), 3, "good")
+    assert all(isinstance(e, NotGoodObservableError) for e in result.errors)
+
+
+@pytest.mark.parametrize("formalism", list(Formalism), ids=lambda f: f.value)
+@pytest.mark.parametrize("g", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]]],
+                         ids=["array", "list"])
+def test_a_metric_that_is_no_metric_is_refused(g, formalism):
+    a, b, psi, _ = _symmetric(0.7)
+    with pytest.raises(TypeError, match="metric_from_matrix"):
+        evaluate_all(a, b, psi, g, formalism)
+    with pytest.raises(TypeError, match="metric_from_matrix"):
+        sweep(lambda x: (a, b, psi, g), (0.0, 1.0), 3, formalism)

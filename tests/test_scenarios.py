@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import reference
 from helpers import eigen_residual
 from nhur import (
     BROKEN,
@@ -169,23 +170,19 @@ def test_sweep_rejects_tiny_grids():
 
 
 def test_sweep_grid_is_inclusive():
-    pts = example1_sweep(points=5)
-    assert len(pts) == 5
-    npt.assert_allclose([p.param for p in pts],
-                        np.linspace(0.0, math.pi, 5), atol=0)
-    pts2 = example2_sweep(Example2Config.symmetric_default(), points=5)
-    npt.assert_allclose([p.param for p in pts2],
-                        np.linspace(0.0, 2 * math.pi, 5), atol=0)
+    result = example1_sweep(points=5)
+    assert len(result.errors) == 5 and result.lhs.shape == (5,)
+    npt.assert_allclose(result.param, np.linspace(0.0, math.pi, 5), atol=0)
+    result2 = example2_sweep(Example2Config.symmetric_default(), points=5)
+    npt.assert_allclose(result2.param, np.linspace(0.0, 2 * math.pi, 5), atol=0)
 
 
 def test_sweep_is_deterministic():
     runs = [example2_sweep(Example2Config.broken_default(), points=21)
             for _ in range(2)]
-    for p, q in zip(*runs):
-        assert p.param == q.param
-        for x, y in zip(p.evaluations, q.evaluations):
-            assert (x.lhs, x.rhs, x.gap, x.sign_branch) == (
-                y.lhs, y.rhs, y.gap, y.sign_branch)
+    p, q = runs
+    for name in ("param", "lhs", "rhs", "gap", "minus"):
+        assert getattr(p, name).tolist() == getattr(q, name).tolist()
 
 
 def test_sweep_records_per_point_failures():
@@ -195,7 +192,7 @@ def test_sweep_records_per_point_failures():
             psi = 2.0 * psi  # breaks normalization on purpose
         return a, b, psi, g
 
-    pts = sweep(shaky_builder, (0.0, 2.0), 9)
+    pts = reference.points(sweep(shaky_builder, (0.0, 2.0), 9))
     good = [p for p in pts if p.ok]
     bad = [p for p in pts if not p.ok]
     assert good and bad
@@ -214,8 +211,9 @@ def test_generic_good_sweep_records_the_gate_at_its_point():
         a, b, psi, g = build_example2(Example2Config.symmetric_default(alpha))
         return (1j * a if alpha == grid[2] else a), b, psi, g
 
-    pts = sweep(builder, (0.0, 1.0), 5, Formalism.GOOD)
-    assert pts.formalism is Formalism.GOOD
+    result = sweep(builder, (0.0, 1.0), 5, Formalism.GOOD)
+    assert result.formalism is Formalism.GOOD
+    pts = reference.points(result)
     with pytest.raises(NotGoodObservableError) as caught:
         evaluate_all(*builder(grid[2]), Formalism.GOOD)
     assert [p.error for p in pts] == [None, None, f"NotGoodObservableError: "
@@ -226,21 +224,19 @@ def test_generic_good_sweep_records_the_gate_at_its_point():
 
 
 def test_example_sweeps_hold_everywhere():
-    pts1 = example1_sweep(points=181)
-    assert all(p.ok for p in pts1)
-    worst1 = min(ev.gap for p in pts1 for ev in p.evaluations)
-    assert worst1 >= -1e-9
+    result1 = example1_sweep(points=181)
+    assert result1.ok.all()
+    assert result1.gap.min() >= -1e-9
 
-    pts2 = example2_sweep(Example2Config.symmetric_default(), points=181)
-    assert all(p.ok for p in pts2)
-    assert all(ev.formalism is Formalism.GOOD
-               for p in pts2 for ev in p.evaluations)
-    worst2 = min(ev.gap for p in pts2 for ev in p.evaluations)
-    assert worst2 >= -1e-9
+    result2 = example2_sweep(Example2Config.symmetric_default(), points=181)
+    assert result2.ok.all()
+    assert result2.formalism is Formalism.GOOD
+    assert result2.gap.min() >= -1e-9
 
 
 def test_sweep_respects_formalism_argument():
-    pts = example2_sweep(Example2Config.broken_default(), points=5,
-                         formalism=Formalism.GMETRIC)
+    result = example2_sweep(Example2Config.broken_default(), points=5,
+                            formalism=Formalism.GMETRIC)
+    assert result.ok.all() and result.formalism is Formalism.GMETRIC
     assert all(ev.formalism is Formalism.GMETRIC
-               for p in pts for ev in p.evaluations)
+               for p in reference.points(result) for ev in p.evaluations)

@@ -2,8 +2,9 @@
 
 Sweeps return their results as arrays (`scenarios.Sweep`), and the CLI
 writes the CSV and the summary from those arrays.  `reference` keeps the
-former per-point output, one `csv_row` per materialized ScenarioPoint;
-the CSV bytes, stdout, stderr and exit code must match it exactly.
+former per-point output, one `csv_row` per ScenarioPoint that
+`reference.points` reads from the arrays; the CSV bytes, stdout, stderr
+and exit code must match it exactly.
 """
 
 import math
@@ -170,30 +171,31 @@ def test_cli_sweeps_build_no_per_point_records(tmp_path, capsys, monkeypatch):
         assert cli.main(argv + ["--points", "181", "--out", str(out)]) == 0
         assert out.read_bytes().count(b"\n") == 182
     assert "all inequalities hold (181 points" in capsys.readouterr().out
-    with pytest.raises(AssertionError):
-        example2_sweep(Example2Config.symmetric_default(), points=5)[0]
+    with pytest.raises(AssertionError):  # the patch is live: evaluate_all builds one
+        evaluate_all(*build_example1(Example1Config()))
 
 
 def test_sweep_keeps_typed_errors():
     result = sweep(_shaky_builder, (0.6, 1.4), 9)  # every state off-norm
     assert all(isinstance(e, NotNormalizedError) for e in result.errors)
-    for pt, exc in zip(result, result.errors):
+    for pt, exc in zip(reference.points(result), result.errors):
         assert pt.error == f"NotNormalizedError: {exc}"
         assert pt.evaluations == ()
     mixed = sweep(_shaky_builder, (0.0, 2.0), 5)
     assert [type(e) for e in mixed.errors] == [
         type(None), type(None), NotNormalizedError, type(None), type(None)]
-    assert mixed[2].error == f"NotNormalizedError: {mixed.errors[2]}"
-    assert [pt.ok for pt in mixed] == [True, True, False, True, True]
+    assert reference.points(mixed)[2].error == f"NotNormalizedError: {mixed.errors[2]}"
+    assert mixed.ok.tolist() == [True, True, False, True, True]
 
 
 def test_sweep_arrays_agree_with_its_points():
     result = sweep(_shaky_builder, (0.0, 2.0), 9)
-    n = len(result)
+    n = len(result.errors)
+    assert n == 9 and result.param.shape == result.ok.shape == (n,)
     assert result.lhs.shape == (n,) and result.degenerate.shape == (n,)
     assert result.rhs.shape == result.gap.shape == result.holds.shape == (4, n)
     assert result.minus.shape == (2, n)
-    for i, pt in enumerate(result):
+    for i, pt in enumerate(reference.points(result)):
         assert pt.param == result.param[i]
         if not pt.ok:
             assert math.isnan(result.lhs[i]) and not result.holds[:, i].any()
@@ -215,7 +217,17 @@ def test_example2_sweep_with_no_usable_state(monkeypatch):
     result = example2_sweep(Example2Config.symmetric_default(), points=5)
     assert all(isinstance(e, ZeroVectorError) for e in result.errors)
     assert np.isnan(result.gap).all() and not result.holds.any()
-    assert [pt.error for pt in result] == ["ZeroVectorError: superposition cancels"] * 5
+    assert [pt.error for pt in reference.points(result)] == [
+        "ZeroVectorError: superposition cancels"] * 5
+
+
+def test_a_sweep_is_no_sequence():
+    result = example2_sweep(Example2Config.symmetric_default(), points=5)
+    for probe in (len, iter, lambda s: s[0], lambda s: s[-1:]):
+        with pytest.raises(TypeError):
+            probe(result)
+    for name in ("__len__", "__getitem__", "__iter__"):
+        assert not hasattr(Sweep, name)
 
 
 def test_columns_are_the_one_gap_and_holds_formula(monkeypatch):

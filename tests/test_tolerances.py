@@ -152,7 +152,7 @@ def test_a_built_state_is_caller_input_to_evaluate_all():
     # scaled by those operands would flip this test
     cfg = Example2Config(1.0 + 6e-9, 1.0, phase=BROKEN)
     sw = example2_sweep(cfg, 721, Formalism.GOOD)
-    assert sw.param[540] == 1.5 * math.pi and sw[540].ok
+    assert sw.param[540] == 1.5 * math.pi and sw.ok[540]
     with pytest.raises(NotNormalizedError, match=r"= 0\.999999969448 \(must be 1 within 1e-08\)"):
         evaluate_all(*build_example2(replace(cfg, alpha=sw.param[540])), Formalism.GOOD)
 
