@@ -17,15 +17,11 @@ from .errors import DimensionMismatchError, NonFiniteError, SingularFrameError
 from .tolerances import EPS_PD
 
 
-def _read_only(value, share: bool = False) -> np.ndarray:
-    """value as a read-only complex copy, which no caller's array can
-    change.  With share, a read-only complex array that owns its data is
-    kept as it is: it is safe only while its owner leaves it read-only (a
-    view, which changes with its base, is always copied)."""
-    arr = np.asarray(value, dtype=complex)
-    if not share or arr.flags.writeable or not arr.flags.owndata:
-        arr = arr.copy()
-        arr.setflags(write=False)
+def _read_only(value) -> np.ndarray:
+    """value as a fresh read-only complex copy, which no caller's array can
+    change: the one rule by which each value type owns its arrays."""
+    arr = np.array(value, dtype=complex)
+    arr.setflags(write=False)
     return arr
 
 

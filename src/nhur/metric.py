@@ -73,11 +73,9 @@ class Metric:
     ``Metric(g, hamiltonian=None)`` is the one constructor.  It runs
     `_validation` on g, the one check of the contract, and raises
     MetricValidationError with that report unless it is ok,
-    `dataclasses.replace` included.  g is stored as its Hermitian part,
-    complex and read-only (`linalg._read_only`), so instances are safe to
-    share.  A read-only complex array that owns its data, another metric's
-    g among them, is kept rather than copied, and stays safe only while
-    its owner leaves it read-only.  validation keeps the report.  A
+    `dataclasses.replace` included.  g is stored as a read-only copy of its
+    Hermitian part (`linalg._read_only`), so no caller's array can change
+    it and instances are safe to share.  validation keeps the report.  A
     Hamiltonian, not stored, adds the stationarity residual to the report.
     Instances compare by identity.
     """
@@ -93,7 +91,7 @@ class Metric:
                 f"metric is not Hermitian positive definite (hermitian="
                 f"{report.hermitian}, min eigenvalue={report.min_eigenvalue:.6g})",
                 report=report)
-        object.__setattr__(self, "g", _read_only(g, share=True))
+        object.__setattr__(self, "g", _read_only(g))
         object.__setattr__(self, "validation", report)
 
     @property

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .metric import (Metric, _centered, _is_normalized, _norm, _require_orthogonal,
                      _vanishes, _variance, require_normalized)
-from .linalg import _scaled, as_operator, as_state
+from .linalg import _read_only, _scaled, as_operator, as_state
 from .tolerances import EPS_MACH
 
 
@@ -35,13 +35,19 @@ class OrthogonalPair:
     """A state and a unit vector metric-orthogonal to it.
 
     context is the metric defining the inner product; overlap_residual is
-    the achieved ``|<psi_perp|G|psi>|``.  Instances compare by identity.
+    the achieved ``|<psi_perp|G|psi>|``.  psi and psi_perp are read-only
+    copies (`linalg._read_only`), `dataclasses.replace` included, so no
+    caller's array can change them.  Instances compare by identity.
     """
 
     psi: np.ndarray
     psi_perp: np.ndarray
     context: Metric
     overlap_residual: float
+
+    def __post_init__(self):
+        for name in ("psi", "psi_perp"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:

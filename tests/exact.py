@@ -5,13 +5,17 @@ function of its inputs, and doubles are exact rationals, so the standard
 library's `fractions.Fraction` gives each one exactly; a complex number is
 an (re, im) pair of Fractions.  `exact_values` applies the kernel's own
 formulas to the state as given, not renormalized, so the kernel's error
-against it is its rounding alone.  Meant for d <= 4.
+against it is its rounding alone.  An entry may also be given as an
+exact (re, im) pair, for inputs that no double holds.  Meant for d <= 4.
 """
 
 from fractions import Fraction
 
 
 def _c(z):
+    """z as an (re, im) pair of Fractions; such a pair passes as it is."""
+    if isinstance(z, tuple):
+        return z
     z = complex(z)
     return Fraction(z.real), Fraction(z.imag)
 

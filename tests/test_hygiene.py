@@ -8,7 +8,8 @@ no option at all, no module checks a limit on a variance's rounding, only
 `states` names the internal-inconsistency error, a `Metric` is built from
 its matrix alone and an `EigenSystem` from its values and right frame
 alone, a scenario config checks itself with no `validated` path beside it,
-a dataclass holding an array compares by identity, and importing the
+a dataclass holding an array compares by identity, only
+`linalg._read_only` sets an array's flags, and importing the
 package does none of the command line's work.
 
 The package's `__init__.py` is exempt from the import check, since its
@@ -39,6 +40,7 @@ from nhur import (
     metric_from_matrix,
     symmetric_eigensystem,
 )
+from nhur.linalg import _read_only
 from nhur.metric import Metric
 from nhur.relations import relation_batch, ur3
 
@@ -320,6 +322,18 @@ def test_each_value_type_is_checked_once_when_built():
         dataclasses.replace(Example2Config.symmetric_default(), gamma=1.0)
     with pytest.raises(SingularFrameError):
         dataclasses.replace(symmetric_eigensystem(0.6), right=np.zeros((2, 2)))
+
+
+def test_one_ownership_rule():
+    # linalg._read_only, a fresh read-only copy with no option, is the one
+    # place an array's flags are set; a second setflags, or a sharing mode
+    # beside the copy, would be an ownership rule a value type could skip
+    source = "def f(a):\n    a.setflags(write=False)\nnp.x.setflags(write=True)\n"
+    assert callers(source, "setflags") == ["<module>", "f"]
+    found = sorted(f"{p.stem}.{scope}" for p in (ROOT / "src" / "nhur").glob("*.py")
+                   for scope in callers(p.read_text(encoding="utf-8"), "setflags"))
+    assert found == ["linalg._read_only"]
+    assert tuple(inspect.signature(_read_only).parameters) == ("value",)
 
 
 def array_dataclasses(namespace: dict, module: str) -> list:

@@ -262,8 +262,8 @@ def test_a_metric_outside_the_contract_is_refused(g, flags):
 
 
 def test_a_metric_owns_a_read_only_matrix():
-    # the caller's writable array is copied, so mutating it later moves
-    # nothing; a read-only complex one is kept as it is
+    # the caller's array is copied, so mutating it later moves nothing;
+    # so is another metric's read-only matrix: every build takes a copy
     g = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
     metric = Metric(g)
     assert metric.validation == validate_metric(g)
@@ -272,7 +272,8 @@ def test_a_metric_owns_a_read_only_matrix():
     assert metric.g.dtype == complex and not metric.g.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         metric.g[0, 0] = 7.0
-    assert Metric(metric.g).g is metric.g
+    again = Metric(metric.g).g
+    assert again.tolist() == metric.g.tolist() and again is not metric.g
 
 
 def test_a_metric_copies_a_read_only_view():
@@ -284,6 +285,23 @@ def test_a_metric_copies_a_read_only_view():
     metric = Metric(view)
     base[0, 0] = -1.0
     assert metric.g.tolist() == [[2.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("build", [
+    Metric, metric_from_matrix, lambda g: replace(metric_from_matrix(np.eye(2)), g=g),
+], ids=["direct", "factory", "replace"])
+def test_a_metric_copies_a_read_only_array_its_owner_makes_writable(build):
+    # an array that owns its data can be made writable again: kept, it
+    # would leave a built Metric whose report reads positive definite over
+    # an indefinite matrix
+    g = np.array([[2.0, 0.5j], [-0.5j, 1.0]])
+    g.setflags(write=False)
+    metric = build(g)
+    g.setflags(write=True)
+    g[0, 0] = -5.0
+    assert metric.g.tolist() == [[2.0, 0.5j], [-0.5j, 1.0]]
+    assert metric.validation == validate_metric(metric.g)
+    assert metric.validation.positive_definite
 
 
 def test_replace_cannot_break_the_metric_contract():

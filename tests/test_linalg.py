@@ -8,7 +8,9 @@ from nhur import (
     DimensionMismatchError,
     EigenSystem,
     IDENTITY2,
+    Metric,
     NonFiniteError,
+    OrthogonalPair,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -16,12 +18,14 @@ from nhur import (
     anticommutator,
     as_operator,
     as_state,
+    av_orthogonal_state,
     commutator,
     evaluate_all,
     identity_metric,
     metric_from_matrix,
     pt_hamiltonian,
     superposition_state,
+    symmetric_eigensystem,
     validate_metric,
 )
 
@@ -146,3 +150,44 @@ def test_an_eigensystem_holds_read_only_copies():
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
+
+
+# Each value type built from a caller's array, by route: (type, input value,
+# build); the input is a metric matrix, a right frame or a state
+BUILDS = {
+    "Metric-direct": ("g", Metric),
+    "Metric-factory": ("g", metric_from_matrix),
+    "Metric-replace": ("g", lambda g: dataclasses.replace(identity_metric(2), g=g)),
+    "EigenSystem-direct": ("right", lambda right: EigenSystem([1, -1], right)),
+    "EigenSystem-replace": ("right", lambda right: dataclasses.replace(
+        symmetric_eigensystem(0.6), right=right)),
+    "OrthogonalPair-direct": ("psi", lambda psi: OrthogonalPair(
+        psi, E1, identity_metric(2), 0.0)),
+    "OrthogonalPair-builder": ("psi", lambda psi: av_orthogonal_state(
+        SIGMA_X, psi, identity_metric(2))),
+    "OrthogonalPair-replace": ("psi", lambda psi: dataclasses.replace(
+        av_orthogonal_state(SIGMA_X, E0, identity_metric(2)), psi=psi)),
+}
+INPUTS = {"g": [[2, 0.5j], [-0.5j, 1]], "right": [[1, 1], [1, -1]], "psi": [1, 0]}
+
+
+@pytest.mark.parametrize("source", ["writable", "owner-made-writable", "read-only-view"])
+@pytest.mark.parametrize("route", BUILDS)
+def test_every_value_type_holds_read_only_copies(route, source):
+    # one ownership rule, linalg._read_only, for every value type: however
+    # the caller's array came and whatever its owner does to it afterwards,
+    # no field changes and none can be written
+    what, build = BUILDS[route]
+    base = np.array(INPUTS[what], dtype=complex)
+    arr = base.view() if source == "read-only-view" else base
+    if source != "writable":
+        arr.setflags(write=False)
+    built = build(arr)
+    fields = {f.name: getattr(built, f.name) for f in dataclasses.fields(built)
+              if isinstance(getattr(built, f.name), np.ndarray)}
+    before = {name: value.copy() for name, value in fields.items()}
+    base.setflags(write=True)
+    base[...] = 9
+    for name, value in fields.items():
+        assert value.tobytes() == before[name].tobytes(), name
+        assert not value.flags.writeable, name

@@ -19,6 +19,7 @@ from nhur import (
     MetricValidationError,
     NegativeNormError,
     NonFiniteError,
+    OrthogonalPair,
     SIGMA_X,
     SIGMA_Z,
     ZeroVectorError,
@@ -169,6 +170,21 @@ def test_av_state_ladder_case():
     pair = av_orthogonal_state(np.array(SIGMA_X), E0, identity_metric(2))
     npt.assert_allclose(pair.psi_perp, E1, atol=1e-14)
     assert pair.overlap_residual <= 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda psi: av_orthogonal_state(SIGMA_X, psi, identity_metric(2)),
+    lambda psi: OrthogonalPair(psi, E1, identity_metric(2), 0.0),
+    lambda psi: replace(av_orthogonal_state(SIGMA_X, E0, identity_metric(2)), psi=psi),
+], ids=["av_orthogonal_state", "direct", "replace"])
+def test_an_orthogonal_pair_holds_read_only_copies(build):
+    # av_orthogonal_state returned the caller's psi itself, so a change to
+    # that array after the call changed the pair's state
+    psi = E0.copy()
+    pair = build(psi)
+    psi[0] = 5.0
+    assert pair.psi.tolist() == [1, 0]
+    assert not (pair.psi.flags.writeable or pair.psi_perp.flags.writeable)
 
 
 def test_av_state_rejects_eigenstate():
