@@ -163,12 +163,11 @@ def cmd_example2(args) -> int:
         if args.phase == SYMMETRIC
         else Example2Config.broken_default()
     )
-    formalism = Formalism.parse(args.formalism)
     return _run_sweep(args, "alpha", lambda points: example2_sweep(Example2Config(
         gamma=defaults.gamma if args.gamma is None else args.gamma,
         p=defaults.p if args.p is None else args.p,
         phase=args.phase,
-    ), points=points, formalism=formalism))
+    ), points=points, formalism=args.formalism))
 
 
 class ProblemParseError(NhurError):

@@ -25,7 +25,6 @@ def _read_only(value) -> np.ndarray:
     return arr
 
 
-IDENTITY2 = _read_only([[1, 0], [0, 1]])
 SIGMA_X = _read_only([[0, 1], [1, 0]])
 SIGMA_Y = _read_only([[0, -1j], [1j, 0]])
 SIGMA_Z = _read_only([[1, 0], [0, -1]])
@@ -91,18 +90,6 @@ def _stable_inverse(m: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.inv(m)
 
 
-def commutator(a, b) -> np.ndarray:
-    a = as_operator(a)
-    b = as_operator(b, dim=a.shape[0])
-    return a @ b - b @ a
-
-
-def anticommutator(a, b) -> np.ndarray:
-    a = as_operator(a)
-    b = as_operator(b, dim=a.shape[0])
-    return a @ b + b @ a
-
-
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Biorthogonal eigendecomposition of a (generally non-normal) matrix.
@@ -132,6 +119,3 @@ class EigenSystem:
         left = _stable_inverse(right, "right eigenvector frame")
         for name, arr in (("values", values), ("right", right), ("left", left)):
             object.__setattr__(self, name, _read_only(arr))
-
-    def right_vector(self, i: int) -> np.ndarray:
-        return self.right[:, i]

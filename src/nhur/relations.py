@@ -234,15 +234,55 @@ def _validated(a, b, psi, g: Metric | None, formalism: Formalism,
     return a, b, psi, garr, psi_perp
 
 
-def _formalism(value) -> Formalism:
-    """A public entry's formalism argument as a member; its ValueError else."""
-    return value if isinstance(value, Formalism) else Formalism(value)
+def ur1(a, b, psi, g: Metric | None = None,
+        formalism: Formalism = Formalism.PLAIN) -> UrEvaluation:
+    """Variance sum against twice the imaginary part of the covariance.
+
+    Each of ur1-ur4 runs the whole four-relation kernel and keeps one
+    record: for two or more relations, call `evaluate_all` once."""
+    return evaluate_all(a, b, psi, g, formalism)[0]
 
 
-def _single(a, b, psi, g, formalism, psi_perp=None) -> tuple:
-    """One problem's four records: validated, evaluated as a batch of
-    one, and raising its error."""
-    f = _formalism(formalism)
+def ur2(a, b, psi, g: Metric | None = None,
+        formalism: Formalism = Formalism.PLAIN) -> UrEvaluation:
+    """Variance sum against twice the real part of the covariance; the
+    whole kernel runs, as for ur1, so prefer one `evaluate_all` call."""
+    return evaluate_all(a, b, psi, g, formalism)[1]
+
+
+def ur3(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLAIN,
+        *, psi_perp=None) -> UrEvaluation:
+    """Variance sum against the auxiliary-state-strengthened bound.
+
+    For each sign branch the bound adds the squared matrix element of
+    A +- iB between psi and a unit vector metric-orthogonal to psi, and
+    the larger branch is reported.  psi_perp, metric-normalized and
+    metric-orthogonal to psi, overrides the canonical auxiliary state,
+    for which the bound is tight and both branches equal lhs ("plus").
+    The whole kernel runs, as for ur1, so prefer one `evaluate_all` call.
+    """
+    return evaluate_all(a, b, psi, g, formalism, psi_perp=psi_perp)[2]
+
+
+def ur4(a, b, psi, g: Metric | None = None,
+        formalism: Formalism = Formalism.PLAIN) -> UrEvaluation:
+    """Variance sum against the stronger of the two combination bounds.
+
+    Each branch bound is half Var_G(A +- B), the value the normalized
+    orthogonal state of that combination gives; a branch at an eigenstate of
+    its combination contributes zero and sets the degenerate flag, with no
+    error.  A tie goes to the branch that computes larger, else to "plus".
+    The whole kernel runs, as for ur1, so prefer one `evaluate_all` call.
+    """
+    return evaluate_all(a, b, psi, g, formalism)[3]
+
+
+def evaluate_all(a, b, psi, g: Metric | None = None,
+                 formalism: Formalism = Formalism.PLAIN,
+                 *, psi_perp=None) -> tuple[UrEvaluation, ...]:
+    """All four relations over one input: validated, evaluated as a batch
+    of one in one kernel call, and raising its error."""
+    f = Formalism(formalism)
     a, b, psi, garr, psi_perp = _validated(a, b, psi, g, f, psi_perp)
     batch = relation_batch(a, b, psi[None], garr,
                            None if psi_perp is None else psi_perp[None])
@@ -257,53 +297,3 @@ def _single(a, b, psi, g, formalism, psi_perp=None) -> tuple:
             UrEvaluation("ur3", f, lhs, rhs[2], gap[2], holds[2], _BRANCH[minus3]),
             UrEvaluation("ur4", f, lhs, rhs[3], gap[3], holds[3], _BRANCH[minus4],
                          degenerate))
-
-
-def ur1(a, b, psi, g: Metric | None = None,
-        formalism: Formalism = Formalism.PLAIN) -> UrEvaluation:
-    """Variance sum against twice the imaginary part of the covariance.
-
-    Each of ur1-ur4 runs the whole four-relation kernel and keeps one
-    record: for two or more relations, call `evaluate_all` once."""
-    return _single(a, b, psi, g, formalism)[0]
-
-
-def ur2(a, b, psi, g: Metric | None = None,
-        formalism: Formalism = Formalism.PLAIN) -> UrEvaluation:
-    """Variance sum against twice the real part of the covariance; the
-    whole kernel runs, as for ur1, so prefer one `evaluate_all` call."""
-    return _single(a, b, psi, g, formalism)[1]
-
-
-def ur3(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLAIN,
-        *, psi_perp=None) -> UrEvaluation:
-    """Variance sum against the auxiliary-state-strengthened bound.
-
-    For each sign branch the bound adds the squared matrix element of
-    A +- iB between psi and a unit vector metric-orthogonal to psi, and
-    the larger branch is reported.  psi_perp, metric-normalized and
-    metric-orthogonal to psi, overrides the canonical auxiliary state,
-    for which the bound is tight and both branches equal lhs ("plus").
-    The whole kernel runs, as for ur1, so prefer one `evaluate_all` call.
-    """
-    return _single(a, b, psi, g, formalism, psi_perp)[2]
-
-
-def ur4(a, b, psi, g: Metric | None = None,
-        formalism: Formalism = Formalism.PLAIN) -> UrEvaluation:
-    """Variance sum against the stronger of the two combination bounds.
-
-    Each branch bound is half Var_G(A +- B), the value the normalized
-    orthogonal state of that combination gives; a branch at an eigenstate of
-    its combination contributes zero and sets the degenerate flag, with no
-    error.  A tie goes to the branch that computes larger, else to "plus".
-    The whole kernel runs, as for ur1, so prefer one `evaluate_all` call.
-    """
-    return _single(a, b, psi, g, formalism)[3]
-
-
-def evaluate_all(a, b, psi, g: Metric | None = None,
-                 formalism: Formalism = Formalism.PLAIN,
-                 *, psi_perp=None) -> tuple[UrEvaluation, ...]:
-    """All four relations over one input, from one kernel call."""
-    return _single(a, b, psi, g, formalism, psi_perp=psi_perp)

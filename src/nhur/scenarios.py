@@ -38,7 +38,6 @@ from .relations import (
     Formalism,
     RelationBatch,
     UrEvaluation,
-    _formalism,
     _stats_g,
     _validated,
     relation_batch,
@@ -222,7 +221,7 @@ def build_example2(cfg: Example2Config, formalism: Formalism = Formalism.GOOD):
     normalized in the metric of the statistics (G, or the Dirac product
     under plain), is `example2_sweep`'s at alpha, or raises its error.
     """
-    formalism = _formalism(formalism)
+    formalism = Formalism(formalism)
     a, b, psi, metric, errors = _example2_arrays(cfg, [cfg.alpha], formalism)
     return a, b, _one(psi, errors), metric
 
@@ -290,7 +289,7 @@ def sweep(builder, param_range, points: int,
     always completes.  The builder's outputs are validated one by one and
     evaluated in one kernel call per dimension.
     """
-    formalism = _formalism(formalism)
+    formalism = Formalism(formalism)
     grid = _grid(param_range, points)
     errors = [None] * len(grid)
     by_dim = {}
@@ -317,7 +316,7 @@ def example1_sweep(cfg: Example1Config | None = None, points: int = 721) -> Swee
 def example2_sweep(cfg: Example2Config, points: int = 721,
                    formalism: Formalism = Formalism.GOOD) -> Sweep:
     """Sweep alpha over [0, 2 pi] at fixed gamma and p."""
-    formalism = _formalism(formalism)
+    formalism = Formalism(formalism)
     grid = _grid((0.0, 2.0 * math.pi), points)
     errors = [None] * len(grid)
     try:

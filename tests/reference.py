@@ -33,16 +33,14 @@ from nhur import (
     NotGoodObservableError,
     NotOrthogonalError,
     OrthogonalPair,
-    ScenarioPoint,
     UrEvaluation,
-    anticommutator,
     as_operator,
-    commutator,
     identity_metric,
     require_normalized,
     ur3_default_perp,
 )
 from nhur.cli import csv_header, csv_row
+from nhur.scenarios import ScenarioPoint
 from nhur.tolerances import EPS_DEGEN, EPS_GOOD, EPS_ORTH
 
 # The oracle's own absolute limit on the imaginary or negative part of a
@@ -170,7 +168,8 @@ def _real_bracket(value: complex, what: str) -> float:
 def _rhs_imag(ctx: _Context) -> float:
     """2 Im Cov, or its commutator form in the good formalism."""
     if ctx.formalism is Formalism.GOOD:
-        bracket = 1j * _expect(commutator(ctx.b, ctx.a), ctx.psi, ctx.metric.g)
+        a, b = ctx.a, ctx.b
+        bracket = 1j * _expect(b @ a - a @ b, ctx.psi, ctx.metric.g)
         return _real_bracket(bracket, "i<[B,A]>")
     return 2.0 * ctx.cov.imag
 
@@ -178,10 +177,10 @@ def _rhs_imag(ctx: _Context) -> float:
 def _rhs_real(ctx: _Context) -> float:
     """2 Re Cov, or its anticommutator form in the good formalism."""
     if ctx.formalism is Formalism.GOOD:
-        g = ctx.metric.g
-        bracket = _expect(anticommutator(ctx.a, ctx.b), ctx.psi, g) - 2.0 * _expect(
-            ctx.a, ctx.psi, g
-        ) * _expect(ctx.b, ctx.psi, g)
+        a, b, g = ctx.a, ctx.b, ctx.metric.g
+        bracket = _expect(a @ b + b @ a, ctx.psi, g) - 2.0 * _expect(
+            a, ctx.psi, g
+        ) * _expect(b, ctx.psi, g)
         return _real_bracket(bracket, "<{A,B}> - 2<A><B>")
     return 2.0 * ctx.cov.real
 

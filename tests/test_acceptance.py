@@ -28,7 +28,6 @@ from nhur import (
     Formalism,
     av_orthogonal_state,
     broken_eigensystem,
-    commutator,
     evaluate_all,
     example1_sweep,
     example2_sweep,
@@ -307,7 +306,7 @@ def test_criterion_7_hermitian_limit(announce, rng):
         dev = max(dev, abs(evs[3].rhs - max(direct4)))
 
         prod = va * vb
-        comm = abs(dirac_expect(commutator(a, b), psi)) ** 2 / 4.0
+        comm = abs(dirac_expect(a @ b - b @ a, psi)) ** 2 / 4.0
         robertson_slack = min(robertson_slack, prod - comm)
         done += 1
     if done < 200:

@@ -5,7 +5,10 @@ Each value the kernel reports is within 1e-12 S of its exact value, S =
 slice of the wide-range recipe, and no verdict is false: the exact
 lhs - rhs is never negative (for ur3 with psi_perp at unit norm, as the
 paper states it), and every verdict holds.  Every draw of the recipe
-is a valid problem and evaluates.
+is a valid problem and evaluates.  The paper's two scenarios, at
+parameters where their inputs are rational, lie within a small multiple
+of eps S (example 1) or eps cond(G) S (example 2) of their exact values,
+and every exact margin is >= 0.
 """
 
 import itertools
@@ -17,8 +20,9 @@ import pytest
 
 from exact import exact_values
 from helpers import good_observable_for, random_operator, random_state, recipe_problem
-from nhur import (BROKEN, SYMMETRIC, Example2Config, Formalism, build_example2,
-                  evaluate_all, identity_metric, metric_from_matrix)
+from nhur import (BROKEN, SYMMETRIC, Example1Config, Example2Config, Formalism,
+                  build_example1, build_example2, evaluate_all, identity_metric,
+                  metric_from_matrix)
 
 EPS = np.finfo(float).eps
 
@@ -152,3 +156,31 @@ def test_the_pt_scenario_is_within_conditioning_of_exact(frame):
             worst = max(worst, max(abs(x - float(y)) for x, y in zip(got, exact)) / scale)
             assert all(ev.holds for ev in evs)
     assert worst <= 8.0, worst
+
+
+# Example 1 at its default angles, with c = cos 2 theta0 and s2 = sin 2 theta0:
+# A = [[s2/2, c/2], [c, -s2]], B = [[0, 0], [c, -s2]] and psi = (c, s2)
+# under G = I, rational at c = (1 - s^2)/(1 + s^2), s2 = 2s/(1 + s^2)
+EXAMPLE1_S = S_GRID + tuple(Fraction(s) for s in ("3/4", "-1/7", "5/12"))
+
+
+def test_example1_is_within_rounding_of_exact():
+    # build_example1 forms its entries from cos and sin of theta0, so each
+    # value lies within a small multiple of eps S of the exact one, and the
+    # paper's four inequalities hold with every exact margin >= 0
+    identity = [[_q(1), _q(0)], [_q(0), _q(1)]]
+    worst = 0.0
+    for s in EXAMPLE1_S:
+        c, s2 = (1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)
+        a = [[_q(s2 / 2), _q(c / 2)], [_q(c), _q(-s2)]]
+        b = [[_q(0), _q(0)], [_q(c), _q(-s2)]]
+        want = exact_values(a, b, [_q(c), _q(s2)], identity)
+        assert all(want["lhs"] - r >= 0 for r in want["rhs"])
+        exact = [want["lhs"], *want["rhs"], *want["gap"]]
+        theta0 = math.atan2(float(s2), float(c)) / 2
+        evs = evaluate_all(*build_example1(Example1Config(theta0=theta0)))
+        got = [evs[0].lhs] + [ev.rhs for ev in evs] + [ev.gap for ev in evs]
+        scale = EPS * float(want["S"])
+        worst = max(worst, max(abs(x - float(y)) for x, y in zip(got, exact)) / scale)
+        assert all(ev.holds for ev in evs)
+    assert worst <= 16.0, worst

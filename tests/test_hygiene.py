@@ -9,8 +9,9 @@ no option at all, no module checks a limit on a variance's rounding, only
 its matrix alone and an `EigenSystem` from its values and right frame
 alone, a scenario config checks itself with no `validated` path beside it,
 a dataclass holding an array compares by identity, only
-`linalg._read_only` sets an array's flags, and importing the
-package does none of the command line's work.
+`linalg._read_only` sets an array's flags, importing the
+package does none of the command line's work, and every exported name
+appears in a README code span.
 
 The package's `__init__.py` is exempt from the import check, since its
 imports are the public re-exports listed in `__all__`.
@@ -21,6 +22,7 @@ import dataclasses
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nhur
 from nhur import (
     SIGMA_X,
     EigenSystem,
@@ -236,8 +239,8 @@ def test_each_rule_error_is_worded_in_its_rules_module(error, home):
 
 
 def test_one_route_into_the_kernel():
-    # a single problem reaches relation_batch through relations._single and
-    # every sweep through scenarios._collect, the one place a Sweep is
+    # a single problem reaches relation_batch through relations.evaluate_all
+    # and every sweep through scenarios._collect, the one place a Sweep is
     # built; a third caller would be a route whose rows could drift
     source = ("def f():\n    def g():\n        k.relation_batch(1)\n"
               "    relation_batch(2)\nrelation_batch(3)\n")
@@ -246,7 +249,7 @@ def test_one_route_into_the_kernel():
                           for p in (ROOT / "src" / "nhur").glob("*.py")
                           for scope in callers(p.read_text(encoding="utf-8"), name))
              for name in ("relation_batch", "Sweep")}
-    assert found == {"relation_batch": ["relations._single", "scenarios._collect"],
+    assert found == {"relation_batch": ["relations.evaluate_all", "scenarios._collect"],
                      "Sweep": ["scenarios._collect"]}
 
 
@@ -462,3 +465,22 @@ def test_import_does_no_cli_work():
     proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+
+
+def code_span_names(markdown: str) -> set:
+    """Each identifier inside a fenced block or an inline code span."""
+    spans = FENCE.findall(markdown) + re.findall(r"`([^`]+)`", FENCE.sub("", markdown))
+    return {name for span in spans for name in re.findall(r"\w+", span)}
+
+
+def test_every_export_is_documented():
+    # an exported name that no README code span shows is surface a user
+    # cannot find; h below is only prose, so the check finds it undocumented
+    sample = "Call `f(x)` or\n```python\nimport g\n```\nnot h, nor `k.\nm`.\n"
+    assert code_span_names(sample) == {"f", "x", "import", "g", "k", "m"}
+    assert sorted({"f", "g", "h", "m"} - code_span_names(sample)) == ["h"]
+    readme = code_span_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert sorted(set(nhur.__all__) - readme) == []

@@ -218,15 +218,15 @@ def test_public_surface():
         "BROKEN", "DegenerateEigenstateError", "DimensionMismatchError",
         "EigenSystem", "Example1Config", "Example2Config",
         "ExceptionalPointError", "Formalism", "GoodObservableCheck",
-        "IDENTITY2", "InternalInconsistencyError", "Metric", "MetricReport",
+        "InternalInconsistencyError", "Metric", "MetricReport",
         "MetricValidationError", "NegativeNormError", "NhurError",
         "NonFiniteError", "NotGoodObservableError", "NotNormalizedError",
         "NotOrthogonalError", "OrthogonalPair", "PhaseMismatchError",
-        "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SYMMETRIC", "ScenarioPoint",
+        "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SYMMETRIC",
         "SingularFrameError", "UrEvaluation", "ZeroVectorError",
-        "anticommutator", "as_operator", "as_state", "av_orthogonal_state",
+        "as_operator", "as_state", "av_orthogonal_state",
         "broken_eigensystem", "build_example1", "build_example2",
-        "commutator", "evaluate_all", "example1_sweep", "example2_sweep",
+        "evaluate_all", "example1_sweep", "example2_sweep",
         "g_complement_projection", "g_covariance", "g_expectation",
         "g_orthogonal_complement_2d", "g_variance", "identity_metric",
         "is_good_observable", "metric_from_matrix",
@@ -235,7 +235,7 @@ def test_public_surface():
         "symmetric_eigensystem", "ur1", "ur2", "ur3", "ur3_default_perp",
         "ur4", "validate_metric",
     }
-    assert len(nhur.__all__) == len(set(nhur.__all__))
+    assert len(nhur.__all__) == len(set(nhur.__all__)) == 57
     for name in nhur.__all__:
         getattr(nhur, name)
 

@@ -7,7 +7,6 @@ import pytest
 from nhur import (
     DimensionMismatchError,
     EigenSystem,
-    IDENTITY2,
     Metric,
     NonFiniteError,
     OrthogonalPair,
@@ -15,11 +14,9 @@ from nhur import (
     SIGMA_Y,
     SIGMA_Z,
     SingularFrameError,
-    anticommutator,
     as_operator,
     as_state,
     av_orthogonal_state,
-    commutator,
     evaluate_all,
     identity_metric,
     metric_from_matrix,
@@ -74,11 +71,6 @@ def test_validators_reject_non_finite():
         as_state(np.array([np.inf, 0]))
 
 
-def test_identity_multiplication():
-    m = np.array([[1 + 2j, 3], [0, -1j]])
-    npt.assert_array_equal(IDENTITY2 @ m, m)
-
-
 def test_pauli_product():
     npt.assert_allclose(SIGMA_X @ SIGMA_Y, 1j * SIGMA_Z, atol=1e-15)
 
@@ -97,17 +89,10 @@ def test_inner_skews_for_pt_eigenvectors():
 
     gamma = 0.9
     sys_ = symmetric_eigensystem(gamma)
-    overlap = np.vdot(sys_.right_vector(0), sys_.right_vector(1))
+    overlap = np.vdot(sys_.right[:, 0], sys_.right[:, 1])
     assert abs(overlap) > 1.0
     npt.assert_allclose(
         abs(overlap), gamma / np.sqrt(1.0 - gamma * gamma), atol=1e-12
-    )
-
-
-def test_commutator_and_anticommutator():
-    npt.assert_allclose(commutator(SIGMA_X, SIGMA_Y), 2j * SIGMA_Z, atol=1e-15)
-    npt.assert_allclose(
-        anticommutator(SIGMA_X, SIGMA_X), 2.0 * np.eye(2), atol=1e-15
     )
 
 

@@ -29,7 +29,6 @@ from nhur import (
     SIGMA_Z,
     broken_eigensystem,
     build_example2,
-    commutator,
     g_covariance,
     g_expectation,
     g_variance,
@@ -259,7 +258,7 @@ def test_good_pair_bracket_identities(rng):
             b = good_observable_for(rng, metric)
             psi = random_state(rng, metric)
             cov = g_covariance(a, b, psi, metric)
-            bracket = 1j * g_expectation(commutator(b, a), psi, metric)
+            bracket = 1j * g_expectation(b @ a - a @ b, psi, metric)
             assert abs(bracket.imag) <= 1e-9
             npt.assert_allclose(2.0 * cov.imag, bracket.real, atol=1e-9)
             anti = g_expectation(a @ b + b @ a, psi, metric)

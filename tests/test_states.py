@@ -55,13 +55,13 @@ def test_superposition_normalization_coefficient():
     sys_ = symmetric_eigensystem(0.9)
     for alpha in (0.0, 1.0, np.pi):
         psi = superposition_state(
-            [sys_.right_vector(0), sys_.right_vector(1)],
+            [sys_.right[:, 0], sys_.right[:, 1]],
             [1.0, p * np.exp(1j * alpha)],
             metric,
         )
         nsq = complex(np.vdot(psi, metric.g @ psi)).real
         npt.assert_allclose(nsq, 1.0, atol=1e-12)
-        coeff = complex(np.vdot(sys_.right_vector(0), metric.g @ psi))
+        coeff = complex(np.vdot(sys_.right[:, 0], metric.g @ psi))
         npt.assert_allclose(abs(coeff), 1.0 / math.sqrt(1.0 + p * p), atol=1e-12)
 
 
