@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import MetricValidationError, NhurError
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
-from .metric import (Metric, identity_metric, is_good_observable, metric_from_matrix,
+from .metric import (identity_metric, is_good_observable, metric_from_matrix,
                      metric_from_right_eigenvectors)
 from .relations import Formalism, _stats_g, evaluate_all
 from .scenarios import (
@@ -264,28 +264,6 @@ def parse_problem(payload: dict) -> dict:
     return out
 
 
-def _pairs(arr: np.ndarray) -> list:
-    return np.ravel(arr).view(float).reshape(-1, 2).tolist()
-
-
-def problem_payload(a, b, psi, g: Metric | None = None,
-                    formalism: str = "plain", psi_perp=None) -> dict:
-    """Serialize one problem to the JSON problem-file schema."""
-    a = np.asarray(a, dtype=complex)
-    payload = {
-        "dim": int(a.shape[0]),
-        "A": _pairs(a),
-        "B": _pairs(np.asarray(b, dtype=complex)),
-        "psi": _pairs(np.asarray(psi, dtype=complex)),
-        "formalism": formalism,
-    }
-    if g is not None and not g.is_identity:
-        payload["G"] = _pairs(g.g)
-    if psi_perp is not None:
-        payload["psi_perp"] = _pairs(np.asarray(psi_perp, dtype=complex))
-    return payload
-
-
 def _evaluation_record(ev) -> dict:
     return {
         "relation": ev.relation,
@@ -435,10 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p1.add_argument("--points", type=int, default=721,
                     help="grid size including endpoints (default 721)")
-    p1.add_argument("--theta1", type=float, default=math.pi / 4)
-    p1.add_argument("--theta3", type=float, default=math.pi / 3)
-    p1.add_argument("--theta5", type=float, default=math.pi / 4)
-    p1.add_argument("--theta7", type=float, default=3 * math.pi / 4)
+    for name in ("theta1", "theta3", "theta5", "theta7"):
+        p1.add_argument(f"--{name}", type=float, default=getattr(Example1Config, name))
     p1.add_argument("--out", required=True, help="CSV output path")
     p1.set_defaults(func=cmd_example1)
 

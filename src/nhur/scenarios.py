@@ -176,20 +176,17 @@ def broken_eigensystem(gamma: float) -> EigenSystem:
     """Closed-form eigensystem of the PT Hamiltonian for gamma > 1.
 
     Eigenvalues are the conjugate pair +-i*lambda, lambda = sqrt(gamma^2-1).
-    The closed form holds in double precision up to gamma of about 1e8,
-    where gamma - lambda cancels to 0 (and from about 1.3e154 gamma^2
-    overflows); beyond it the eigenvector norm is 0 or NaN, and
-    NonFiniteError is raised.
+    With r = lambda/gamma in (0, 1], gamma - lambda = (1/gamma)/(1 + r) and
+    the eigenvector norm sqrt(2 lambda (gamma - lambda)) = sqrt(2r/(1 + r)),
+    so no step cancels, overflows or divides by zero for any gamma > 1.
     """
     _require_gamma(gamma, BROKEN)
-    lam = math.sqrt(gamma * gamma - 1.0)
-    norm = math.sqrt(2.0 * gamma * lam - 2.0 * lam * lam)
-    if not norm > 0.0:
-        raise NonFiniteError(
-            f"gamma={gamma:g} is beyond the broken-phase closed form in double "
-            f"precision (eigenvector norm {norm:g})")
-    e_plus = np.array([1.0, -1j * (gamma - lam)]) / norm
-    e_minus = np.array([1j * (gamma - lam), 1.0]) / norm
+    lam = math.sqrt(gamma - 1.0) * math.sqrt(gamma + 1.0)
+    r = lam / gamma
+    delta = (1.0 / gamma) / (1.0 + r)
+    norm = math.sqrt(2.0 * r / (1.0 + r))
+    e_plus = np.array([1.0, -1j * delta]) / norm
+    e_minus = np.array([1j * delta, 1.0]) / norm
     values = np.array([1j * lam, -1j * lam], dtype=complex)
     return EigenSystem(values, np.column_stack([e_plus, e_minus]))
 

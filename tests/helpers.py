@@ -3,7 +3,7 @@ independent oracles that do not go through the library's own formulas."""
 
 import numpy as np
 
-from nhur import metric_from_matrix
+from nhur import Metric, metric_from_matrix
 
 # The benchmark's five sweep command lines, without --points and --out.
 BENCH_COMMANDS = [
@@ -114,3 +114,26 @@ def recipe_problem(rng):
         b = -a + gauss(d, d) * 10.0 ** rng.uniform(-12, 0) * np.abs(a).max()
     psi = gauss(d)
     return a, b, psi / np.sqrt(np.vdot(psi, g @ psi).real), g
+
+
+def _pairs(arr: np.ndarray) -> list:
+    return np.ravel(arr).view(float).reshape(-1, 2).tolist()
+
+
+def problem_payload(a, b, psi, g: Metric | None = None,
+                    formalism: str = "plain", psi_perp=None) -> dict:
+    """Serialize one problem to the JSON problem-file schema that
+    `nhur check` reads."""
+    a = np.asarray(a, dtype=complex)
+    payload = {
+        "dim": int(a.shape[0]),
+        "A": _pairs(a),
+        "B": _pairs(np.asarray(b, dtype=complex)),
+        "psi": _pairs(np.asarray(psi, dtype=complex)),
+        "formalism": formalism,
+    }
+    if g is not None and not g.is_identity:
+        payload["G"] = _pairs(g.g)
+    if psi_perp is not None:
+        payload["psi_perp"] = _pairs(np.asarray(psi_perp, dtype=complex))
+    return payload

@@ -14,7 +14,7 @@ expectation, linear in A, by 2^-k), so the rescaled values, scaled back,
 must leave double range.
 
 The same problems, in all three formalisms and written with
-`cli.problem_payload`, through an in-process `nhur check`: no exception
+`helpers.problem_payload`, through an in-process `nhur check`: no exception
 escapes `main`, the exit code is 0, 1 or 2, and an exit of 2 comes with a
 report whose error names an NhurError other than InternalInconsistencyError.
 
@@ -22,9 +22,9 @@ A second, metamorphic property: scaling an operand by c = 2^k, an exact
 operation for k over +-700, moves no bit of what the state constructions
 return or of the good-observable residual, and no flag of `validate_metric`.
 
-A third: every gamma, the exceptional point, NaN and a broken-phase gamma
-up to double range included, builds the PT model's eigensystems, configs
-and scenario or fails typed.
+A third: every gamma, the exceptional point and NaN included, builds the
+PT model's eigensystems, configs and scenario or fails typed, and every
+broken-phase gamma up to double range that the config admits builds.
 """
 
 import json
@@ -36,6 +36,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import problem_payload
 from nhur import (
     BROKEN,
     SYMMETRIC,
@@ -60,7 +61,7 @@ from nhur import (
     symmetric_eigensystem,
     validate_metric,
 )
-from nhur.cli import main, problem_payload
+from nhur.cli import main
 
 
 def boundary_problem(d, seed, a_exp, b_exp, g_exp, cond_exp):
@@ -246,15 +247,16 @@ def test_every_gamma_builds_or_fails_typed(gamma):
 @example(154.0)
 @example(200.0)
 @example(308.0)
-def test_a_broken_gamma_up_to_double_range_builds_or_fails_typed(exponent):
-    # from gamma of about 1e8 the broken-phase closed form has no finite
-    # frame; no warning, and an NhurError, tells that
+def test_a_broken_gamma_up_to_double_range_builds(exponent):
+    # the broken-phase closed form cancels and overflows nowhere, so
+    # wherever the config builds, the frame and the scenario build too,
+    # with no warning
     gamma = 10.0 ** exponent
-    typed(lambda: broken_eigensystem(gamma))
     cfg = typed(lambda: Example2Config(gamma=gamma, p=0.5, phase=BROKEN))
     if cfg is not None:
+        broken_eigensystem(gamma)
         for formalism in Formalism:
-            typed(lambda: build_example2(cfg, formalism))
+            build_example2(cfg, formalism)
 
 
 def flags(report):

@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from helpers import BENCH_COMMANDS, dirac_covariance, dirac_variance, random_state
+from helpers import (BENCH_COMMANDS, dirac_covariance, dirac_variance, problem_payload,
+                     random_state)
 from nhur import (
     SIGMA_X,
+    Example1Config,
     Example2Config,
     Formalism,
     build_example2,
@@ -25,8 +27,7 @@ from nhur import (
     identity_metric,
     metric_from_matrix,
 )
-from nhur.cli import (ProblemParseError, build_parser, csv_header, main,
-                      parse_problem, problem_payload)
+from nhur.cli import ProblemParseError, build_parser, csv_header, main, parse_problem
 
 EXPECTED_HEADER = (
     "theta0,"
@@ -598,6 +599,18 @@ def test_metric_broken_diagnostics(capsys):
     assert table["sigma_y"] == "true"
 
 
+def test_metric_builds_a_broken_gamma_far_from_the_exceptional_point(capsys):
+    # the broken-phase closed form cancels nowhere, so gamma = 1e9, where
+    # gamma - lambda is about 5e-10, builds its frame and metric
+    rc = main(["metric", "--gamma", "1e9"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("phase: broken, gamma = 1e+09\nG =\n")
+    table = _good_observable_table(out)
+    assert table["H(1/gamma)"] == "true"
+    assert table["sigma_y"] == "true"
+
+
 def test_metric_at_gamma_zero_skips_the_inverse_hamiltonian(capsys):
     # H(1/gamma) has no value at gamma = 0, and G is the identity there (to
     # rounding), so every operator left in the table is good
@@ -690,3 +703,10 @@ def test_main_builds_one_parser_per_process(tmp_path, capsys, monkeypatch,
 def test_build_parser_returns_a_new_parser(fresh_parser_cache):
     assert build_parser() is not build_parser()
     assert cli._parser() is cli._parser()
+
+
+def test_example1_defaults_are_the_configs():
+    args = build_parser().parse_args(["example1", "--out", "x"])
+    default = Example1Config()
+    for name in ("theta1", "theta3", "theta5", "theta7"):
+        assert getattr(args, name) == getattr(default, name)

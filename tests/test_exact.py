@@ -8,7 +8,9 @@ paper states it), and every verdict holds.  Every draw of the recipe
 is a valid problem and evaluates.  The paper's two scenarios, at
 parameters where their inputs are rational, lie within a small multiple
 of eps S (example 1) or eps cond(G) S (example 2) of their exact values,
-and every exact margin is >= 0.
+and every exact margin is >= 0.  The broken-phase metric at dyadic gamma,
+where it is rational, lies within a few eps of its exact value however
+large gamma is.
 """
 
 import itertools
@@ -21,8 +23,8 @@ import pytest
 from exact import exact_values
 from helpers import good_observable_for, random_operator, random_state, recipe_problem
 from nhur import (BROKEN, SYMMETRIC, Example1Config, Example2Config, Formalism,
-                  build_example1, build_example2, evaluate_all, identity_metric,
-                  metric_from_matrix)
+                  broken_eigensystem, build_example1, build_example2, evaluate_all,
+                  identity_metric, metric_from_matrix, metric_from_right_eigenvectors)
 
 EPS = np.finfo(float).eps
 
@@ -184,3 +186,18 @@ def test_example1_is_within_rounding_of_exact():
         worst = max(worst, max(abs(x - float(y)) for x, y in zip(got, exact)) / scale)
         assert all(ev.holds for ev in evs)
     assert worst <= 16.0, worst
+
+
+@pytest.mark.parametrize("k", range(1, 27))
+def test_the_broken_metric_is_within_rounding_of_exact(k):
+    # gamma = (4^k + 1)/2^(k+1) and lambda = (4^k - 1)/2^(k+1) are both
+    # doubles, so G = [[gamma, -i], [i, gamma]]/lambda is rational; the
+    # closed form cancels nowhere, so no entry drifts as gamma grows
+    gamma, lam = Fraction(4**k + 1, 2 ** (k + 1)), Fraction(4**k - 1, 2 ** (k + 1))
+    assert float(gamma) == gamma
+    exact = [[(gamma / lam, 0), (0, -1 / lam)], [(0, 1 / lam), (gamma / lam, 0)]]
+    g = metric_from_right_eigenvectors(broken_eigensystem(float(gamma))).g
+    limit = 3 * EPS * float(gamma / lam)
+    for got, want in zip(g.ravel().tolist(), itertools.chain(*exact)):
+        assert math.hypot(float(Fraction(got.real) - want[0]),
+                          float(Fraction(got.imag) - want[1])) <= limit, (got, want)

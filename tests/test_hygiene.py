@@ -10,8 +10,9 @@ its matrix alone and an `EigenSystem` from its values and right frame
 alone, a scenario config checks itself with no `validated` path beside it,
 a dataclass holding an array compares by identity, only
 `linalg._read_only` sets an array's flags, importing the
-package does none of the command line's work, and every exported name
-appears in a README code span.
+package does none of the command line's work, every exported name
+appears in a README code span, and every package name the benchmark
+reads resolves.
 
 The package's `__init__.py` is exempt from the import check, since its
 imports are the public re-exports listed in `__all__`.
@@ -484,3 +485,55 @@ def test_every_export_is_documented():
     assert sorted({"f", "g", "h", "m"} - code_span_names(sample)) == ["h"]
     readme = code_span_names((ROOT / "README.md").read_text(encoding="utf-8"))
     assert sorted(set(nhur.__all__) - readme) == []
+
+
+def nhur_names(source: str) -> set:
+    """Each dotted name under nhur that source reads: the modules it
+    imports, each name it imports from them, and each `nhur.x.y` chain."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names if a.name.split(".")[0] == "nhur"}
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and (node.module or "").split(".")[0] == "nhur"):
+            names |= {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            chain, root = [], node
+            while isinstance(root, ast.Attribute):
+                chain.append(root.attr)
+                root = root.value
+            if isinstance(root, ast.Name) and root.id == "nhur":
+                names.add(".".join(["nhur", *reversed(chain)]))
+    return names
+
+
+def resolves(dotted: str) -> bool:
+    """Whether each step of a dotted name is an attribute or a submodule."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i in range(1, len(parts)):
+        if hasattr(obj, parts[i]):
+            obj = getattr(obj, parts[i])
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:i + 1]))
+        except ModuleNotFoundError:
+            return False
+    return True
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # benchmarks/ reads package names that no test imports, so a deleted
+    # one would otherwise show only in a traced benchmark run
+    sample = ("import nhur.cli\nfrom nhur.scenarios import Sweep, gone\n"
+              "nhur.Formalism.PLAIN\nnhur.cli.nowhere()\nfrom .x import y\n")
+    assert nhur_names(sample) == {
+        "nhur.cli", "nhur.scenarios.Sweep", "nhur.scenarios.gone",
+        "nhur.Formalism", "nhur.Formalism.PLAIN", "nhur.cli.nowhere"}
+    assert sorted(n for n in nhur_names(sample) if not resolves(n)) == [
+        "nhur.cli.nowhere", "nhur.scenarios.gone"]
+    names = set().union(*(nhur_names(p.read_text(encoding="utf-8"))
+                          for p in (ROOT / "benchmarks").glob("*.py")))
+    assert {"nhur.cli.csv_row", "nhur.scenarios.ScenarioPoint",
+            "nhur.cli.parse_problem", "nhur.states.ur3_default_perp"} <= names
+    assert sorted(n for n in names if not resolves(n)) == []

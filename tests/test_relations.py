@@ -6,7 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from helpers import good_observable_for, metric_gb, metric_gs, random_operator, random_state
+from helpers import (good_observable_for, metric_gb, metric_gs, problem_payload,
+                     random_operator, random_state)
 from nhur import (
     DimensionMismatchError,
     Example1Config,
@@ -33,7 +34,7 @@ from nhur import (
     ur4,
 )
 from nhur import relations
-from nhur.cli import main, problem_payload
+from nhur.cli import main
 
 E0 = np.array([1.0, 0.0], dtype=complex)
 E1 = np.array([0.0, 1.0], dtype=complex)

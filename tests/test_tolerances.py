@@ -150,10 +150,10 @@ def test_a_built_state_is_caller_input_to_evaluate_all():
     # which evaluate_all checks as caller input against a limit set by
     # |psi| |G psi|, not by the operands that cancelled in G psi.  A limit
     # scaled by those operands would flip this test
-    cfg = Example2Config(1.0 + 6e-9, 1.0, phase=BROKEN)
+    cfg = Example2Config(1.0 + 7e-9, 1.0, phase=BROKEN)
     sw = example2_sweep(cfg, 721, Formalism.GOOD)
     assert sw.param[540] == 1.5 * math.pi and sw.ok[540]
-    with pytest.raises(NotNormalizedError, match=r"= 0\.999999969448 \(must be 1 within 1e-08\)"):
+    with pytest.raises(NotNormalizedError, match=r"= 1\.00000002403 \(must be 1 within 1e-08\)"):
         evaluate_all(*build_example2(replace(cfg, alpha=sw.param[540])), Formalism.GOOD)
 
 
