@@ -81,15 +81,6 @@ def _well_conditioned(smallest, largest) -> bool:
     return smallest > EPS_PD * largest
 
 
-def _stable_inverse(m: np.ndarray, what: str) -> np.ndarray:
-    """m^-1, or SingularFrameError unless m's singular values `_well_conditioned`."""
-    sv = np.linalg.svd(m, compute_uv=False)
-    if not _well_conditioned(sv[-1], sv[0]):
-        raise SingularFrameError(f"{what} is numerically singular "
-                                 f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})")
-    return np.linalg.inv(m)
-
-
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Biorthogonal eigendecomposition of a (generally non-normal) matrix.
@@ -97,9 +88,10 @@ class EigenSystem:
     ``EigenSystem(values, right)``, `dataclasses.replace` included, checks
     both (`as_operator`, `as_state`) and derives left by inverting the right
     frame, the unique biorthonormal choice, or raises SingularFrameError
-    where it has no stable inverse.  All three arrays are read-only copies
-    (`_read_only`), so no caller's array can change them, not even one
-    its owner makes writable again.  Instances compare by identity.
+    unless its singular values are `_well_conditioned`.  All three arrays
+    are read-only copies (`_read_only`), so no caller's array can change
+    them, not even one its owner makes writable again.  Instances compare
+    by identity.
 
     Attributes
     ----------
@@ -116,6 +108,11 @@ class EigenSystem:
     def __post_init__(self):
         right = as_operator(self.right, name="right eigenvector frame")
         values = as_state(self.values, dim=right.shape[0], name="eigenvalues")
-        left = _stable_inverse(right, "right eigenvector frame")
+        sv = np.linalg.svd(right, compute_uv=False)
+        if not _well_conditioned(sv[-1], sv[0]):
+            raise SingularFrameError(
+                "right eigenvector frame is numerically singular "
+                f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})")
+        left = np.linalg.inv(right)
         for name, arr in (("values", values), ("right", right), ("left", left)):
             object.__setattr__(self, name, _read_only(arr))

@@ -42,8 +42,8 @@ from .errors import (
     NotGoodObservableError,
     NotNormalizedError,
 )
-from .linalg import (EigenSystem, _read_only, _scaled, _stable_inverse,
-                     _well_conditioned, as_operator, as_state)
+from .linalg import (EigenSystem, _read_only, _scaled, _well_conditioned,
+                     as_operator, as_state)
 from .tolerances import EPS_DEGEN, EPS_GOOD, EPS_HERM, EPS_NORM, EPS_ORTH
 
 
@@ -165,17 +165,10 @@ def _hermitian(g: np.ndarray) -> np.ndarray:
 
 
 def metric_from_right_eigenvectors(sys: EigenSystem, hamiltonian=None) -> Metric:
-    """Metric induced by a right-eigenvector frame.
-
-    G is the inverse of the frame sum ``S = sum_i |R_i><R_i|``.  S is
-    Hermitian positive definite whenever the frame has full rank, so the
-    construction fails only near coalescing eigenvectors.
-    """
-    frame_sum = sys.right @ sys.right.conj().T
-    inverse = _stable_inverse(frame_sum, "eigenvector frame sum")
-    # Hermitian by construction: validate that part, as the inverse's own
-    # asymmetry, about eps cond(S), can exceed EPS_HERM on an accepted frame
-    return Metric(_hermitian(inverse), hamiltonian)
+    """Metric induced by a right-eigenvector frame: G = L^dag L over its
+    biorthonormal left rows (Mostafazadeh's eta_+), exactly the inverse of
+    the frame sum ``sum_i |R_i><R_i|``, with no second inverse."""
+    return Metric(_hermitian(sys.left.conj().T @ sys.left), hamiltonian)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ one vector, so its rounding scales with the gap rather than with lhs:
 
   ur1  rhs = 2 Im Cov(A, B);  gap = Var(A + iB) = |d_A + i d_B|^2
   ur2  rhs = 2 Re Cov(A, B);  gap = Var(A - B) = |d_A - d_B|^2
-  ur3  rhs = +-2 Im Cov + |<perp|G(A +- iB)|psi>|^2, larger sign branch;
-       gap = |d_A +- i d_B|^2 less its part along perp
+  ur3  rhs = +-2 Im Cov + |<perp|G(A +- iB)|psi>|^2 / <perp|G perp>, larger
+       sign branch; gap = |d_A +- i d_B|^2 less its part along perp's ray
   ur4  rhs = half the larger of Var(A +- B), each the squared element of
        the combination with its orthogonal state;  gap = half the smaller
 
@@ -171,12 +171,15 @@ def _values(a, b, psi, g, psi_perp) -> tuple:
         rhs3, gap3, minus3 = lhs, np.zeros(n), np.zeros(n, bool)
     else:
         # each branch's gap is the G-norm of d_A +- i d_B less its part along
-        # perp; as perp is orthogonal to psi, e is <perp|G(A +- iB)|psi>
+        # perp's ray; as perp is orthogonal to psi, e is <perp|G(A +- iB)|psi>,
+        # and the bound is |e|^2 / n with n = <perp|G perp>, at any norm
         gperp = np.matvec(g, psi_perp)
         w, gw = u[4:6], gu[4:6]
         e = np.vecdot(psi_perp, gw)[..., None]
-        rhs3 = np.array([rhs1, -rhs1]) + np.abs(e[..., 0]) ** 2
-        gap3 = np.maximum(np.vecdot(w - e * psi_perp, gw - e * gperp).real, 0.0)
+        n = np.vecdot(psi_perp, gperp).real[:, None]
+        c = e / n  # the coefficient of w's part along perp
+        rhs3 = np.array([rhs1, -rhs1]) + (np.abs(e) ** 2 / n)[..., 0]
+        gap3 = np.maximum(np.vecdot(w - c * psi_perp, gw - c * gperp).real, 0.0)
         minus3 = rhs3[1] > rhs3[0]
         rhs3, gap3 = np.where(minus3, [rhs3[1], gap3[1]], [rhs3[0], gap3[0]])
 
@@ -255,8 +258,9 @@ def ur3(a, b, psi, g: Metric | None = None, formalism: Formalism = Formalism.PLA
     """Variance sum against the auxiliary-state-strengthened bound.
 
     For each sign branch the bound adds the squared matrix element of
-    A +- iB between psi and a unit vector metric-orthogonal to psi, and
-    the larger branch is reported.  psi_perp, metric-normalized and
+    A +- iB between psi and a vector metric-orthogonal to psi, over that
+    vector's G-norm^2, so it is the bound of the vector's ray, and the
+    larger branch is reported.  psi_perp, metric-normalized and
     metric-orthogonal to psi, overrides the canonical auxiliary state,
     for which the bound is tight and both branches equal lhs ("plus").
     The whole kernel runs, as for ur1, so prefer one `evaluate_all` call.

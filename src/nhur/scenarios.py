@@ -158,7 +158,7 @@ def symmetric_eigensystem(gamma: float) -> EigenSystem:
     """Closed-form eigensystem of the PT Hamiltonian for gamma^2 < 1.
 
     Eigenvalues are +-cos(theta) with sin(theta) = gamma; the eigenvector
-    scale 1/sqrt(2 cos theta) makes the frame-sum metric come out in its
+    scale 1/sqrt(2 cos theta) makes the metric L^dag L come out in its
     standard closed form.
     """
     _require_gamma(gamma, SYMMETRIC)

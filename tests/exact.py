@@ -46,10 +46,10 @@ ONE, I = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
 
 def exact_values(a, b, psi, g, psi_perp=None) -> dict:
     """lhs, the rhs and gap of ur1..ur4 as 4-lists, ur3's |e|^2 of its
-    reported branch (None with the default perp), S = |A psi|_G^2 +
-    |B psi|_G^2, and bound3, ur3's rhs with psi_perp taken at unit G-norm,
-    which lhs never falls below; as Fractions, for (d, d) arrays and (d,)
-    states."""
+    reported branch (None with the default perp) and S = |A psi|_G^2 +
+    |B psi|_G^2, as Fractions, for (d, d) arrays and (d,) states.  ur3's
+    bound is taken on psi_perp's ray, |e|^2 / <perp|G perp>, so lhs never
+    falls below it at any norm of psi_perp."""
     a, b, g = ([[_c(z) for z in row] for row in m] for m in (a, b, g))
     p = [_c(z) for z in psi]
     ap, bp = _matvec(a, p), _matvec(b, p)
@@ -65,19 +65,18 @@ def exact_values(a, b, psi, g, psi_perp=None) -> dict:
     cov = _dot(da, _matvec(g, db))
     lhs, rhs1 = var(da) + var(db), 2 * cov[1]
     sums = var(_comb(ONE, da, ONE, db)), var(_comb(ONE, da, (-ONE[0], 0), db))
-    rhs3, gap3, e2, bound3 = lhs, Fraction(0), None, lhs
-    if psi_perp is not None:
+    rhs3, gap3, e2 = lhs, Fraction(0), None
+    if psi_perp is not None:  # on perp's ray: |e|^2 / n and w less (e / n) perp
         q = [_c(z) for z in psi_perp]
         nsq, branches = _dot(q, _matvec(g, q))[0], []
         for sign in (1, -1):  # each branch, its rhs first
             w = _comb(ONE, da, (0, sign * I[1]), db)
             e = _dot(q, _matvec(g, w))
             size = e[0] ** 2 + e[1] ** 2
-            branches.append((sign * rhs1 + size,
-                             var(_comb(ONE, w, (-e[0], -e[1]), q)), size))
+            branches.append((sign * rhs1 + size / nsq,
+                             var(_comb(ONE, w, (-e[0] / nsq, -e[1] / nsq), q)), size))
         rhs3, gap3, e2 = max(branches, key=lambda br: br[0])
-        bound3 = max(rhs - size + size / nsq for rhs, _, size in branches)
     scale = _dot(ap, _matvec(g, ap))[0] + _dot(bp, _matvec(g, bp))[0]
     return {"lhs": lhs, "rhs": [rhs1, 2 * cov[0], rhs3, max(sums) / 2],
             "gap": [var(_comb(ONE, da, I, db)), sums[1], gap3, min(sums) / 2],
-            "e2": e2, "S": scale, "bound3": bound3}
+            "e2": e2, "S": scale}

@@ -22,7 +22,11 @@ A second, metamorphic property: scaling an operand by c = 2^k, an exact
 operation for k over +-700, moves no bit of what the state constructions
 return or of the good-observable residual, and no flag of `validate_metric`.
 
-A third: every gamma, the exceptional point and NaN included, builds the
+A third: ur3's verdict holds for the tight auxiliary state of either
+branch scaled to a norm^2 that the normalization rule accepts, 1 + delta
+with |delta| <= 9e-9, wherever cond(G) <= 1e6.
+
+A fourth: every gamma, the exceptional point and NaN included, builds the
 PT model's eigensystems, configs and scenario or fails typed, and every
 broken-phase gamma up to double range that the config admits builds.
 """
@@ -59,6 +63,7 @@ from nhur import (
     require_normalized,
     superposition_state,
     symmetric_eigensystem,
+    ur3_default_perp,
     validate_metric,
 )
 from nhur.cli import main
@@ -225,6 +230,32 @@ def test_check_gives_a_verdict_or_a_typed_error(d, formalism, seed, a_exp, b_exp
     assert ("error" in report) == (code == 2)
     if code == 2:
         assert report["error"].split(":")[0] in error_names(), report["error"]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(2, 4), st.sampled_from([Formalism.PLAIN, Formalism.GMETRIC]),
+       st.integers(0, 2**32 - 1), st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),
+       st.floats(-100.0, 100.0), st.floats(0.0, 6.0), st.sampled_from([1, -1]),
+       st.floats(-9e-9, 9e-9))
+@example(2, Formalism.PLAIN, 0, 0.0, 0.0, 0.0, 0.0, 1, 9e-9)
+@example(3, Formalism.GMETRIC, 1, 0.0, 0.0, 0.0, 6.0, -1, 9e-9)
+def test_ur3_holds_for_a_perp_the_normalization_rule_accepts(d, formalism, seed, a_exp,
+                                                             b_exp, g_exp, cond_exp,
+                                                             sign, delta):
+    # ur3's bound is taken on perp's ray, |e|^2 / <perp|G perp>, so a perp
+    # at norm^2 1 + delta, which the normalization rule accepts, gives its
+    # unit vector's bound: even a branch's tight perp, so scaled, yields no
+    # false violation
+    a, b, v, g = boundary_problem(d, seed, a_exp, b_exp, g_exp, cond_exp)
+    metric = metric_from_matrix(g)
+    stats = metric if formalism is Formalism.GMETRIC else identity_metric(d)
+    psi = v / np.sqrt(np.vdot(v, stats.g @ v).real)
+    perp = typed(lambda: ur3_default_perp(a, b, psi, stats, sign))
+    if perp is None:
+        return
+    ur3 = evaluate_all(a, b, psi, metric, formalism,
+                       psi_perp=perp * math.sqrt(1.0 + delta))[2]
+    assert ur3.holds, (ur3, delta)
 
 
 @settings(max_examples=200, deadline=None, database=None)

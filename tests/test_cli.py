@@ -448,6 +448,23 @@ def test_check_accepts_orthogonal_override(tmp_path):
     npt.assert_allclose(ur3[0]["rhs"], ur3[1]["rhs"], atol=1e-12)
 
 
+def test_check_takes_ur3_on_the_ray_of_an_accepted_override(tmp_path):
+    # A = sigma_x, B = sigma_y, psi = e0: lhs = 2, and the minus branch's
+    # bound -2 + |e|^2 / <perp|perp> is tight.  psi_perp at norm^2 1 + 2e-9,
+    # within the normalization rule, is kept as it is; on its ray the bound
+    # is its unit vector's, 2, where -2 + |e|^2 alone read 2 + 8e-9, a
+    # false violation
+    inp, rep = tmp_path / "problem.json", tmp_path / "report.json"
+    _write_problem(inp, {
+        "dim": 2, "formalism": "plain",
+        "A": [[0, 0], [1, 0], [1, 0], [0, 0]], "B": [[0, 0], [0, -1], [0, 1], [0, 0]],
+        "psi": [[1, 0], [0, 0]], "psi_perp": [[0, 0], [1.000000001, 0]]})
+    assert main(["check", "--input", str(inp), "--out", str(rep)]) == 0
+    ur3 = json.loads(rep.read_text())["evaluations"][2]
+    assert ur3["holds"] is True and ur3["lhs"] == 2.0
+    assert abs(ur3["rhs"] - 2.0) <= 1e-15
+
+
 def test_check_rescales_a_state_whose_metric_image_overflows(tmp_path, capsys):
     # G psi overflows before the power-of-two rescale: that fails the
     # normalization check, and the rescaled state evaluates as [1, 1] does

@@ -150,10 +150,10 @@ def test_a_built_state_is_caller_input_to_evaluate_all():
     # which evaluate_all checks as caller input against a limit set by
     # |psi| |G psi|, not by the operands that cancelled in G psi.  A limit
     # scaled by those operands would flip this test
-    cfg = Example2Config(1.0 + 7e-9, 1.0, phase=BROKEN)
+    cfg = Example2Config(1.0 + 6e-9, 1.0, phase=BROKEN)
     sw = example2_sweep(cfg, 721, Formalism.GOOD)
     assert sw.param[540] == 1.5 * math.pi and sw.ok[540]
-    with pytest.raises(NotNormalizedError, match=r"= 1\.00000002403 \(must be 1 within 1e-08\)"):
+    with pytest.raises(NotNormalizedError, match=r"= 0\.99999998806 \(must be 1 within 1e-08\)"):
         evaluate_all(*build_example2(replace(cfg, alpha=sw.param[540])), Formalism.GOOD)
 
 
@@ -232,20 +232,22 @@ def test_a_stationarity_residual_beyond_double_range_reads_inf():
 
 def test_one_conditioning_rule(monkeypatch):
     # each check passes iff its smallest/largest ratio exceeds EPS_PD: 1/2
-    # for the gamma = 0.6 frame, 1/4 for its frame sum and its metric
+    # for the gamma = 0.6 frame, 1/4 for its metric L^dag L, which the
+    # metric's own positive-definiteness check refuses
     system = symmetric_eigensystem(0.6)
     g = np.asarray(metric_from_right_eigenvectors(system).g)
-    builds = ((lambda: EigenSystem(system.values, system.right), 0.5),
-              (lambda: metric_from_right_eigenvectors(system), 0.25))
+    builds = ((lambda: EigenSystem(system.values, system.right), 0.5,
+               SingularFrameError, "frame is numerically singular"),
+              (lambda: metric_from_right_eigenvectors(system), 0.25,
+               MetricValidationError, "not Hermitian positive definite"))
     for eps in (0.2, 0.3, 0.6):
         monkeypatch.setattr(nhur.linalg, "EPS_PD", eps)
         assert validate_metric(g).positive_definite is (0.25 > eps)
-        for build, ratio in builds:
+        for build, ratio, error, match in builds:
             if ratio > eps:
                 build()
             else:
-                with pytest.raises(SingularFrameError,
-                                   match="frame( sum)? is numerically singular"):
+                with pytest.raises(error, match=match):
                     build()
 
 
